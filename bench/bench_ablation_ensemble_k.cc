@@ -40,7 +40,7 @@ int main() {
       train_seconds += std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                            .count();
-      model_bytes = stage.local_model().MemoryBytes();
+      model_bytes = stage.local_model_snapshot()->MemoryBytes();
 
       std::vector<double> errors;
       std::vector<double> uncertainties;

@@ -35,8 +35,8 @@
 #include "stage/calib/conformal.h"
 #include "stage/common/stats.h"
 #include "stage/metrics/report.h"
+#include "stage/fleet_serve/tenant_stack.h"
 #include "stage/obs/trace.h"
-#include "stage/serve/prediction_service.h"
 
 using namespace stage;
 
@@ -111,23 +111,22 @@ std::vector<double> PredictNanos(const core::StagePredictorConfig& config,
                                  const fleet::InstanceTrace& instance,
                                  const std::vector<core::QueryContext>& contexts,
                                  const global::GlobalModel* global_model) {
-  serve::PredictionServiceConfig service_config;
-  service_config.predictor = config;
-  service_config.cache_shards = 8;
-  service_config.async_retrain = false;
+  fleet_serve::TenantStackConfig stack_config;
+  stack_config.predictor = config;
+  stack_config.cache_shards = 8;
   core::StagePredictorOptions options;
   options.global_model = global_model;
   options.instance = &instance.config;
-  serve::PredictionService service(service_config, options);
+  fleet_serve::TenantStack stack(stack_config, options);
   for (size_t i = 0; i < contexts.size(); ++i) {
-    service.Predict(contexts[i]);
-    service.Observe(contexts[i], instance.trace[i].exec_seconds);
+    stack.Predict(contexts[i]);
+    stack.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
   std::vector<double> nanos;
   nanos.reserve(contexts.size());
   for (const core::QueryContext& context : contexts) {
     const auto start = std::chrono::steady_clock::now();
-    service.Predict(context);
+    stack.Predict(context);
     nanos.push_back(std::chrono::duration<double, std::nano>(
                         std::chrono::steady_clock::now() - start)
                         .count());

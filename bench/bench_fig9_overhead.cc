@@ -65,9 +65,9 @@ BENCHMARK(BM_ExecTimeCacheHit);
 
 void BM_LocalModelPredict(benchmark::State& state) {
   Harness& harness = Harness::Get();
-  const auto& local = harness.stage->local_model();
+  const auto local = harness.stage->local_model_snapshot();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(local.Predict(harness.miss_context.features));
+    benchmark::DoNotOptimize(local->Predict(harness.miss_context.features));
   }
 }
 BENCHMARK(BM_LocalModelPredict);
@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
   std::printf("exec-time cache : %10zu bytes\n",
               harness.stage->exec_time_cache().MemoryBytes());
   std::printf("local model     : %10zu bytes\n",
-              harness.stage->local_model().MemoryBytes());
+              harness.stage->local_model_snapshot()->MemoryBytes());
   std::printf("AutoWLM model   : %10zu bytes\n", harness.autowlm->MemoryBytes());
   std::printf("global model    : %10zu bytes\n",
               harness.global_model->MemoryBytes());

@@ -1,9 +1,9 @@
 // Serving-path overhead (§4.5, Fig. 9 companion): shows that inline
 // retraining stalls the request path for the whole training duration while
-// the serving layer's background retraining keeps the worst-case request
-// latency flat, how reader throughput scales with concurrent sessions
-// against one writer, and what attaching the obs metrics registry costs on
-// the single-prediction hot path (acceptance bar: <=3% p50).
+// the fleet's background retraining keeps the worst-case request latency
+// flat, how reader throughput scales with concurrent sessions against one
+// writer, and what attaching the obs metrics registry costs on the
+// single-prediction hot path (acceptance bar: <=3% p50).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -13,13 +13,26 @@
 
 #include "bench_common.h"
 #include "stage/common/stats.h"
+#include "stage/fleet_serve/fleet_service.h"
 #include "stage/metrics/report.h"
 #include "stage/obs/metrics.h"
-#include "stage/serve/prediction_service.h"
 
 using namespace stage;
 
 namespace {
+
+// The single-instance serving shape: one pinned tenant of a FleetService,
+// read straight from its stack, observed through the service so retrains
+// run on the fleet's worker.
+constexpr fleet_serve::TenantId kTenant = 0;
+
+fleet_serve::FleetServiceConfig ServeConfig(bool async_retrain) {
+  fleet_serve::FleetServiceConfig config;
+  config.stack.predictor = bench::PaperStageConfig();
+  config.stack.cache_shards = 8;
+  config.async_retrain = async_retrain;
+  return config;
+}
 
 struct ReplayStats {
   std::vector<double> request_micros;  // Predict + Observe per query.
@@ -30,19 +43,17 @@ struct ReplayStats {
 ReplayStats ReplayThroughService(const fleet::InstanceTrace& instance,
                                  const std::vector<core::QueryContext>& contexts,
                                  bool async_retrain) {
-  serve::PredictionServiceConfig config;
-  config.predictor = bench::PaperStageConfig();
-  config.cache_shards = 8;
-  config.async_retrain = async_retrain;
-  serve::PredictionService service(config, {.instance = &instance.config});
+  fleet_serve::FleetService service(ServeConfig(async_retrain));
+  service.RegisterTenant(kTenant, {.instance = &instance.config});
+  const auto stack = service.PinTenant(kTenant);
 
   ReplayStats stats;
   stats.request_micros.reserve(contexts.size());
   const auto start = std::chrono::steady_clock::now();
   for (size_t i = 0; i < contexts.size(); ++i) {
     const auto request_start = std::chrono::steady_clock::now();
-    service.Predict(contexts[i]);
-    service.Observe(contexts[i], instance.trace[i].exec_seconds);
+    stack->Predict(contexts[i]);
+    service.Observe(kTenant, contexts[i], instance.trace[i].exec_seconds);
     stats.request_micros.push_back(
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - request_start)
@@ -52,17 +63,16 @@ ReplayStats ReplayThroughService(const fleet::InstanceTrace& instance,
   stats.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  stats.trainings = service.trainings();
+  stats.trainings = stack->trainings();
   return stats;
 }
 
 double ReaderQps(const fleet::InstanceTrace& instance,
                  const std::vector<core::QueryContext>& contexts,
                  int num_readers) {
-  serve::PredictionServiceConfig config;
-  config.predictor = bench::PaperStageConfig();
-  config.cache_shards = 8;
-  serve::PredictionService service(config, {.instance = &instance.config});
+  fleet_serve::FleetService service(ServeConfig(/*async_retrain=*/true));
+  service.RegisterTenant(kTenant, {.instance = &instance.config});
+  const auto stack = service.PinTenant(kTenant);
 
   std::atomic<bool> done{false};
   std::atomic<uint64_t> predictions{0};
@@ -76,7 +86,7 @@ double ReaderQps(const fleet::InstanceTrace& instance,
       // Floor of one pass over the trace: on few-core machines the writer
       // can finish before a reader is ever scheduled.
       while (!done.load(std::memory_order_relaxed) || made < contexts.size()) {
-        service.Predict(contexts[at % contexts.size()]);
+        stack->Predict(contexts[at % contexts.size()]);
         at += 127;
         ++made;
       }
@@ -84,7 +94,7 @@ double ReaderQps(const fleet::InstanceTrace& instance,
     });
   }
   for (size_t i = 0; i < contexts.size(); ++i) {
-    service.Observe(contexts[i], instance.trace[i].exec_seconds);
+    service.Observe(kTenant, contexts[i], instance.trace[i].exec_seconds);
   }
   done.store(true);
   for (std::thread& reader : readers) reader.join();
@@ -95,31 +105,30 @@ double ReaderQps(const fleet::InstanceTrace& instance,
 }
 
 // Pure single-prediction latency, with or without the metrics registry
-// attached. The service is warmed first (local model trained, cache
-// filled), so the measured loop is exactly the production read path:
-// sharded cache probe + routing + (with metrics) a handful of relaxed
-// atomic RMWs. No locks, no per-predict allocation.
+// attached. The stack is warmed first (local model trained, cache filled),
+// so the measured loop is exactly the production read path: sharded cache
+// probe + routing + (with metrics) a handful of relaxed atomic RMWs. No
+// per-predict allocation.
 std::vector<double> PredictNanos(const fleet::InstanceTrace& instance,
                                  const std::vector<core::QueryContext>& contexts,
                                  obs::MetricsRegistry* registry) {
-  serve::PredictionServiceConfig config;
+  fleet_serve::TenantStackConfig config;
   config.predictor = bench::PaperStageConfig();
   config.cache_shards = 8;
-  config.async_retrain = false;
   core::StagePredictorOptions options;
   options.instance = &instance.config;
   options.metrics = registry;
-  serve::PredictionService service(config, options);
+  fleet_serve::TenantStack stack(config, options);
   for (size_t i = 0; i < contexts.size(); ++i) {
-    service.Predict(contexts[i]);
-    service.Observe(contexts[i], instance.trace[i].exec_seconds);
+    stack.Predict(contexts[i]);
+    stack.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
 
   std::vector<double> nanos;
   nanos.reserve(contexts.size());
   for (const core::QueryContext& context : contexts) {
     const auto start = std::chrono::steady_clock::now();
-    service.Predict(context);
+    stack.Predict(context);
     nanos.push_back(std::chrono::duration<double, std::nano>(
                         std::chrono::steady_clock::now() - start)
                         .count());

@@ -77,9 +77,9 @@ int main() {
   const auto& cache = stage.exec_time_cache();
   for (const auto& event : instance.trace) {
     if (event.template_id == 1) {
-      const auto* entry = cache.Lookup(
+      const auto entry = cache.Lookup(
           plan::HashFeatures(plan::FlattenPlan(event.plan)));
-      if (entry != nullptr) {
+      if (entry) {
         std::printf("  hottest report: %zu observations, running mean "
                     "%.2fs, last %.2fs -> blended prediction %.2fs\n",
                     entry->stats.count(), entry->stats.mean(),

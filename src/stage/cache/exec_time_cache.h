@@ -52,8 +52,8 @@ class ExecTimeCache {
   // Predicted exec-time for a key, or nullopt on a miss. Logically const:
   // the hit/miss counters it updates are atomics, so concurrent Predict
   // calls are safe with each other. Predict racing Observe still needs
-  // external synchronization (the entry map is not lock-free); the sharded
-  // serving cache (stage::serve) provides that.
+  // external synchronization (the entry map is not lock-free);
+  // ShardedExecTimeCache provides that.
   std::optional<double> Predict(uint64_t key) const;
 
   // True if the key is cached (no counter side effects); used by the local

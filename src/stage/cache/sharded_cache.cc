@@ -1,11 +1,11 @@
-#include "stage/serve/sharded_cache.h"
+#include "stage/cache/sharded_cache.h"
 
 #include <utility>
 
 #include "stage/common/macros.h"
 #include "stage/common/serialize.h"
 
-namespace stage::serve {
+namespace stage::cache {
 
 ShardedExecTimeCache::ShardedExecTimeCache(
     const ShardedExecTimeCacheConfig& config) {
@@ -26,10 +26,13 @@ std::optional<double> ShardedExecTimeCache::Predict(uint64_t key) const {
   return shard.cache.Predict(key);
 }
 
-bool ShardedExecTimeCache::Contains(uint64_t key) const {
+std::optional<ExecTimeCache::Entry> ShardedExecTimeCache::Lookup(
+    uint64_t key) const {
   const Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  return shard.cache.Contains(key);
+  const ExecTimeCache::Entry* entry = shard.cache.Lookup(key);
+  if (entry == nullptr) return std::nullopt;
+  return *entry;
 }
 
 bool ShardedExecTimeCache::Observe(uint64_t key, double exec_time,
@@ -107,17 +110,29 @@ void ShardedExecTimeCache::Save(std::ostream& out) const {
 }
 
 bool ShardedExecTimeCache::Load(std::istream& in) {
+  Staged staged;
+  if (!Parse(in, &staged)) return false;
+  Commit(std::move(staged));
+  return true;
+}
+
+bool ShardedExecTimeCache::Parse(std::istream& in, Staged* staged) const {
   if (!ReadHeader(in, kShardedMagic, kShardedVersion)) return false;
   uint64_t num_shards = 0;
   if (!ReadPod(in, &num_shards) || num_shards != shards_.size()) return false;
-  std::vector<std::unique_ptr<Shard>> staged;
-  staged.reserve(shards_.size());
+  std::vector<std::unique_ptr<Shard>> shards;
+  shards.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
-    staged.push_back(std::make_unique<Shard>(shard_config_));
-    if (!staged.back()->cache.Load(in)) return false;
+    shards.push_back(std::make_unique<Shard>(shard_config_));
+    if (!shards.back()->cache.Load(in)) return false;
   }
-  shards_ = std::move(staged);
+  staged->shards_ = std::move(shards);
   return true;
+}
+
+void ShardedExecTimeCache::Commit(Staged&& staged) {
+  STAGE_CHECK(staged.shards_.size() == shards_.size());
+  shards_ = std::move(staged.shards_);
 }
 
 size_t ShardedExecTimeCache::MemoryBytes() const {
@@ -129,4 +144,4 @@ size_t ShardedExecTimeCache::MemoryBytes() const {
   return total;
 }
 
-}  // namespace stage::serve
+}  // namespace stage::cache

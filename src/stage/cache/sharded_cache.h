@@ -1,5 +1,5 @@
-#ifndef STAGE_SERVE_SHARDED_CACHE_H_
-#define STAGE_SERVE_SHARDED_CACHE_H_
+#ifndef STAGE_CACHE_SHARDED_CACHE_H_
+#define STAGE_CACHE_SHARDED_CACHE_H_
 
 #include <cstdint>
 #include <iosfwd>
@@ -10,7 +10,7 @@
 
 #include "stage/cache/exec_time_cache.h"
 
-namespace stage::serve {
+namespace stage::cache {
 
 struct ShardedExecTimeCacheConfig {
   // Per-entry behaviour of every shard. `cache.capacity` is the TOTAL
@@ -24,7 +24,7 @@ struct ShardedExecTimeCacheConfig {
   // capacity — earlier than one global least-recently-updated cache would.
   // total_capacity() reports the effective aggregate cap so callers can
   // account for both effects; num_shards == 1 restores the paper exactly.
-  cache::ExecTimeCacheConfig cache;
+  ExecTimeCacheConfig cache;
   size_t num_shards = 8;
 };
 
@@ -33,10 +33,10 @@ struct ShardedExecTimeCacheConfig {
 // `feature_hash % num_shards`. Concurrent lookups on different shards never
 // serialize; a lookup racing an observation on the same shard takes the
 // shard lock for the (sub-microsecond) map operation. Aggregate counters
-// (hits/misses/evictions/size) are preserved as sums over shards, so the
-// serving layer reports the same cache telemetry as the single-threaded
-// predictor. With num_shards == 1 the behaviour — including eviction order
-// — is bit-for-bit identical to a bare ExecTimeCache.
+// (hits/misses/evictions/size) are preserved as sums over shards, so a
+// sharded predictor reports the same cache telemetry as a single
+// ExecTimeCache. With num_shards == 1 the behaviour — including eviction
+// order — is bit-for-bit identical to a bare ExecTimeCache.
 class ShardedExecTimeCache {
  public:
   explicit ShardedExecTimeCache(const ShardedExecTimeCacheConfig& config);
@@ -44,7 +44,9 @@ class ShardedExecTimeCache {
   // Thread-safe cache lookup; counts a hit or miss exactly once.
   std::optional<double> Predict(uint64_t key) const;
 
-  bool Contains(uint64_t key) const;
+  // Copy of the entry for `key` taken under its shard lock (nullopt on a
+  // miss); counts nothing.
+  std::optional<ExecTimeCache::Entry> Lookup(uint64_t key) const;
 
   // Records an observed execution. Returns true when the key was already
   // cached *before* this observation (the §4.3 pool-deduplication signal),
@@ -88,20 +90,32 @@ class ShardedExecTimeCache {
 
  private:
   struct Shard {
-    explicit Shard(const cache::ExecTimeCacheConfig& config) : cache(config) {}
+    explicit Shard(const ExecTimeCacheConfig& config) : cache(config) {}
     mutable std::mutex mutex;
-    cache::ExecTimeCache cache;
+    ExecTimeCache cache;
   };
 
+ public:
+  // Load in two steps, for a caller restoring several components
+  // all-or-nothing: Parse reads a Save stream into `staged` without
+  // touching this cache; Commit installs a successfully parsed set.
+  class Staged {
+    friend class ShardedExecTimeCache;
+    std::vector<std::unique_ptr<Shard>> shards_;
+  };
+  bool Parse(std::istream& in, Staged* staged) const;
+  void Commit(Staged&& staged);
+
+ private:
   const Shard& ShardFor(uint64_t key) const {
     return *shards_[key % shards_.size()];
   }
   Shard& ShardFor(uint64_t key) { return *shards_[key % shards_.size()]; }
 
-  cache::ExecTimeCacheConfig shard_config_;  // Per-shard (divided) capacity.
+  ExecTimeCacheConfig shard_config_;  // Per-shard (divided) capacity.
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
-}  // namespace stage::serve
+}  // namespace stage::cache
 
-#endif  // STAGE_SERVE_SHARDED_CACHE_H_
+#endif  // STAGE_CACHE_SHARDED_CACHE_H_

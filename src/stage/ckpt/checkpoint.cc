@@ -15,8 +15,8 @@ void SetError(std::string* error, std::string message) {
 }
 
 // `save` either returns void (legacy Save(ostream&) writers) or bool (the
-// status-returning SaveCheckpoint/SaveState contract); a false status fails
-// the wrap before any file is touched.
+// status-returning SaveState contract); a false status fails the wrap
+// before any file is touched.
 template <typename SaveFn>
 bool SaveWrapped(const std::string& path, SnapshotKind kind, SaveFn&& save,
                  std::string* error) {
@@ -52,32 +52,18 @@ bool LoadWrapped(const std::string& path, SnapshotKind kind, LoadFn&& load,
 
 }  // namespace
 
-bool SaveServiceSnapshot(const serve::PredictionService& service,
+bool SaveServiceSnapshot(const core::StagePredictor& predictor,
                          const std::string& path, std::string* error) {
   return SaveWrapped(
       path, SnapshotKind::kPredictionService,
-      [&](std::ostream& out) { return service.SaveCheckpoint(out); }, error);
+      [&](std::ostream& out) { return predictor.SaveState(out); }, error);
 }
 
-bool LoadServiceSnapshot(serve::PredictionService* service,
+bool LoadServiceSnapshot(core::StagePredictor* predictor,
                          const std::string& path, std::string* error) {
   return LoadWrapped(
       path, SnapshotKind::kPredictionService,
-      [&](std::istream& in) { return service->LoadCheckpoint(in); }, error);
-}
-
-bool SavePredictorSnapshot(const core::StagePredictor& predictor,
-                           const std::string& path, std::string* error) {
-  return SaveWrapped(
-      path, SnapshotKind::kStagePredictor,
-      [&](std::ostream& out) { predictor.Save(out); }, error);
-}
-
-bool LoadPredictorSnapshot(core::StagePredictor* predictor,
-                           const std::string& path, std::string* error) {
-  return LoadWrapped(
-      path, SnapshotKind::kStagePredictor,
-      [&](std::istream& in) { return predictor->Load(in); }, error);
+      [&](std::istream& in) { return predictor->LoadState(in); }, error);
 }
 
 bool SaveLocalModelSnapshot(const local::LocalModel& model,
@@ -109,8 +95,8 @@ bool LoadRecalibratorSnapshot(calib::ConformalRecalibrator* recalibrator,
 }
 
 PeriodicCheckpointer::PeriodicCheckpointer(
-    const serve::PredictionService& service, Options options)
-    : service_(service), options_(std::move(options)) {
+    const core::StagePredictor& predictor, Options options)
+    : predictor_(predictor), options_(std::move(options)) {
   if (options_.metrics != nullptr) RegisterMetrics();
   if (options_.checkpoint_on_start) TriggerNow();
   worker_ = std::thread([this] { Loop(); });
@@ -186,7 +172,7 @@ void PeriodicCheckpointer::Loop() {
 
 bool PeriodicCheckpointer::WriteOnce(std::string* error) {
   const auto start = std::chrono::steady_clock::now();
-  const bool ok = SaveServiceSnapshot(service_, options_.path, error);
+  const bool ok = SaveServiceSnapshot(predictor_, options_.path, error);
   if (write_duration_ns_ != nullptr) {
     write_duration_ns_->Record(static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(

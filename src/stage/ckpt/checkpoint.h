@@ -14,32 +14,26 @@
 #include "stage/core/stage_predictor.h"
 #include "stage/local/local_model.h"
 #include "stage/obs/metrics.h"
-#include "stage/serve/prediction_service.h"
 
 namespace stage::ckpt {
 
 // Crash-safe snapshot/warm-restart entry points (the deployment story of
 // paper §4.4 extended to the whole predictor: "train once, ship the
 // checkpoint to every instance" only works if the checkpoint is complete
-// and restarts are warm). Each helper serializes the object's SaveCheckpoint
-// / Save stream into the CRC-checked envelope and publishes it with the
+// and restarts are warm). Each helper serializes the object's SaveState /
+// Save stream into the CRC-checked envelope and publishes it with the
 // write-tmp-then-rename protocol of snapshot_file.h.
 
-// Full PredictionService state (sharded cache, pool, cadence, local model).
-bool SaveServiceSnapshot(const serve::PredictionService& service,
+// Full StagePredictor state (cache shards, pool, cadence, local model, and
+// the recalibrator when calibration is on); a fleet_serve::TenantStack is
+// a StagePredictor too. The loading predictor needs the writer's cache
+// shard count and calibration flag, and is left untouched on failure.
+bool SaveServiceSnapshot(const core::StagePredictor& predictor,
                          const std::string& path,
                          std::string* error = nullptr);
-bool LoadServiceSnapshot(serve::PredictionService* service,
+bool LoadServiceSnapshot(core::StagePredictor* predictor,
                          const std::string& path,
                          std::string* error = nullptr);
-
-// Single-threaded StagePredictor state (cache, pool, cadence, local model).
-bool SavePredictorSnapshot(const core::StagePredictor& predictor,
-                           const std::string& path,
-                           std::string* error = nullptr);
-bool LoadPredictorSnapshot(core::StagePredictor* predictor,
-                           const std::string& path,
-                           std::string* error = nullptr);
 
 // Bare local model (the §4.3 ensemble, including the MAE member).
 bool SaveLocalModelSnapshot(const local::LocalModel& model,
@@ -58,12 +52,12 @@ bool LoadRecalibratorSnapshot(calib::ConformalRecalibrator* recalibrator,
                               const std::string& path,
                               std::string* error = nullptr);
 
-// Background checkpointer: snapshots a PredictionService to `path` every
+// Background checkpointer: snapshots a StagePredictor to `path` every
 // `interval`, on a dedicated thread, using the atomic-rename protocol — a
 // crash at any instant leaves the last published snapshot loadable. The
-// service's SaveCheckpoint pauses writers (never readers) for the duration
-// of the state serialization, so periodic checkpointing does not stall the
-// prediction path. The service must outlive the checkpointer.
+// predictor's SaveState pauses writers (never readers) for the duration of
+// the state serialization, so periodic checkpointing does not stall the
+// prediction path. The predictor must outlive the checkpointer.
 class PeriodicCheckpointer {
  public:
   struct Options {
@@ -78,7 +72,7 @@ class PeriodicCheckpointer {
     std::string metrics_prefix = "stage_ckpt_";
   };
 
-  PeriodicCheckpointer(const serve::PredictionService& service,
+  PeriodicCheckpointer(const core::StagePredictor& predictor,
                        Options options);
   ~PeriodicCheckpointer();
 
@@ -115,7 +109,7 @@ class PeriodicCheckpointer {
   void RegisterMetrics();
   bool WriteOnce(std::string* error);
 
-  const serve::PredictionService& service_;
+  const core::StagePredictor& predictor_;
   const Options options_;
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> failed_{0};

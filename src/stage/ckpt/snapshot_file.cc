@@ -26,8 +26,6 @@ std::string_view SnapshotKindName(SnapshotKind kind) {
       return "exec-time-cache";
     case SnapshotKind::kTrainingPool:
       return "training-pool";
-    case SnapshotKind::kStagePredictor:
-      return "stage-predictor";
     case SnapshotKind::kPredictionService:
       return "prediction-service";
     case SnapshotKind::kFleetService:

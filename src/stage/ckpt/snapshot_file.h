@@ -21,7 +21,11 @@ enum class SnapshotKind : uint32_t {
   kLocalModel = 1,
   kExecTimeCache = 2,
   kTrainingPool = 3,
-  kStagePredictor = 4,
+  // 4 was the retired "SPRD" predictor stream; it stays reserved so an old
+  // file can never be read as something else.
+  //
+  // A core::StagePredictor SaveState stream ("SSRV"); the name is kept so
+  // existing files keep loading.
   kPredictionService = 5,
   // Multi-tenant fleet snapshot: an index of per-tenant payloads at known
   // offsets (each payload is a kPredictionService-format stream), so cold
@@ -37,11 +41,10 @@ enum class SnapshotKind : uint32_t {
 
 // Every enumerator, for registry round-trip tests and tooling that has to
 // enumerate the vocabulary. Keep in sync with the enum.
-inline constexpr std::array<SnapshotKind, 7> kAllSnapshotKinds = {
+inline constexpr std::array<SnapshotKind, 6> kAllSnapshotKinds = {
     SnapshotKind::kLocalModel,        SnapshotKind::kExecTimeCache,
-    SnapshotKind::kTrainingPool,      SnapshotKind::kStagePredictor,
-    SnapshotKind::kPredictionService, SnapshotKind::kFleetService,
-    SnapshotKind::kConformalRecalibrator,
+    SnapshotKind::kTrainingPool,      SnapshotKind::kPredictionService,
+    SnapshotKind::kFleetService,      SnapshotKind::kConformalRecalibrator,
 };
 
 std::string_view SnapshotKindName(SnapshotKind kind);

@@ -60,13 +60,11 @@ struct Prediction {
 //    affects future predictions. Implementations may update bookkeeping
 //    counters (hit/miss, attribution) from the read path, but only through
 //    atomics, so concurrent Predict calls never race with *each other*.
-//  * Observe mutates model state (caches, training pools, retraining) and
-//    is NOT safe to run concurrently with Predict or another Observe on the
-//    bare implementations in this library (StagePredictor, AutoWlm). A
-//    caller that needs reads racing writes must either serialize externally
-//    or use stage::serve::PredictionService, which layers per-shard cache
-//    locks and an atomically swapped model snapshot on top of this
-//    interface to make Predict wait-free with respect to Observe/retrain.
+//  * Observe mutates model state (caches, training pools, retraining).
+//    Whether it may race Predict is up to the implementation: AutoWlm
+//    requires external serialization, while StagePredictor layers
+//    per-shard cache locks and a double-buffered model snapshot on this
+//    interface so Predict never waits on Observe or a retrain.
 class ExecTimePredictor {
  public:
   virtual ~ExecTimePredictor() = default;

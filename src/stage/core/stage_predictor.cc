@@ -2,10 +2,13 @@
 
 #include <chrono>
 #include <cmath>
+#include <optional>
+#include <utility>
 
 #include "stage/calib/calibration.h"
 #include "stage/common/macros.h"
 #include "stage/common/serialize.h"
+#include "stage/common/thread_pool.h"
 
 namespace stage::core {
 
@@ -57,6 +60,30 @@ std::string StagePredictorConfig::Validate() const {
   return "";
 }
 
+namespace {
+
+uint64_t ElapsedNanos(std::chrono::steady_clock::time_point start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
+void SetError(std::string* error, const char* message) {
+  if (error != nullptr) *error = message;
+}
+
+// Validates before any member construction (config_ initializes first), so
+// a bad config reports Validate()'s message instead of tripping an internal
+// check deep inside a member constructor.
+const StagePredictorConfig& Validated(const StagePredictorConfig& config) {
+  const std::string error = config.Validate();
+  STAGE_CHECK_MSG(error.empty(), error.c_str());
+  return config;
+}
+
+// Mirrors a final routing outcome into `trace` (no-op when null); finishes
+// the trace of an escalated query once its global seconds are known.
 void CompleteTrace(obs::PredictionTrace* trace, const Prediction& out) {
   if (trace == nullptr) return;
   trace->stage = static_cast<obs::TraceStage>(out.source);
@@ -64,15 +91,28 @@ void CompleteTrace(obs::PredictionTrace* trace, const Prediction& out) {
   trace->uncertainty_log_std = out.uncertainty_log_std;
 }
 
-Prediction RouteHierarchicalDeferred(const StagePredictorConfig& config,
-                                     const QueryContext& query,
-                                     std::optional<double> cached_seconds,
-                                     const local::LocalModel* local,
-                                     const global::GlobalModel* global_model,
-                                     const fleet::InstanceConfig* instance,
-                                     bool* needs_global,
-                                     obs::PredictionTrace* trace,
-                                     double uncertainty_scale) {
+// The §4.1 routing policy as a pure function: cache hit -> cached value;
+// trained local model -> local unless it is uncertain about a long-running
+// query and a global model is usable; otherwise global (cold start) or the
+// cold-start default. `cached_seconds` is the already-made cache lookup;
+// `local` may be null or untrained. When the query escalates to the global
+// model it returns with out.source == kGlobal, out.seconds NOT yet
+// computed, and *needs_global = true: the caller fills them, inline or with
+// ONE GlobalModel::PredictBatch over a batch's escalations (bit-for-bit the
+// same, GlobalModel's contract), then calls CompleteTrace. When `trace` is
+// non-null the routing decision is recorded into it; the latency fields are
+// the caller's job. `uncertainty_scale` multiplies the local model's
+// log_std before the confidence check and in the reported uncertainty (the
+// §4.8 conformal correction); 1.0 — the only value the flag-off path
+// passes — is bit-for-bit identity.
+Prediction RouteHierarchical(const StagePredictorConfig& config,
+                             const QueryContext& query,
+                             std::optional<double> cached_seconds,
+                             const local::LocalModel* local,
+                             const global::GlobalModel* global_model,
+                             const fleet::InstanceConfig* instance,
+                             bool* needs_global, obs::PredictionTrace* trace,
+                             double uncertainty_scale) {
   *needs_global = false;
   Prediction out;
   if (trace != nullptr) {
@@ -118,8 +158,7 @@ Prediction RouteHierarchicalDeferred(const StagePredictorConfig& config,
       return out;
     }
     // Stage 3: the local model is uncertain about a long-running query.
-    // Seconds deferred to the caller's GlobalModel call; trace finishes
-    // once they are known.
+    // Seconds deferred to the caller's GlobalModel call.
     out.source = PredictionSource::kGlobal;
     *needs_global = true;
     if (trace != nullptr) trace->escalated = true;
@@ -139,36 +178,19 @@ Prediction RouteHierarchicalDeferred(const StagePredictorConfig& config,
   return out;
 }
 
-Prediction RouteHierarchical(const StagePredictorConfig& config,
-                             const QueryContext& query,
-                             std::optional<double> cached_seconds,
-                             const local::LocalModel* local,
-                             const global::GlobalModel* global_model,
-                             const fleet::InstanceConfig* instance,
-                             obs::PredictionTrace* trace,
-                             double uncertainty_scale) {
-  bool needs_global = false;
-  Prediction out = RouteHierarchicalDeferred(config, query, cached_seconds,
-                                             local, global_model, instance,
-                                             &needs_global, trace,
-                                             uncertainty_scale);
-  if (needs_global) {
-    out.seconds = global_model->PredictSeconds(*query.plan, *instance,
-                                               query.concurrent_queries);
-    CompleteTrace(trace, out);
-  }
-  return out;
-}
+}  // namespace
 
 StagePredictor::StagePredictor(const StagePredictorConfig& config,
                                const StagePredictorOptions& options)
-    : config_(config),
-      cache_(config.cache),
-      pool_(config.pool),
-      local_(config.local),
-      options_(options) {
-  const std::string error = config.Validate();
-  STAGE_CHECK_MSG(error.empty(), error.c_str());
+    : StagePredictor(config, options, /*cache_shards=*/1) {}
+
+StagePredictor::StagePredictor(const StagePredictorConfig& config,
+                               const StagePredictorOptions& options,
+                               size_t cache_shards)
+    : config_(Validated(config)),
+      options_(options),
+      cache_(cache::ShardedExecTimeCacheConfig{config.cache, cache_shards}),
+      pool_(config.pool) {
   if (config_.calibrate_uncertainty) {
     recalibrator_ =
         std::make_unique<calib::ConformalRecalibrator>(config_.conformal);
@@ -177,22 +199,29 @@ StagePredictor::StagePredictor(const StagePredictorConfig& config,
 }
 
 StagePredictor::~StagePredictor() {
+  // Drop render-time callbacks before any member state dies: a scrape
+  // racing destruction must never read a dead cache or pool.
   if (options_.metrics != nullptr) options_.metrics->UnregisterAll(this);
 }
 
 void StagePredictor::RegisterMetrics() {
   obs::MetricsRegistry* registry = options_.metrics;
   const std::string& prefix = options_.metrics_prefix;
-  routing_metrics_ =
-      obs::RoutingMetricSet::Create(registry, prefix, /*with_latency=*/true);
+  // Escalations + uncertainty come from the hot-path metric set; per-stage
+  // latency is measured by predict_latency_, exposed below as histogram
+  // callbacks.
+  routing_metrics_ = obs::RoutingMetricSet::Create(registry, prefix);
   for (int i = 0; i < kNumPredictionSources; ++i) {
     const auto source = static_cast<PredictionSource>(i);
+    const std::string label =
+        "{stage=\"" + std::string(PredictionSourceName(source)) + "\"}";
     registry->RegisterCounterCallback(
-        this,
-        prefix + "predictions_total{source=\"" +
-            std::string(PredictionSourceName(source)) + "\"}",
-        [this, i] {
+        this, prefix + "predictions_total" + label, [this, i] {
           return source_counts_[i].load(std::memory_order_relaxed);
+        });
+    registry->RegisterHistogramCallback(
+        this, prefix + "predict_latency_ns" + label, [this, i] {
+          return predict_latency_.histogram_snapshot(static_cast<size_t>(i));
         });
   }
   registry->RegisterCounterCallback(this, prefix + "cache_hits_total",
@@ -201,19 +230,37 @@ void StagePredictor::RegisterMetrics() {
                                     [this] { return cache_.misses(); });
   registry->RegisterCounterCallback(this, prefix + "cache_evictions_total",
                                     [this] { return cache_.evictions(); });
+  for (size_t shard = 0; shard < cache_.num_shards(); ++shard) {
+    const std::string label = "{shard=\"" + std::to_string(shard) + "\"}";
+    registry->RegisterCounterCallback(
+        this, prefix + "cache_shard_hits_total" + label,
+        [this, shard] { return cache_.shard_stats(shard).hits; });
+    registry->RegisterCounterCallback(
+        this, prefix + "cache_shard_misses_total" + label,
+        [this, shard] { return cache_.shard_stats(shard).misses; });
+    registry->RegisterCounterCallback(
+        this, prefix + "cache_shard_evictions_total" + label,
+        [this, shard] { return cache_.shard_stats(shard).evictions; });
+    registry->RegisterGaugeCallback(
+        this, prefix + "cache_shard_entries" + label, [this, shard] {
+          return static_cast<double>(cache_.shard_stats(shard).entries);
+        });
+  }
   registry->RegisterGaugeCallback(
       this, prefix + "cache_entries",
       [this] { return static_cast<double>(cache_.size()); });
   registry->RegisterGaugeCallback(
+      this, prefix + "pool_entries",
+      [this] { return static_cast<double>(pool_size()); });
+  registry->RegisterGaugeCallback(
       this, prefix + "resident_memory_bytes",
       [this] { return static_cast<double>(LocalMemoryBytes()); });
-  registry->RegisterGaugeCallback(
-      this, prefix + "pool_entries",
-      [this] { return static_cast<double>(pool_.size()); });
   registry->RegisterCounterCallback(
       this, prefix + "local_trainings_total",
-      [this] { return static_cast<uint64_t>(local_.trainings()); });
+      [this] { return static_cast<uint64_t>(trainings()); });
   if (recalibrator_ != nullptr) {
+    // Atomic reads only: a scrape must stay TSan-clean against a
+    // concurrent Observe mutating the window.
     registry->RegisterGaugeCallback(this, prefix + "conformal_scale", [this] {
       return recalibrator_->scale();
     });
@@ -225,35 +272,42 @@ void StagePredictor::RegisterMetrics() {
         this, prefix + "conformal_observations_total",
         [this] { return recalibrator_->observations(); });
   }
+  registry->RegisterGaugeCallback(
+      this, prefix + "threadpool_queue_depth", [] {
+        return static_cast<double>(ThreadPool::Shared().queue_depth());
+      });
+  registry->RegisterCounterCallback(
+      this, prefix + "threadpool_tasks_total",
+      [] { return ThreadPool::Shared().tasks_run(); });
 }
 
 Prediction StagePredictor::PredictImpl(const QueryContext& query,
                                        obs::PredictionTrace* trace) const {
-  Prediction out;
-  const double scale = conformal_scale();
-  if (trace == nullptr) {
-    out = RouteHierarchical(config_, query, cache_.Predict(query.feature_hash),
-                            &local_, options_.global_model, options_.instance,
-                            nullptr, scale);
-  } else {
-    const auto start = std::chrono::steady_clock::now();
-    const std::optional<double> cached = cache_.Predict(query.feature_hash);
-    const auto after_cache = std::chrono::steady_clock::now();
-    out = RouteHierarchical(config_, query, cached, &local_,
-                            options_.global_model, options_.instance, trace,
-                            scale);
-    const auto end = std::chrono::steady_clock::now();
-    trace->cache_nanos = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(after_cache -
-                                                             start)
-            .count());
-    trace->route_nanos = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - after_cache)
-            .count());
-    trace->total_nanos = trace->cache_nanos + trace->route_nanos;
+  const auto start = std::chrono::steady_clock::now();
+  // Take the model snapshot before the cache lookup: a snapshot held for
+  // the whole routing decision can never be freed mid-predict, and the
+  // routing function sees one consistent model.
+  const std::shared_ptr<const local::LocalModel> local =
+      local_model_snapshot();
+  bool needs_global = false;
+  Prediction out = RouteHierarchical(
+      config_, query, cache_.Predict(query.feature_hash), local.get(),
+      options_.global_model, options_.instance, &needs_global, trace,
+      conformal_scale());
+  if (needs_global) {
+    out.seconds = options_.global_model->PredictSeconds(
+        *query.plan, *options_.instance, query.concurrent_queries);
+    CompleteTrace(trace, out);
   }
   source_counts_[static_cast<int>(out.source)].fetch_add(
       1, std::memory_order_relaxed);
+  const uint64_t nanos = ElapsedNanos(start);
+  predict_latency_.Record(static_cast<size_t>(out.source), nanos);
+  if (trace != nullptr) {
+    trace->cache_shard =
+        static_cast<uint32_t>(query.feature_hash % cache_.num_shards());
+    trace->total_nanos = nanos;
+  }
   return out;
 }
 
@@ -273,120 +327,299 @@ Prediction StagePredictor::PredictTraced(const QueryContext& query,
   return out;
 }
 
+namespace {
+
+// Batches at least this large fan out across the shared thread pool; the
+// per-query routing work (cache shard lookup + flat-forest walk) is too
+// small to amortize task handoff below it.
+constexpr size_t kParallelBatchThreshold = 64;
+
+}  // namespace
+
 std::vector<Prediction> StagePredictor::PredictBatch(
     std::span<const QueryContext> queries) const {
+  // One model snapshot amortized across the batch; cache lookups still go
+  // through the shard locks individually so a batch never starves writers.
+  const std::shared_ptr<const local::LocalModel> local =
+      local_model_snapshot();
   std::vector<Prediction> out(queries.size());
   if (queries.empty()) return out;
   const bool traced = routing_metrics_.enabled();
   std::vector<obs::PredictionTrace> traces(traced ? queries.size() : 0);
-  // One scale load amortized across the batch: Observe never runs
-  // concurrently with Predict on the bare predictor, so the scale cannot
-  // move mid-batch anyway.
+  std::vector<uint64_t> phase1_nanos(queries.size(), 0);
+  // uint8_t, not bool: lanes write neighboring elements concurrently.
+  std::vector<uint8_t> needs_global(queries.size(), 0);
+
+  // One scale load for the whole batch: every lane routes under the same
+  // conformal correction even if an Observe refreshes it mid-batch.
   const double scale = conformal_scale();
 
-  // Phase 1: cache + local routing per query; escalated queries defer
-  // their seconds instead of running the GCN inline.
-  std::vector<size_t> escalated;
-  std::vector<global::GlobalQuery> global_queries;
-  for (size_t i = 0; i < queries.size(); ++i) {
+  // Phase 1: cache + local routing. Escalated queries defer their seconds
+  // to ONE batched global pass below instead of running the GCN inline.
+  const auto route_one = [&](size_t i) {
     const QueryContext& query = queries[i];
-    bool needs_global = false;
-    if (!traced) {
-      out[i] = RouteHierarchicalDeferred(
-          config_, query, cache_.Predict(query.feature_hash), &local_,
-          options_.global_model, options_.instance, &needs_global, nullptr,
-          scale);
-    } else {
-      obs::PredictionTrace& trace = traces[i];
-      const auto start = std::chrono::steady_clock::now();
-      const std::optional<double> cached = cache_.Predict(query.feature_hash);
-      const auto after_cache = std::chrono::steady_clock::now();
-      out[i] = RouteHierarchicalDeferred(config_, query, cached, &local_,
-                                         options_.global_model,
-                                         options_.instance, &needs_global,
-                                         &trace, scale);
-      const auto end = std::chrono::steady_clock::now();
-      trace.cache_nanos = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(after_cache -
-                                                               start)
-              .count());
-      trace.route_nanos = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(end -
-                                                               after_cache)
-              .count());
-      trace.total_nanos = trace.cache_nanos + trace.route_nanos;
-    }
-    if (needs_global) {
-      escalated.push_back(i);
-      global_queries.push_back({query.plan, query.concurrent_queries});
-    }
+    const auto query_start = std::chrono::steady_clock::now();
+    bool escalate = false;
+    out[i] = RouteHierarchical(
+        config_, query, cache_.Predict(query.feature_hash), local.get(),
+        options_.global_model, options_.instance, &escalate,
+        traced ? &traces[i] : nullptr, scale);
+    needs_global[i] = escalate ? 1 : 0;
+    phase1_nanos[i] = ElapsedNanos(query_start);
+  };
+  if (queries.size() >= kParallelBatchThreshold) {
+    // Safe to fan out: cache_.Predict only touches per-shard locks and
+    // atomic counters, the model snapshot is immutable, and each lane
+    // writes only its own slots, so results match the sequential loop
+    // exactly.
+    ThreadPool::Shared().ParallelFor(queries.size(), route_one);
+  } else {
+    for (size_t i = 0; i < queries.size(); ++i) route_one(i);
   }
 
-  // Phase 2: ONE batched global pass over every escalated query —
-  // bit-identical to per-query PredictSeconds (PredictBatch's contract).
+  // Phase 2: one level-order batched global pass over every escalation —
+  // bit-identical to per-query PredictSeconds (GlobalModel's contract).
+  std::vector<size_t> escalated;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (needs_global[i] != 0) escalated.push_back(i);
+  }
+  uint64_t global_share = 0;
   if (!escalated.empty()) {
+    std::vector<global::GlobalQuery> global_queries;
+    global_queries.reserve(escalated.size());
+    for (size_t i : escalated) {
+      global_queries.push_back({queries[i].plan,
+                                queries[i].concurrent_queries});
+    }
     std::vector<double> seconds(escalated.size());
-    const auto start = std::chrono::steady_clock::now();
-    options_.global_model->PredictBatch(global_queries, *options_.instance,
-                                        seconds);
-    const auto end = std::chrono::steady_clock::now();
-    // Latency attribution: each escalated query carries an equal share of
-    // the batched pass (the per-query split inside one GEMM is unknowable).
-    const uint64_t share =
-        static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-                .count()) /
-        escalated.size();
+    const auto global_start = std::chrono::steady_clock::now();
+    options_.global_model->PredictBatch(
+        global_queries, *options_.instance, seconds,
+        escalated.size() > 1 ? &ThreadPool::Shared() : nullptr);
+    // Each escalated query carries an equal share of the batched pass (the
+    // per-query split inside one GEMM is unknowable).
+    global_share = ElapsedNanos(global_start) / escalated.size();
     for (size_t j = 0; j < escalated.size(); ++j) {
-      const size_t i = escalated[j];
-      out[i].seconds = seconds[j];
-      if (traced) {
-        traces[i].route_nanos += share;
-        traces[i].total_nanos += share;
-        CompleteTrace(&traces[i], out[i]);
-      }
+      out[escalated[j]].seconds = seconds[j];
     }
   }
 
+  // Counters, latency, and trace emission, in index order.
   for (size_t i = 0; i < queries.size(); ++i) {
     source_counts_[static_cast<int>(out[i].source)].fetch_add(
         1, std::memory_order_relaxed);
-    if (traced) routing_metrics_.Record(traces[i]);
+    const uint64_t nanos =
+        phase1_nanos[i] + (needs_global[i] != 0 ? global_share : 0);
+    predict_latency_.Record(static_cast<size_t>(out[i].source), nanos);
+    if (traced) {
+      traces[i].total_nanos = nanos;
+      if (needs_global[i] != 0) CompleteTrace(&traces[i], out[i]);
+      routing_metrics_.Record(traces[i]);
+    }
   }
   return out;
 }
 
 void StagePredictor::Observe(const QueryContext& query, double exec_seconds) {
-  STAGE_CHECK(exec_seconds >= 0.0);
+  Observe(query, exec_seconds, /*inline_retrain=*/true);
+}
+
+bool StagePredictor::Observe(const QueryContext& query, double exec_seconds,
+                             bool inline_retrain) {
+  // A non-finite outcome would be cached and served back verbatim.
+  STAGE_CHECK(std::isfinite(exec_seconds) && exec_seconds >= 0.0);
+  std::lock_guard<std::mutex> observe_lock(observe_mutex_);
+
   // §4.8: score the *current* local model on the completed query and feed
   // the normalized residual to the recalibrator — before the cache/pool
   // mutations below, so the residual reflects the model that actually
-  // predicted this query. Sentinel residuals (untrained model handled by
-  // the trained() guard; unusable sigma by NormalizedResidual's NaN) are
-  // ignored by Observe.
-  if (recalibrator_ != nullptr && local_.trained()) {
-    const local::LocalModel::Output out = local_.Predict(query.features);
-    recalibrator_->Observe(calib::NormalizedResidual(
-        out.exec_seconds, out.log_std(), exec_seconds));
-  }
-  // Pool deduplication via the cache (§4.3): repeats are the cache's job;
-  // only cache misses diversify the local model's training set.
-  const bool was_cached = cache_.Contains(query.feature_hash);
-  cache_.Observe(query.feature_hash, exec_seconds, query.tick);
-  if (!was_cached) {
-    pool_.Add(query.features, exec_seconds);
-    ++observed_since_train_;
+  // predicted this query. Sentinel residuals (unusable sigma: NaN from
+  // NormalizedResidual) are ignored by the recalibrator.
+  if (recalibrator_ != nullptr) {
+    const std::shared_ptr<const local::LocalModel> model =
+        local_model_snapshot();
+    if (model != nullptr && model->trained()) {
+      const local::LocalModel::Output out = model->Predict(query.features);
+      recalibrator_->Observe(calib::NormalizedResidual(
+          out.exec_seconds, out.log_std(), exec_seconds));
+    }
   }
 
-  const bool first_training =
-      !local_.trained() && pool_.size() >= config_.min_train_size;
-  const bool scheduled_training =
-      local_.trained() && observed_since_train_ >= config_.retrain_interval &&
-      pool_.size() >= config_.min_train_size;
-  if (first_training || scheduled_training) {
-    local_.Train(pool_);
-    observed_since_train_ = 0;
+  // §4.3 pool deduplication: repeats are the cache's job; only cache misses
+  // diversify the pool. The was-cached check and the observation happen
+  // under one shard lock.
+  const bool was_cached =
+      cache_.Observe(query.feature_hash, exec_seconds, query.tick);
+
+  bool request_retrain = false;
+  {
+    std::lock_guard<std::mutex> pool_lock(pool_mutex_);
+    if (!was_cached) {
+      pool_.Add(query.features, exec_seconds);
+      ++observed_since_train_;
+    }
+    // "A training has been kicked off" stands in for "the local model is
+    // trained", so a deferred first training is requested exactly once.
+    const bool first_training = !first_train_requested_ &&
+                                pool_.size() >= config_.min_train_size;
+    const bool scheduled_training =
+        first_train_requested_ &&
+        observed_since_train_ >= config_.retrain_interval &&
+        pool_.size() >= config_.min_train_size;
+    if (first_training || scheduled_training) {
+      request_retrain = true;
+      first_train_requested_ = true;
+      observed_since_train_ = 0;
+    }
   }
+  if (!request_retrain) return false;
+  if (inline_retrain) {
+    TrainOnce();
+    return false;
+  }
+  return true;
+}
+
+void StagePredictor::TrainOnce() {
+  // Snapshot the pool so training never holds the write-path lock.
+  local::TrainingPool snapshot = [this] {
+    std::lock_guard<std::mutex> lock(pool_mutex_);
+    return pool_;
+  }();
+  auto fresh = std::make_shared<local::LocalModel>(config_.local);
+  fresh->Train(snapshot);
+  if (!fresh->trained()) return;  // Empty snapshot: nothing to publish.
+  PublishModel(std::move(fresh));
+  trainings_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void StagePredictor::PublishModel(
+    std::shared_ptr<const local::LocalModel> fresh) {
+  // Double-buffer swap: readers holding the old snapshot finish on it (and
+  // free it with the last reference); new Predicts see the fresh model.
+  std::lock_guard<std::mutex> lock(model_mutex_);
+  model_ = std::move(fresh);
+}
+
+std::shared_ptr<const local::LocalModel> StagePredictor::local_model_snapshot()
+    const {
+  std::lock_guard<std::mutex> lock(model_mutex_);
+  return model_;
+}
+
+namespace {
+constexpr uint32_t kStateMagic = 0x53535256;  // "SSRV".
+constexpr uint32_t kStateVersion = 1;
+}  // namespace
+
+bool StagePredictor::SaveState(std::ostream& out, std::string* error) const {
+  // Pausing Observe (not Predict) pins one consistent cut: every
+  // observation is either fully in the snapshot (cache AND pool) or fully
+  // after it. A concurrent training may still publish a model mid-snapshot;
+  // the single shared_ptr load below keeps the captured model coherent.
+  std::lock_guard<std::mutex> observe_lock(observe_mutex_);
+  WriteHeader(out, kStateMagic, kStateVersion);
+  cache_.Save(out);
+  {
+    std::lock_guard<std::mutex> pool_lock(pool_mutex_);
+    pool_.Save(out);
+    WritePod<uint64_t>(out, observed_since_train_);
+    WritePod<uint8_t>(out, first_train_requested_ ? 1 : 0);
+  }
+  const std::shared_ptr<const local::LocalModel> model =
+      local_model_snapshot();
+  WritePod<uint8_t>(out, model ? 1 : 0);
+  if (model) model->Save(out);
+  WritePod<int32_t>(out, trainings_.load(std::memory_order_relaxed));
+  // Appended only when calibration is on, so flag-off predictors keep
+  // producing the exact legacy byte stream.
+  if (recalibrator_ != nullptr) recalibrator_->Save(out);
+  if (!out) {
+    SetError(error, "predictor state write failed");
+    return false;
+  }
+  return true;
+}
+
+bool StagePredictor::LoadState(std::istream& in, std::string* error) {
+  std::lock_guard<std::mutex> observe_lock(observe_mutex_);
+  // Every section is parsed into staging before any is committed, so a
+  // stream that fails anywhere leaves the predictor exactly as it was.
+  if (!ReadHeader(in, kStateMagic, kStateVersion)) {
+    SetError(error, "bad predictor state header");
+    return false;
+  }
+  cache::ShardedExecTimeCache::Staged cache;
+  if (!cache_.Parse(in, &cache)) {
+    SetError(error, "malformed exec-time cache payload");
+    return false;
+  }
+  local::TrainingPool pool(config_.pool);
+  if (!pool.Load(in)) {
+    SetError(error, "malformed training pool payload");
+    return false;
+  }
+  uint64_t observed_since_train = 0;
+  uint8_t first_train_requested = 0;
+  if (!ReadPod(in, &observed_since_train) ||
+      !ReadPod(in, &first_train_requested)) {
+    SetError(error, "truncated retrain cadence state");
+    return false;
+  }
+  uint8_t has_model = 0;
+  if (!ReadPod(in, &has_model)) {
+    SetError(error, "truncated local model flag");
+    return false;
+  }
+  std::shared_ptr<local::LocalModel> model;
+  if (has_model != 0) {
+    model = std::make_shared<local::LocalModel>(config_.local);
+    if (!model->Load(in)) {
+      SetError(error, "malformed local model payload");
+      return false;
+    }
+  }
+  int32_t trainings = 0;
+  if (!ReadPod(in, &trainings)) {
+    SetError(error, "truncated trainings counter");
+    return false;
+  }
+  // The last section; the recalibrator's Load is itself transactional, so
+  // nothing is committed yet when it fails.
+  if (recalibrator_ != nullptr && !recalibrator_->Load(in)) {
+    SetError(error, "malformed conformal recalibrator payload");
+    return false;
+  }
+  cache_.Commit(std::move(cache));
+  {
+    std::lock_guard<std::mutex> pool_lock(pool_mutex_);
+    pool_ = std::move(pool);
+    observed_since_train_ = static_cast<size_t>(observed_since_train);
+    first_train_requested_ = first_train_requested != 0;
+  }
+  PublishModel(std::move(model));
+  trainings_.store(trainings, std::memory_order_relaxed);
+  return true;
+}
+
+size_t StagePredictor::ApproxResidentBytes() const {
+  const std::shared_ptr<const local::LocalModel> local =
+      local_model_snapshot();
+  size_t pool_bytes = 0;
+  {
+    std::lock_guard<std::mutex> lock(pool_mutex_);
+    pool_bytes = pool_.MemoryBytes();
+  }
+  // The fixed tail covers the predictor object itself plus per-shard cache
+  // bookkeeping not counted by MemoryBytes.
+  return cache_.MemoryBytes() + pool_bytes +
+         (local ? local->MemoryBytes() : 0) + sizeof(StagePredictor);
+}
+
+size_t StagePredictor::LocalMemoryBytes() const {
+  const std::shared_ptr<const local::LocalModel> local =
+      local_model_snapshot();
+  return cache_.MemoryBytes() + (local ? local->MemoryBytes() : 0);
 }
 
 uint64_t StagePredictor::total_predictions() const {
@@ -397,43 +630,37 @@ uint64_t StagePredictor::total_predictions() const {
   return total;
 }
 
-size_t StagePredictor::LocalMemoryBytes() const {
-  return cache_.MemoryBytes() + local_.MemoryBytes();
+std::array<uint64_t, kNumPredictionSources> StagePredictor::SourceCounts()
+    const {
+  std::array<uint64_t, kNumPredictionSources> counts{};
+  for (int i = 0; i < kNumPredictionSources; ++i) {
+    counts[static_cast<size_t>(i)] =
+        source_counts_[i].load(std::memory_order_relaxed);
+  }
+  return counts;
 }
 
-namespace {
-constexpr uint32_t kPredictorMagic = 0x53505244;  // "SPRD".
-constexpr uint32_t kPredictorVersion = 1;
-}  // namespace
-
-void StagePredictor::Save(std::ostream& out) const {
-  WriteHeader(out, kPredictorMagic, kPredictorVersion);
-  cache_.Save(out);
-  pool_.Save(out);
-  WritePod<uint64_t>(out, observed_since_train_);
-  WritePod<uint8_t>(out, local_.trained() ? 1 : 0);
-  if (local_.trained()) local_.Save(out);
-  // Appended only when calibration is on: the flag-off stream stays
-  // byte-identical to the legacy format (and old snapshots keep loading
-  // into flag-off predictors).
-  if (recalibrator_ != nullptr) recalibrator_->Save(out);
+void StagePredictor::SeedSourceCounts(
+    const std::array<uint64_t, kNumPredictionSources>& counts) {
+  for (int i = 0; i < kNumPredictionSources; ++i) {
+    source_counts_[i].store(counts[static_cast<size_t>(i)],
+                            std::memory_order_relaxed);
+  }
 }
 
-bool StagePredictor::Load(std::istream& in) {
-  if (!ReadHeader(in, kPredictorMagic, kPredictorVersion)) return false;
-  // Each component's Load is itself transactional, but the predictor is
-  // restored component-by-component: on failure, discard the predictor
-  // rather than serving from a partially restored one.
-  if (!cache_.Load(in)) return false;
-  if (!pool_.Load(in)) return false;
-  uint64_t observed_since_train = 0;
-  if (!ReadPod(in, &observed_since_train)) return false;
-  uint8_t has_local = 0;
-  if (!ReadPod(in, &has_local)) return false;
-  if (has_local != 0 && !local_.Load(in)) return false;
-  if (recalibrator_ != nullptr && !recalibrator_->Load(in)) return false;
-  observed_since_train_ = static_cast<size_t>(observed_since_train);
-  return true;
+size_t StagePredictor::pool_size() const {
+  std::lock_guard<std::mutex> lock(pool_mutex_);
+  return pool_.size();
+}
+
+std::vector<std::string> StagePredictor::PredictLatencySlotNames() {
+  std::vector<std::string> names;
+  names.reserve(kNumPredictionSources);
+  for (int i = 0; i < kNumPredictionSources; ++i) {
+    names.emplace_back(
+        PredictionSourceName(static_cast<PredictionSource>(i)));
+  }
+  return names;
 }
 
 }  // namespace stage::core

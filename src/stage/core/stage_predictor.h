@@ -6,16 +6,20 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <optional>
+#include <mutex>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "stage/cache/exec_time_cache.h"
+#include "stage/cache/sharded_cache.h"
 #include "stage/calib/conformal.h"
 #include "stage/core/predictor.h"
 #include "stage/fleet/instance.h"
 #include "stage/global/global_model.h"
 #include "stage/local/local_model.h"
 #include "stage/local/training_pool.h"
+#include "stage/metrics/latency_recorder.h"
 #include "stage/obs/metrics.h"
 #include "stage/obs/trace.h"
 
@@ -50,8 +54,8 @@ struct StagePredictorConfig {
   calib::ConformalConfig conformal;
 
   // Returns an empty string when the config is usable; otherwise a
-  // description of the first problem found. StagePredictor (and the serving
-  // layer on top of it) refuse to construct from an invalid config.
+  // description of the first problem found. StagePredictor refuses to
+  // construct from an invalid config.
   std::string Validate() const;
 };
 
@@ -73,69 +77,41 @@ struct StagePredictorOptions {
   std::string metrics_prefix = "stage_";
 };
 
-// The §4.1 routing policy as a pure function, shared by StagePredictor and
-// stage::serve::PredictionService so the two cannot drift: cache hit ->
-// cached value; trained local model -> local unless it is uncertain about a
-// long-running query and a global model is usable; otherwise global (cold
-// start) or the cold-start default. `cached_seconds` is the already-made
-// cache lookup; `local` may be null or untrained. When `trace` is non-null
-// the routing decision (stage reached, thresholds crossed, uncertainty) is
-// recorded into it; the latency fields are the caller's job.
-// `uncertainty_scale` multiplies the local model's log_std before the
-// confidence check and in the reported uncertainty (the §4.8 conformal
-// correction); 1.0 — the default, and the only value the flag-off path
-// ever passes — is bit-for-bit identity.
-Prediction RouteHierarchical(const StagePredictorConfig& config,
-                             const QueryContext& query,
-                             std::optional<double> cached_seconds,
-                             const local::LocalModel* local,
-                             const global::GlobalModel* global_model,
-                             const fleet::InstanceConfig* instance,
-                             obs::PredictionTrace* trace = nullptr,
-                             double uncertainty_scale = 1.0);
-
-// Deferred variant for batch paths: identical routing decisions, but when
-// the query escalates to the global model it returns with out.source ==
-// kGlobal, out.seconds NOT yet computed, and *needs_global = true instead
-// of running the (relatively expensive) GCN inline per query. The caller
-// collects every such query, runs ONE GlobalModel::PredictBatch over them,
-// writes each prediction's seconds, and calls CompleteTrace on any trace it
-// passed. RouteHierarchical is a thin wrapper over this function, so the
-// two can never drift; the batched fill is bit-for-bit identical to the
-// inline call (GlobalModel::PredictBatch's contract).
-Prediction RouteHierarchicalDeferred(const StagePredictorConfig& config,
-                                     const QueryContext& query,
-                                     std::optional<double> cached_seconds,
-                                     const local::LocalModel* local,
-                                     const global::GlobalModel* global_model,
-                                     const fleet::InstanceConfig* instance,
-                                     bool* needs_global,
-                                     obs::PredictionTrace* trace = nullptr,
-                                     double uncertainty_scale = 1.0);
-
-// Mirrors a final routing outcome into `trace` (no-op when null). Batch
-// callers use it to finish the trace of a deferred-global query once the
-// batched prediction has filled in its seconds.
-void CompleteTrace(obs::PredictionTrace* trace, const Prediction& out);
-
 // The Stage predictor (§4): exec-time cache -> local Bayesian-ensemble
-// model -> fleet-trained global GCN.
+// model -> fleet-trained global GCN, built to serve concurrently. The
+// exec-time cache sits behind per-shard locks, the training pool and
+// retrain cadence behind a write-path lock, and the local model is a
+// double-buffered snapshot: a retrain builds a fresh model from a copy of
+// the pool and publishes it with an O(1) pointer swap. The §4.3 cadence
+// either trains inline (the two-argument Observe) or reports that a retrain
+// is due and leaves scheduling to the caller (FleetService's fairness-capped
+// workers).
 //
-// Thread-safety: Predict is const and only touches mutable state through
-// atomics (see ExecTimePredictor's contract), so concurrent Predict calls
-// are safe. Observe mutates the cache, pool, and (inline, every
-// retrain_interval misses) retrains the local model; it must not run
-// concurrently with anything. stage::serve::PredictionService provides the
-// concurrent, non-blocking-retrain variant.
-class StagePredictor final : public ExecTimePredictor {
+// Concurrency contract:
+//  * Predict / PredictBatch / PredictTraced are const, never block on
+//    training, and are safe against each other and against Observe.
+//  * Observe is serialized internally (multiple writer sessions are safe).
+//  * SaveState pauses writers (not readers) for a consistent cut; LoadState
+//    must not race anything — restore before serving starts.
+//
+// The public constructor builds one cache shard, which is the paper's
+// single least-recently-updated cache exactly (same eviction order); a
+// single-threaded replay with inline retraining is pinned bit-for-bit by
+// tests/golden/routing_v1.txt. fleet_serve::TenantStack is the sharded
+// variant.
+class StagePredictor : public ExecTimePredictor {
  public:
+  // `options` collaborators are borrowed and must outlive the predictor.
+  // When options.metrics is set the full metric families register under
+  // options.metrics_prefix (and unregister in the destructor).
   explicit StagePredictor(const StagePredictorConfig& config,
                           const StagePredictorOptions& options = {});
   ~StagePredictor() override;
 
+  StagePredictor(const StagePredictor&) = delete;
+  StagePredictor& operator=(const StagePredictor&) = delete;
+
   Prediction Predict(const QueryContext& query) const override;
-  void Observe(const QueryContext& query, double exec_seconds) override;
-  std::string_view name() const override { return "Stage"; }
 
   // Batch prediction with the global-model fan-out batched: routing runs
   // per query (cache + local model), every escalated query is collected,
@@ -148,11 +124,52 @@ class StagePredictor final : public ExecTimePredictor {
       std::span<const QueryContext> queries) const override;
 
   // Predict with the routing decision recorded into `trace` (stage reached,
-  // thresholds crossed, uncertainty, per-stage latency in ns). The traced
-  // path takes two extra clock reads; predictions are bit-for-bit identical
-  // to Predict. `trace` may be null, degrading to Predict.
+  // thresholds crossed, uncertainty, cache shard, total latency in ns);
+  // predictions are bit-for-bit identical to Predict. `trace` may be null,
+  // degrading to Predict.
   Prediction PredictTraced(const QueryContext& query,
                            obs::PredictionTrace* trace) const;
+
+  // Records an executed query into the cache and, on a cache miss, the
+  // training pool (§4.3 dedup); retrains inline when the cadence asks.
+  void Observe(const QueryContext& query, double exec_seconds) override;
+  // As above, but when the cadence asks for a (re)training and
+  // `inline_retrain` is false, returns true instead of training: the
+  // caller owns scheduling TrainOnce(). `exec_seconds` must be finite and
+  // >= 0.
+  bool Observe(const QueryContext& query, double exec_seconds,
+               bool inline_retrain);
+
+  // Snapshots the pool, trains a fresh model, and publishes it with the
+  // double-buffered swap. Safe to run concurrently with Predict/Observe;
+  // at most one TrainOnce may run at a time per predictor.
+  void TrainOnce();
+
+  std::string_view name() const override { return "Stage"; }
+
+  // Full-state checkpointing on the "SSRV" stream: cache shards, training
+  // pool, retrain cadence, local model (when trained), trainings counter,
+  // and the recalibrator window when calibration is on. A predictor
+  // restored from a snapshot continues the replay bit-for-bit. SaveState
+  // pins one consistent Observe boundary (writers stall, readers do not).
+  // LoadState needs the writer's cache shard count and calibration flag;
+  // it parses every section before committing any, so on failure it
+  // returns false — filling `error` when non-null — with the predictor
+  // untouched. Telemetry (attribution counters, latency recorder, cache
+  // hit/miss counters) restarts at zero on LoadState: counters describe a
+  // serving lifetime, not predictor state. The global model is borrowed
+  // (StagePredictorOptions), never persisted.
+  bool SaveState(std::ostream& out, std::string* error = nullptr) const;
+  bool LoadState(std::istream& in, std::string* error = nullptr);
+
+  // Approximate bytes of resident state (cache + pool + current local
+  // model + fixed overhead): the fleet registry's eviction currency. Takes
+  // the shard locks briefly; cheap enough for the Observe path.
+  size_t ApproxResidentBytes() const;
+
+  // Memory footprint of the locally resident components (the paper excludes
+  // the global model, which deploys as a shared serverless function).
+  size_t LocalMemoryBytes() const;
 
   // Attribution counters: how many predictions each stage served.
   uint64_t predictions_from(PredictionSource source) const {
@@ -160,13 +177,19 @@ class StagePredictor final : public ExecTimePredictor {
         std::memory_order_relaxed);
   }
   uint64_t total_predictions() const;
+  std::array<uint64_t, kNumPredictionSources> SourceCounts() const;
+  // Re-seeds the attribution counters (cold activation of a previously
+  // evicted tenant restores its in-process counts). Not thread-safe with
+  // concurrent Predicts — call before the predictor starts serving.
+  void SeedSourceCounts(
+      const std::array<uint64_t, kNumPredictionSources>& counts);
 
-  const cache::ExecTimeCache& exec_time_cache() const { return cache_; }
-  const local::TrainingPool& training_pool() const { return pool_; }
-  const local::LocalModel& local_model() const { return local_; }
+  // Completed local-model trainings.
+  int trainings() const { return trainings_.load(std::memory_order_relaxed); }
 
   // Current §4.8 conformal sigma correction: 1.0 when calibration is off
-  // (or the window hasn't filled to conformal.min_window yet).
+  // (or the window hasn't filled to conformal.min_window yet). Lock-free
+  // (one atomic load), safe against concurrent Observes.
   double conformal_scale() const {
     return recalibrator_ != nullptr ? recalibrator_->scale() : 1.0;
   }
@@ -175,38 +198,70 @@ class StagePredictor final : public ExecTimePredictor {
     return recalibrator_.get();
   }
 
-  // Memory footprint of the locally resident components (the paper excludes
-  // the global model, which deploys as a shared serverless function).
-  size_t LocalMemoryBytes() const;
+  // Current local-model snapshot (nullptr before the first training). The
+  // returned pointer stays valid across later swaps.
+  std::shared_ptr<const local::LocalModel> local_model_snapshot() const;
 
-  // Full-state checkpointing: exec-time cache, training pool, local model
-  // (when trained), and the retrain cadence counter. A predictor restored
-  // from a snapshot continues the replay bit-for-bit — same predictions,
-  // same routing, same future retrains — as one that never stopped.
-  // Attribution counters are telemetry and restart at zero. Load is
-  // transactional per component and returns false on a malformed stream;
-  // the global model is borrowed (StagePredictorOptions), never persisted.
-  void Save(std::ostream& out) const;
-  bool Load(std::istream& in);
+  const cache::ShardedExecTimeCache& exec_time_cache() const { return cache_; }
+  size_t pool_size() const;
+
+  // Per-source read-path latency/QPS, one slot per PredictionSource.
+  const metrics::LatencyRecorder& predict_latency() const {
+    return predict_latency_;
+  }
+  // Slot kNumPredictionSources-aligned names for RenderTable.
+  static std::vector<std::string> PredictLatencySlotNames();
+
+ protected:
+  // The sharded variant's constructor (fleet_serve::TenantStack);
+  // `cache_shards` must be positive.
+  StagePredictor(const StagePredictorConfig& config,
+                 const StagePredictorOptions& options, size_t cache_shards);
 
  private:
   Prediction PredictImpl(const QueryContext& query,
                          obs::PredictionTrace* trace) const;
   void RegisterMetrics();
+  void PublishModel(std::shared_ptr<const local::LocalModel> fresh);
 
   StagePredictorConfig config_;
-  cache::ExecTimeCache cache_;
-  local::TrainingPool pool_;
-  local::LocalModel local_;
-  // Non-null iff config_.calibrate_uncertainty: fed a normalized residual
-  // per Observe, read (one atomic load) per Predict.
-  std::unique_ptr<calib::ConformalRecalibrator> recalibrator_;
   StagePredictorOptions options_;  // Borrowed pointers, nullable.
-  obs::RoutingMetricSet routing_metrics_;  // Null members when no registry.
+
+  cache::ShardedExecTimeCache cache_;
+
+  // Write-path state: the pool and retrain bookkeeping, guarded by
+  // pool_mutex_ (observe_mutex_ additionally serializes whole Observes so
+  // multiple writer sessions keep sequential semantics). Mutable so the
+  // const SaveState can pause writers while it runs.
+  mutable std::mutex observe_mutex_;
+  mutable std::mutex pool_mutex_;
+  local::TrainingPool pool_;
   size_t observed_since_train_ = 0;
-  // Mutable + atomic: the const read path attributes each prediction.
+  bool first_train_requested_ = false;
+
+  // §4.8 recalibrator, non-null iff config_.calibrate_uncertainty. The
+  // window is mutated only under observe_mutex_; the published scale is an
+  // atomic the read path loads lock-free.
+  std::unique_ptr<calib::ConformalRecalibrator> recalibrator_;
+
+  // Double-buffered model snapshot: the trainer publishes a fresh model by
+  // swapping this pointer; in-flight readers keep the previous buffer alive
+  // through their own shared_ptr until they finish with it. model_mutex_
+  // guards only the O(1) copy/swap — it is never held while training — so
+  // Predict can stall behind a pointer copy at worst, never behind Train.
+  // (Deliberately not std::atomic<std::shared_ptr>: libstdc++ implements
+  // that with a lock bit ThreadSanitizer cannot see, and the stress tests
+  // must run TSan-clean.)
+  mutable std::mutex model_mutex_;
+  std::shared_ptr<const local::LocalModel> model_;
+  std::atomic<int> trainings_{0};
+
   mutable std::array<std::atomic<uint64_t>, kNumPredictionSources>
       source_counts_{};
+  mutable metrics::LatencyRecorder predict_latency_{kNumPredictionSources};
+  // Hot-path metric handles, resolved against options_.metrics when set
+  // (null members otherwise).
+  obs::RoutingMetricSet routing_metrics_;
 };
 
 }  // namespace stage::core

@@ -77,6 +77,9 @@ void FleetService::RegisterFleetMetrics() {
   registry->RegisterCounterCallback(
       this, prefix + "fleet_cold_activations_total",
       [this] { return cold_activations(); });
+  registry->RegisterCounterCallback(
+      this, prefix + "fleet_snapshot_fallbacks_total",
+      [this] { return snapshot_fallbacks(); });
   registry->RegisterGaugeCallback(
       this, prefix + "fleet_resident_bytes",
       [this] { return static_cast<double>(ResidentBytes()); });
@@ -239,13 +242,23 @@ std::shared_ptr<TenantStack> FleetService::ActivateLocked(
       // The whole point of the indexed layout: ONE tenant's payload is
       // seeked and read; the rest of the fleet file is never touched.
       std::string payload;
-      std::string error;
-      bool ok = snapshot_.ReadTenant(entry.id, &payload, &error);
-      STAGE_CHECK_MSG(ok, error.c_str());
-      std::istringstream in(payload);
-      ok = stack->LoadState(in, &error);
-      STAGE_CHECK_MSG(ok, error.c_str());
-      latency_slot = kActivationFromFile;
+      bool ok = snapshot_.ReadTenant(entry.id, &payload);
+      if (ok) {
+        std::istringstream in(payload);
+        ok = stack->LoadState(in);
+      }
+      if (ok) {
+        latency_slot = kActivationFromFile;
+      } else {
+        // Unlike parked bytes, a file can be corrupt or written under
+        // another stack config; one bad payload must not take the process
+        // down. Serve the tenant from a fresh stack instead (the old one is
+        // released first so its metric callbacks are gone before the
+        // replacement registers the same names).
+        stack.reset();
+        stack = std::make_shared<TenantStack>(entry.config, entry.options);
+        snapshot_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+      }
     }
   }
   const size_t fresh_bytes = stack->ApproxResidentBytes();

@@ -65,11 +65,9 @@ struct FleetServiceOptions {
   std::string metrics_prefix = "stage_";
 };
 
-// The tenant-keyed serving API (ROADMAP item 1): one process serves many
-// instances' predictor stacks out of a memory-bounded registry. The paper
-// operates Stage this way — per-instance models, fleet-scale pipeline
-// (§2/§6) — and this service is the registry-ification of the former
-// single-tenant PredictionService, which survives as a one-entry facade.
+// The tenant-keyed serving API: one process serves many instances'
+// predictor stacks out of a memory-bounded registry. The paper operates
+// Stage this way — per-instance models, fleet-scale pipeline (§2/§6).
 //
 // Tenant lifecycle:
 //
@@ -83,7 +81,9 @@ struct FleetServiceOptions {
 // Cold activation sources, in order: parked in-process state (eviction
 // round-trip, attribution counters preserved), an attached indexed fleet
 // snapshot (one seek+read of that tenant's payload — never a whole-fleet
-// deserialize), else a fresh empty stack.
+// deserialize), else a fresh empty stack. A snapshot payload that fails to
+// read or load (corrupt, or written under a different stack config) falls
+// back to a fresh stack and is counted in snapshot_fallbacks().
 //
 // Concurrency design:
 //  * The registry is a shared_mutex-guarded map of stable entries. Warm
@@ -132,9 +132,10 @@ class FleetService {
                double exec_seconds);
 
   // Activates `tenant` and pins it warm for the service's lifetime: the
-  // returned stack stays valid and the evictor skips the tenant. This is
-  // the single-tenant facade's fast path — it delegates reads straight to
-  // the pinned stack, bypassing the registry lock entirely.
+  // returned stack stays valid and the evictor skips the tenant. A
+  // single-tenant caller reads straight from the pinned stack, bypassing
+  // the registry lock entirely, and observes through the service so
+  // retrains run on its workers.
   std::shared_ptr<TenantStack> PinTenant(TenantId tenant);
 
   // Explicit eviction (tests / admin). Fails — returning false and filling
@@ -176,6 +177,11 @@ class FleetService {
   }
   uint64_t cold_activations() const {
     return cold_activations_.load(std::memory_order_relaxed);
+  }
+  // Activations whose attached-snapshot payload failed to read or load and
+  // that came up fresh instead.
+  uint64_t snapshot_fallbacks() const {
+    return snapshot_fallbacks_.load(std::memory_order_relaxed);
   }
   // Activation latency histogram slots (parked vs snapshot-file sources).
   static constexpr size_t kActivationFromParked = 0;
@@ -290,6 +296,7 @@ class FleetService {
   std::atomic<uint64_t> lru_clock_{0};
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> cold_activations_{0};
+  std::atomic<uint64_t> snapshot_fallbacks_{0};
   metrics::LatencyRecorder activation_latency_{3};
 
   // Attached cold-activation source. snapshot_mutex_ guards the reader's
@@ -300,8 +307,7 @@ class FleetService {
 
   // Retrain pool plumbing. Per-tenant coalescing: a tenant is in at most
   // one of queued/running; a request landing while it runs sets the
-  // rerequest flag, producing exactly one follow-up run (the old
-  // PredictionService worker's semantics, fleet-wide).
+  // rerequest flag, producing exactly one follow-up run.
   std::mutex train_mutex_;
   std::condition_variable train_cv_;   // Wakes workers.
   std::condition_variable train_idle_cv_;  // Wakes WaitForRetrain.

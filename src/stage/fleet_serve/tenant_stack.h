@@ -1,197 +1,38 @@
 #ifndef STAGE_FLEET_SERVE_TENANT_STACK_H_
 #define STAGE_FLEET_SERVE_TENANT_STACK_H_
 
-#include <array>
-#include <atomic>
-#include <cstdint>
-#include <iosfwd>
-#include <memory>
-#include <mutex>
-#include <span>
+#include <cstddef>
 #include <string>
-#include <vector>
 
-#include "stage/calib/conformal.h"
-#include "stage/core/predictor.h"
 #include "stage/core/stage_predictor.h"
-#include "stage/local/local_model.h"
-#include "stage/local/training_pool.h"
-#include "stage/metrics/latency_recorder.h"
-#include "stage/obs/metrics.h"
-#include "stage/obs/trace.h"
-#include "stage/serve/sharded_cache.h"
 
 namespace stage::fleet_serve {
 
 // Per-tenant knobs: one instance's predictor stack shape. (The retrain
 // execution mode — inline vs background — is a fleet-level policy and lives
-// in FleetServiceConfig / PredictionServiceConfig, not here.)
+// in FleetServiceConfig, not here.)
 struct TenantStackConfig {
   core::StagePredictorConfig predictor;
 
-  // Shards of the exec-time cache front. 1 shard reproduces the
-  // single-threaded predictor bit-for-bit (same eviction order); more
-  // shards let concurrent lookups proceed without serializing.
+  // Shards of the exec-time cache front. 1 shard reproduces the paper's
+  // single cache bit-for-bit (same eviction order); more shards let
+  // concurrent lookups proceed without serializing.
   size_t cache_shards = 8;
 
   // Empty when usable, else a description of the first problem.
   std::string Validate() const;
 };
 
-// One tenant's complete predictor stack: sharded exec-time cache, training
-// pool, double-buffered local-model snapshot, retrain cadence, and
-// attribution/latency telemetry. This is the former PredictionService with
-// its thread ripped out: the stack never owns a worker — it *reports* when
-// the §4.3 cadence wants a retrain and leaves scheduling to its owner
-// (FleetService's fairness-capped executor, or an inline call for
-// deterministic replay).
-//
-// Concurrency contract (unchanged from the old service):
-//  * Predict / PredictBatch / PredictTraced are const, never block on
-//    training, and are safe against each other and against Observe.
-//  * Observe is serialized internally (multiple writer sessions are safe).
-//  * SaveState pauses writers (not readers) for a consistent cut; LoadState
-//    must not race anything — restore before serving starts.
-class TenantStack {
+// One tenant's predictor stack: a core::StagePredictor with a sharded
+// exec-time cache. It never owns a worker — Observe(query, seconds, false)
+// reports when the §4.3 cadence wants a retrain and FleetService's
+// fairness-capped executor runs TrainOnce. `final`, so FleetService's calls
+// through a TenantStack pointer bind statically.
+class TenantStack final : public core::StagePredictor {
  public:
-  // `options` collaborators are borrowed and must outlive the stack. When
-  // options.metrics is set the full per-stack metric families register
-  // under options.metrics_prefix (and unregister in the destructor).
+  // `options` collaborators are borrowed and must outlive the stack.
   explicit TenantStack(const TenantStackConfig& config,
                        const core::StagePredictorOptions& options = {});
-  ~TenantStack();
-
-  TenantStack(const TenantStack&) = delete;
-  TenantStack& operator=(const TenantStack&) = delete;
-
-  core::Prediction Predict(const core::QueryContext& query) const;
-  std::vector<core::Prediction> PredictBatch(
-      std::span<const core::QueryContext> queries) const;
-
-  // Predict with the routing decision recorded into `trace` (same contract
-  // as StagePredictor::PredictTraced, plus the cache shard the key mapped
-  // to). `trace` may be null, degrading to Predict.
-  core::Prediction PredictTraced(const core::QueryContext& query,
-                                 obs::PredictionTrace* trace) const;
-
-  // Records an executed query into the cache (and, on a miss, the pool).
-  // When the §4.3 cadence asks for a (re)training: with `inline_retrain`
-  // the training runs inside this call — deterministic-replay mode,
-  // bit-for-bit StagePredictor::Observe — and false is returned; otherwise
-  // the call returns true and the caller owns scheduling TrainOnce().
-  bool Observe(const core::QueryContext& query, double exec_seconds,
-               bool inline_retrain);
-
-  // Snapshots the pool, trains a fresh model, and publishes it with the
-  // double-buffered swap. Safe to run concurrently with Predict/Observe;
-  // at most one TrainOnce may run at a time per stack.
-  void TrainOnce();
-
-  // Symmetric, status-returning checkpoint contract. SaveState pins one
-  // consistent Observe boundary (writers stall, readers do not) and writes
-  // the same "SSRV" stream the old PredictionService::SaveCheckpoint
-  // produced, so existing kPredictionService snapshots stay loadable.
-  // Both return false — filling `error` when non-null — without partially
-  // applied state. Telemetry (attribution counters, latency recorder,
-  // cache hit/miss counters) deliberately restarts at zero on LoadState:
-  // counters describe a serving lifetime, not predictor state. (Fleet
-  // eviction preserves them separately via SourceCounts/SeedSourceCounts.)
-  bool SaveState(std::ostream& out, std::string* error = nullptr) const;
-  bool LoadState(std::istream& in, std::string* error = nullptr);
-
-  // Approximate bytes of resident state (sharded cache + pool + current
-  // local model + fixed overhead): the registry's eviction currency. Takes
-  // the shard locks briefly; cheap enough for the Observe path.
-  size_t ApproxResidentBytes() const;
-
-  // Attribution counters (same semantics as StagePredictor's).
-  uint64_t predictions_from(core::PredictionSource source) const {
-    return source_counts_[static_cast<int>(source)].load(
-        std::memory_order_relaxed);
-  }
-  uint64_t total_predictions() const;
-  std::array<uint64_t, core::kNumPredictionSources> SourceCounts() const;
-  // Re-seeds the attribution counters (cold activation of a previously
-  // evicted tenant restores its in-process counts). Not thread-safe with
-  // concurrent Predicts — call before the stack starts serving.
-  void SeedSourceCounts(
-      const std::array<uint64_t, core::kNumPredictionSources>& counts);
-
-  // Completed local-model trainings.
-  int trainings() const { return trainings_.load(std::memory_order_relaxed); }
-
-  // Current §4.8 conformal sigma correction: 1.0 when
-  // predictor.calibrate_uncertainty is off or the window hasn't filled.
-  // Lock-free (one atomic load), safe against concurrent Observes.
-  double conformal_scale() const {
-    return recalibrator_ != nullptr ? recalibrator_->scale() : 1.0;
-  }
-  // The recalibrator, or nullptr when calibration is off.
-  const calib::ConformalRecalibrator* recalibrator() const {
-    return recalibrator_.get();
-  }
-
-  // Current local-model snapshot (nullptr before the first training). The
-  // returned pointer stays valid across later swaps.
-  std::shared_ptr<const local::LocalModel> local_model_snapshot() const;
-
-  const serve::ShardedExecTimeCache& exec_time_cache() const { return cache_; }
-  size_t pool_size() const;
-
-  // Per-source read-path latency/QPS, one slot per PredictionSource.
-  const metrics::LatencyRecorder& predict_latency() const {
-    return predict_latency_;
-  }
-  // Slot kNumPredictionSources-aligned names for RenderTable.
-  static std::vector<std::string> PredictLatencySlotNames();
-
-  size_t LocalMemoryBytes() const;
-
- private:
-  core::Prediction PredictImpl(const core::QueryContext& query,
-                               obs::PredictionTrace* trace) const;
-  void RegisterMetrics();
-  void PublishModel(std::shared_ptr<const local::LocalModel> fresh);
-
-  TenantStackConfig config_;
-  core::StagePredictorOptions options_;  // Borrowed pointers, nullable.
-
-  serve::ShardedExecTimeCache cache_;
-
-  // Write-path state: the pool and retrain bookkeeping, guarded by
-  // pool_mutex_ (observe_mutex_ additionally serializes whole Observes so
-  // multiple writer sessions keep StagePredictor's sequential semantics).
-  // Mutable so the const SaveState can pause writers while it runs.
-  mutable std::mutex observe_mutex_;
-  mutable std::mutex pool_mutex_;
-  local::TrainingPool pool_;
-  size_t observed_since_train_ = 0;
-  bool first_train_requested_ = false;
-
-  // §4.8 recalibrator, non-null iff predictor.calibrate_uncertainty. The
-  // window is mutated only under observe_mutex_; the published scale is an
-  // atomic the read path loads lock-free.
-  std::unique_ptr<calib::ConformalRecalibrator> recalibrator_;
-
-  // Double-buffered model snapshot: the trainer publishes a fresh model by
-  // swapping this pointer; in-flight readers keep the previous buffer alive
-  // through their own shared_ptr until they finish with it. model_mutex_
-  // guards only the O(1) copy/swap — it is never held while training — so
-  // Predict can stall behind a pointer copy at worst, never behind Train.
-  // (Deliberately not std::atomic<std::shared_ptr>: libstdc++ implements
-  // that with a lock bit ThreadSanitizer cannot see, and the stress tests
-  // must run TSan-clean.)
-  mutable std::mutex model_mutex_;
-  std::shared_ptr<const local::LocalModel> model_;
-  std::atomic<int> trainings_{0};
-
-  mutable std::array<std::atomic<uint64_t>, core::kNumPredictionSources>
-      source_counts_{};
-  mutable metrics::LatencyRecorder predict_latency_{
-      core::kNumPredictionSources};
-  // Hot-path metric handles, resolved against options_.metrics when set
-  // (null members otherwise).
-  obs::RoutingMetricSet routing_metrics_;
 };
 
 }  // namespace stage::fleet_serve

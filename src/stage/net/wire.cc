@@ -140,6 +140,18 @@ bool BuildWirePlan(uint8_t query_type, std::vector<plan::PlanNode> nodes,
   }
   const size_t node_count = nodes.size();
   if (node_count == 0 || node_count > kMaxWirePlanNodes) return false;
+  // Optimizer estimates are the predictor's main input: a NaN, infinite, or
+  // negative one would flow into the features and the cache key and come
+  // back as a silently wrong prediction.
+  const auto usable = [](double value) {
+    return std::isfinite(value) && value >= 0.0;
+  };
+  for (const plan::PlanNode& node : nodes) {
+    if (!usable(node.estimated_cost) || !usable(node.estimated_cardinality) ||
+        !usable(node.tuple_width) || !usable(node.table_rows)) {
+      return false;
+    }
+  }
   // The Plan constructor aborts on a malformed tree, so every structural
   // invariant is enforced here first: children strictly after their parent
   // (pre-order), a single parent each, node 0 the unparented root.
@@ -210,9 +222,11 @@ bool ParseObserveRequest(std::string_view payload, ObserveRequest* request) {
       !in.Read(&request->exec_seconds)) {
     return false;
   }
-  // The fleet's Observe path CHECKs exec_seconds >= 0; a wire peer must
-  // not be able to trip that (NaN fails this comparison too).
-  if (!(request->exec_seconds >= 0.0)) return false;
+  // The predictor's Observe CHECKs a finite exec_seconds >= 0; a wire peer
+  // must not be able to trip that.
+  if (!std::isfinite(request->exec_seconds) || request->exec_seconds < 0.0) {
+    return false;
+  }
   return ParsePlan(&in, &request->plan) && in.empty();
 }
 
@@ -432,8 +446,8 @@ bool ParseJsonRequest(std::string_view line, bool* is_predict,
                               error)) {
       return false;
     }
-    // Same guard as the binary parser: the fleet CHECKs exec_seconds >= 0,
-    // and NaN fails this comparison too.
+    // Same guard as the binary parser: the predictor CHECKs a finite
+    // exec_seconds >= 0.
     if (!GetFiniteNumber(request, "exec_seconds", &observe->exec_seconds) ||
         !(observe->exec_seconds >= 0.0)) {
       SetJsonError(error, "bad exec_seconds");

@@ -107,16 +107,18 @@ void AppendPlan(std::string* out, const plan::Plan& plan);
 // Parses and validates a wire plan. Validation happens BEFORE the Plan is
 // constructed (the Plan constructor aborts on a malformed tree — a fatal a
 // network peer must never be able to trigger): enums in range, node count
-// within kMaxWirePlanNodes, children strictly pre-order, every non-root
-// node with exactly one parent. Returns false on any violation.
+// within kMaxWirePlanNodes, node numerics finite and >= 0, children
+// strictly pre-order, every non-root node with exactly one parent. Returns
+// false on any violation.
 bool ParsePlan(ByteReader* in, plan::Plan* plan);
 
-// The structural half of that validation, shared by the binary and JSON
-// decoders: node count in [1, kMaxWirePlanNodes], query_type in range,
-// children strictly after their parent (pre-order), exactly one parent per
-// non-root node, node 0 the unparented root. Callers must already have
-// range-checked the per-node enums. Constructs *plan only when everything
-// holds.
+// The structural and numeric half of that validation, shared by the binary
+// and JSON decoders: node count in [1, kMaxWirePlanNodes], query_type in
+// range, every node's cost, cardinality, width and table rows finite and
+// >= 0, children strictly after their parent (pre-order), exactly one
+// parent per non-root node, node 0 the unparented root. Callers must
+// already have range-checked the per-node enums. Constructs *plan only
+// when everything holds.
 bool BuildWirePlan(uint8_t query_type, std::vector<plan::PlanNode> nodes,
                    plan::Plan* plan);
 
@@ -160,8 +162,8 @@ void AppendMessage(std::string* out, MessageType type,
 // {"type":"shutdown"}.
 
 // Parses one request line, applying the same validation as the binary
-// parsers (enum ranges, tree structure, exec_seconds >= 0). On failure
-// fills `error` with a short reason.
+// parsers (enum ranges, node numerics, tree structure, finite
+// exec_seconds >= 0). On failure fills `error` with a short reason.
 bool ParseJsonRequest(std::string_view line, bool* is_predict,
                       PredictRequest* predict, ObserveRequest* observe,
                       std::string* error);

@@ -28,9 +28,9 @@ std::string_view TraceStageName(TraceStage stage);
 // The routing decision of one prediction as first-class data: which stage
 // answered, why the router stopped there (which §4.1 thresholds were
 // crossed), the uncertainty it saw, and where the time went. Filled by
-// core::RouteHierarchical and the predictors layered on it; consumed by
-// golden routing tests, trace dumps, and the metrics layer. Plain POD on
-// the stack — tracing allocates nothing.
+// core::StagePredictor's routing; consumed by golden routing tests, trace
+// dumps, and the metrics layer. Plain POD on the stack — tracing allocates
+// nothing.
 struct PredictionTrace {
   TraceStage stage = TraceStage::kDefault;
 
@@ -50,12 +50,9 @@ struct PredictionTrace {
   double short_running_threshold = 0.0;
   double uncertainty_threshold = 0.0;
 
-  // Placement / cost. Latencies are only filled on the traced call paths
-  // (PredictTraced); they stay zero on the plain hot path.
-  uint32_t cache_shard = 0;   // Shard probed (0 for the unsharded cache).
-  uint64_t cache_nanos = 0;   // Stage-1 lookup.
-  uint64_t route_nanos = 0;   // Stages 2-3 (model inference + routing).
-  uint64_t total_nanos = 0;
+  // Placement / cost.
+  uint32_t cache_shard = 0;  // Shard probed (0 with a single shard).
+  uint64_t total_nanos = 0;  // Cache probe + routing (+ global share).
 };
 
 // Stable one-line serialization of the *deterministic* trace fields (stage,
@@ -66,26 +63,22 @@ struct PredictionTrace {
 std::string FormatTraceLine(uint64_t query_index,
                             const PredictionTrace& trace);
 
-// The hot-path metric bundle shared by StagePredictor and the serving
-// layer: resolved once against a registry at construction, then updated
-// with relaxed atomics per prediction. When `registry` is null every
-// pointer stays null and enabled() is false — the predictor runs exactly
-// as before.
+// StagePredictor's hot-path routing metrics: resolved once against a
+// registry at construction, then updated with relaxed atomics per
+// prediction. When `registry` is null every pointer stays null and
+// enabled() is false — the predictor runs exactly as before. (Per-stage
+// latency is metrics::LatencyRecorder's job, exposed by the predictor.)
 struct RoutingMetricSet {
   Counter* escalations = nullptr;          // <prefix>escalations_total.
   Histogram* uncertainty = nullptr;        // <prefix>local_uncertainty_log_std.
-  // Per-stage prediction latency, only resolved when `with_latency` (the
-  // serving layer exposes its LatencyRecorder instead).
-  Histogram* latency[kNumTraceStages] = {};
 
   bool enabled() const { return escalations != nullptr; }
 
   static RoutingMetricSet Create(MetricsRegistry* registry,
-                                 const std::string& prefix,
-                                 bool with_latency);
+                                 const std::string& prefix);
 
-  // Records the per-prediction signals (escalation, uncertainty, latency
-  // when measured). Call only when enabled().
+  // Records the per-prediction signals (escalation, uncertainty). Call
+  // only when enabled().
   void Record(const PredictionTrace& trace) const;
 };
 

@@ -75,9 +75,8 @@ struct ClosedLoopResult {
 // the same per-admission predictions — both run the same engine.
 //
 // Uses the predictor's sequential interface (Predict then Observe from one
-// thread), matching StagePredictor / AutoWlmPredictor / PredictionService.
-// For deterministic runs, configure services with inline retrain and one
-// cache shard.
+// thread), matching StagePredictor / AutoWlmPredictor. StagePredictor's
+// two-argument Observe retrains inline, so a run is deterministic.
 ClosedLoopResult SimulateClosedLoop(
     const std::vector<fleet::QueryEvent>& trace,
     core::ExecTimePredictor* predictor, const ClosedLoopConfig& config);

@@ -2,7 +2,6 @@
 
 #include "stage/common/macros.h"
 #include "stage/core/replay.h"
-#include "stage/serve/prediction_service.h"
 
 namespace stage::wlm {
 
@@ -79,18 +78,14 @@ ClosedLoopResult RunWlmPolicy(const std::vector<fleet::QueryEvent>& trace,
     case WlmPolicy::kOracle:
       return SimulateClosedLoop(trace, nullptr, config.loop);
     case WlmPolicy::kStage: {
-      // The full serving stack in the loop (the §4.5 deployment shape),
-      // pinned deterministic: inline retrain and one cache shard make a
-      // single-threaded closed-loop run bit-for-bit reproducible.
-      serve::PredictionServiceConfig service_config;
-      service_config.predictor = config.stage;
-      service_config.cache_shards = 1;
-      service_config.async_retrain = false;
+      // The live predictor in the loop (the §4.5 deployment shape): inline
+      // retrain and one cache shard make a single-threaded closed-loop run
+      // bit-for-bit reproducible.
       core::StagePredictorOptions options;
       options.global_model = config.global_model;
       options.instance = config.instance;
-      serve::PredictionService service(service_config, options);
-      return SimulateClosedLoop(trace, &service, config.loop);
+      core::StagePredictor predictor(config.stage, options);
+      return SimulateClosedLoop(trace, &predictor, config.loop);
     }
     case WlmPolicy::kAutoWlm: {
       core::AutoWlmPredictor autowlm(config.autowlm);

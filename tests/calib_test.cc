@@ -1,10 +1,11 @@
 // Tests for the §4.8 calibration subsystem: the interval-calibration
 // harness (coverage ladder, ECE, sentinel exclusion, per-source slices,
 // obs exposition), the online conformal recalibrator (convergence,
-// property tests, bit-for-bit snapshot round trip), and the predictor /
-// service integration (scaled uncertainty, sync-replay parity, warm
-// restart, concurrent readers vs the observing recalibrator — the latter
-// is the TSan acceptance gate wired into tools/check.sh).
+// property tests, bit-for-bit snapshot round trip), and the predictor
+// integration (scaled uncertainty, warm restart, all-or-nothing restore,
+// concurrent readers vs the observing recalibrator — the latter is the
+// TSan acceptance gate wired into tools/check.sh). Flag-on sync-replay
+// parity of the fleet serving path is pinned by golden_routing_test.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -22,8 +23,9 @@
 #include "stage/common/stats.h"
 #include "stage/core/stage_predictor.h"
 #include "stage/fleet/fleet.h"
+#include "stage/fleet_serve/fleet_service.h"
+#include "stage/fleet_serve/tenant_stack.h"
 #include "stage/obs/metrics.h"
-#include "stage/serve/prediction_service.h"
 
 namespace stage::calib {
 namespace {
@@ -502,7 +504,7 @@ TEST(CalibValidationDeathTest, PredictorConstructionDiesOnBadConformal) {
 }
 
 // ---------------------------------------------------------------------------
-// Predictor / service integration.
+// Predictor integration.
 
 core::StagePredictorConfig CalibStageConfig(bool calibrate) {
   core::StagePredictorConfig config;
@@ -580,38 +582,15 @@ TEST(CalibratedPredictorTest, ReportedUncertaintyIsScaledRawSigma) {
   EXPECT_GT(compared, 0);
 }
 
-TEST(CalibratedPredictorTest, SyncServiceMatchesPredictorFlagOn) {
-  core::StagePredictor predictor(CalibStageConfig(true));
-  serve::PredictionServiceConfig service_config;
-  service_config.predictor = CalibStageConfig(true);
-  service_config.cache_shards = 1;
-  service_config.async_retrain = false;
-  serve::PredictionService service(service_config);
-
-  for (const fleet::QueryEvent& event : CalibWorkload().trace) {
-    const core::QueryContext context =
-        core::MakeQueryContext(event.plan, event.concurrent_queries,
-                               static_cast<uint64_t>(event.arrival_ms));
-    const core::Prediction a = predictor.Predict(context);
-    const core::Prediction b = service.Predict(context);
-    ASSERT_EQ(a.seconds, b.seconds);
-    ASSERT_EQ(a.source, b.source);
-    ASSERT_EQ(a.uncertainty_log_std, b.uncertainty_log_std);
-    predictor.Observe(context, event.exec_seconds);
-    service.Observe(context, event.exec_seconds);
-  }
-  EXPECT_EQ(service.conformal_scale(), predictor.conformal_scale());
-  ASSERT_NE(service.recalibrator(), nullptr);
-  EXPECT_EQ(service.recalibrator()->observations(),
-            predictor.recalibrator()->observations());
+fleet_serve::TenantStackConfig CalibStackConfig(bool calibrate) {
+  fleet_serve::TenantStackConfig config;
+  config.predictor = CalibStageConfig(calibrate);
+  config.cache_shards = 2;
+  return config;
 }
 
 TEST(CalibratedPredictorTest, CheckpointWarmRestartPreservesWindow) {
-  serve::PredictionServiceConfig config;
-  config.predictor = CalibStageConfig(true);
-  config.cache_shards = 2;
-  config.async_retrain = false;
-  serve::PredictionService original(config);
+  fleet_serve::TenantStack original(CalibStackConfig(true));
 
   const auto& trace = CalibWorkload().trace;
   const size_t half = trace.size() / 2;
@@ -623,11 +602,11 @@ TEST(CalibratedPredictorTest, CheckpointWarmRestartPreservesWindow) {
     original.Observe(context, trace[i].exec_seconds);
   }
   std::ostringstream checkpoint;
-  ASSERT_TRUE(original.SaveCheckpoint(checkpoint));
+  ASSERT_TRUE(original.SaveState(checkpoint));
 
-  serve::PredictionService restored(config);
+  fleet_serve::TenantStack restored(CalibStackConfig(true));
   std::istringstream in(checkpoint.str());
-  ASSERT_TRUE(restored.LoadCheckpoint(in));
+  ASSERT_TRUE(restored.LoadState(in));
   ASSERT_NE(restored.recalibrator(), nullptr);
   EXPECT_EQ(restored.conformal_scale(), original.conformal_scale());
   EXPECT_EQ(restored.recalibrator()->observations(),
@@ -647,28 +626,76 @@ TEST(CalibratedPredictorTest, CheckpointWarmRestartPreservesWindow) {
   }
   EXPECT_EQ(restored.conformal_scale(), original.conformal_scale());
 
-  // A flag-off service must reject the flag-on stream's trailing
-  // recalibrator bytes... and a flag-on service loads a flag-off stream as
-  // truncated. Either way: clean false, never a half-applied window.
-  serve::PredictionServiceConfig off_config = config;
-  off_config.predictor.calibrate_uncertainty = false;
-  serve::PredictionService flag_off(off_config);
+  // A flag-on stack loads a flag-off stream as truncated: clean false.
+  fleet_serve::TenantStack flag_off(CalibStackConfig(false));
   std::ostringstream off_checkpoint;
-  ASSERT_TRUE(flag_off.SaveCheckpoint(off_checkpoint));
-  serve::PredictionService flag_on(config);
+  ASSERT_TRUE(flag_off.SaveState(off_checkpoint));
+  fleet_serve::TenantStack flag_on(CalibStackConfig(true));
   std::istringstream off_in(off_checkpoint.str());
-  EXPECT_FALSE(flag_on.LoadCheckpoint(off_in));
+  EXPECT_FALSE(flag_on.LoadState(off_in));
+}
+
+// LoadState is all-or-nothing: a calibration-off stream fails only at its
+// (missing) last section when loaded into a calibration-on stack, and by
+// then every earlier section has been parsed. None of them may have been
+// applied — cache, pool, model and predictions stay exactly as they were.
+TEST(CalibratedPredictorTest, FailedLoadLeavesStackUntouched) {
+  const auto& trace = CalibWorkload().trace;
+  const auto context_at = [&](size_t i) {
+    return core::MakeQueryContext(trace[i].plan, trace[i].concurrent_queries,
+                                  static_cast<uint64_t>(trace[i].arrival_ms));
+  };
+  // Different halves of the trace, so the two states differ everywhere.
+  fleet_serve::TenantStack source(CalibStackConfig(false));
+  for (size_t i = trace.size() / 2; i < trace.size(); ++i) {
+    source.Observe(context_at(i), trace[i].exec_seconds);
+  }
+  fleet_serve::TenantStack target(CalibStackConfig(true));
+  for (size_t i = 0; i < 150; ++i) {  // Cache not yet full (capacity 200).
+    target.Observe(context_at(i), trace[i].exec_seconds);
+  }
+  std::vector<core::Prediction> before;
+  for (size_t i = 0; i < trace.size(); i += 7) {
+    before.push_back(target.Predict(context_at(i)));
+  }
+  const size_t cache_entries = target.exec_time_cache().size();
+  const size_t pool_entries = target.pool_size();
+  const auto model = target.local_model_snapshot();
+  const int trainings = target.trainings();
+
+  std::ostringstream saved;
+  ASSERT_TRUE(source.SaveState(saved));
+  ASSERT_NE(source.exec_time_cache().size(), cache_entries);
+  std::istringstream in(saved.str());
+  std::string error;
+  EXPECT_FALSE(target.LoadState(in, &error));
+  EXPECT_NE(error.find("recalibrator"), std::string::npos) << error;
+
+  EXPECT_EQ(target.exec_time_cache().size(), cache_entries);
+  EXPECT_EQ(target.pool_size(), pool_entries);
+  EXPECT_EQ(target.local_model_snapshot(), model);
+  EXPECT_EQ(target.trainings(), trainings);
+  size_t at = 0;
+  for (size_t i = 0; i < trace.size(); i += 7, ++at) {
+    const core::Prediction after = target.Predict(context_at(i));
+    ASSERT_EQ(after.seconds, before[at].seconds) << i;
+    ASSERT_EQ(after.source, before[at].source) << i;
+  }
 }
 
 // TSan acceptance gate (tools/check.sh runs this filter in the tsan lane):
 // reader threads predict lock-free off the atomic scale while a writer
 // session feeds completions through the recalibrator.
 TEST(CalibConcurrencyTest, ReadersPredictWhileRecalibratorObserves) {
-  serve::PredictionServiceConfig config;
-  config.predictor = CalibStageConfig(true);
-  config.cache_shards = 4;
+  fleet_serve::FleetServiceConfig config;
+  config.stack.predictor = CalibStageConfig(true);
+  config.stack.cache_shards = 4;
   config.async_retrain = true;
-  serve::PredictionService service(config);
+  fleet_serve::FleetService service(config);
+  constexpr fleet_serve::TenantId kTenant = 0;
+  service.RegisterTenant(kTenant);
+  const std::shared_ptr<fleet_serve::TenantStack> stack =
+      service.PinTenant(kTenant);
 
   const auto& trace = CalibWorkload().trace;
   std::vector<core::QueryContext> contexts;
@@ -684,10 +711,10 @@ TEST(CalibConcurrencyTest, ReadersPredictWhileRecalibratorObserves) {
   // plus a barrier guarantees the concurrent phase runs with a trained
   // model (and therefore actually exercises the scale refresh path).
   for (size_t i = 0; i < trace.size(); ++i) {
-    service.Observe(contexts[i], trace[i].exec_seconds);
+    service.Observe(kTenant, contexts[i], trace[i].exec_seconds);
   }
   service.WaitForRetrain();
-  ASSERT_GT(service.trainings(), 0);
+  ASSERT_GT(stack->trainings(), 0);
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
@@ -696,7 +723,7 @@ TEST(CalibConcurrencyTest, ReadersPredictWhileRecalibratorObserves) {
     readers.emplace_back([&, r] {
       size_t i = static_cast<size_t>(r);
       while (!stop.load(std::memory_order_relaxed)) {
-        service.Predict(contexts[i % contexts.size()]);
+        stack->Predict(contexts[i % contexts.size()]);
         i += kReaders;
       }
     });
@@ -704,17 +731,17 @@ TEST(CalibConcurrencyTest, ReadersPredictWhileRecalibratorObserves) {
   // Writer: the full replay observes every completion (feeding the
   // recalibrator under the observe lock) while readers hammer Predict.
   for (size_t i = 0; i < trace.size(); ++i) {
-    service.Observe(contexts[i], trace[i].exec_seconds);
+    service.Observe(kTenant, contexts[i], trace[i].exec_seconds);
   }
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& reader : readers) reader.join();
   service.WaitForRetrain();
 
-  const double scale = service.conformal_scale();
+  const double scale = stack->conformal_scale();
   EXPECT_TRUE(std::isfinite(scale));
-  EXPECT_GE(scale, config.predictor.conformal.min_scale);
-  EXPECT_LE(scale, config.predictor.conformal.max_scale);
-  EXPECT_GT(service.recalibrator()->observations(), 0u);
+  EXPECT_GE(scale, config.stack.predictor.conformal.min_scale);
+  EXPECT_LE(scale, config.stack.predictor.conformal.max_scale);
+  EXPECT_GT(stack->recalibrator()->observations(), 0u);
 }
 
 }  // namespace

@@ -25,17 +25,17 @@
 #include "stage/common/crc32.h"
 #include "stage/common/rng.h"
 #include "stage/core/stage_predictor.h"
+#include "stage/cache/sharded_cache.h"
 #include "stage/fleet/fleet.h"
+#include "stage/fleet_serve/tenant_stack.h"
 #include "stage/local/local_model.h"
 #include "stage/local/training_pool.h"
-#include "stage/serve/prediction_service.h"
-#include "stage/serve/sharded_cache.h"
 
 namespace stage::ckpt {
 namespace {
 
-// Small-but-real configs (mirrors serve_test.cc) so every builder trains an
-// actual model and the snapshots stay a few tens of KB.
+// Small-but-real configs so every builder trains an actual model and the
+// snapshots stay a few tens of KB.
 core::StagePredictorConfig FastStage() {
   core::StagePredictorConfig config;
   config.local.ensemble.num_members = 2;
@@ -48,11 +48,10 @@ core::StagePredictorConfig FastStage() {
   return config;
 }
 
-serve::PredictionServiceConfig SyncServiceConfig(size_t shards) {
-  serve::PredictionServiceConfig config;
+fleet_serve::TenantStackConfig SyncServiceConfig(size_t shards) {
+  fleet_serve::TenantStackConfig config;
   config.predictor = FastStage();
   config.cache_shards = shards;
-  config.async_retrain = false;
   return config;
 }
 
@@ -189,7 +188,7 @@ TEST(SnapshotStreamTest, RejectsBadMagic) {
 TEST(SnapshotStreamTest, EnvelopeBytesArePinnedToTheSharedFrameLayout) {
   const std::string payload = "pinned-envelope-payload";
   std::stringstream buffer;
-  WriteSnapshotStream(buffer, SnapshotKind::kStagePredictor, payload);
+  WriteSnapshotStream(buffer, SnapshotKind::kPredictionService, payload);
   const std::string bytes = buffer.str();
 
   std::string expected;
@@ -198,7 +197,7 @@ TEST(SnapshotStreamTest, EnvelopeBytesArePinnedToTheSharedFrameLayout) {
   };
   append_u32(0x53534e50u);  // "SSNP".
   append_u32(1u);           // Envelope version.
-  append_u32(static_cast<uint32_t>(SnapshotKind::kStagePredictor));
+  append_u32(static_cast<uint32_t>(SnapshotKind::kPredictionService));
   const auto size64 = static_cast<uint64_t>(payload.size());
   expected.append(reinterpret_cast<const char*>(&size64), sizeof(size64));
   append_u32(Crc32(payload));
@@ -211,7 +210,7 @@ TEST(SnapshotStreamTest, EnvelopeBytesArePinnedToTheSharedFrameLayout) {
   std::istringstream in(expected);
   std::string restored;
   std::string error;
-  ASSERT_TRUE(ReadSnapshotStream(in, SnapshotKind::kStagePredictor,
+  ASSERT_TRUE(ReadSnapshotStream(in, SnapshotKind::kPredictionService,
                                  &restored, &error))
       << error;
   EXPECT_EQ(restored, payload);
@@ -428,10 +427,10 @@ TEST(TrainingPoolCheckpointTest, RestoredPoolContinuesEvictionOrder) {
 }
 
 TEST(ShardedCacheCheckpointTest, RoundTripsAcrossShards) {
-  serve::ShardedExecTimeCacheConfig config;
+  cache::ShardedExecTimeCacheConfig config;
   config.cache.capacity = 30;
   config.num_shards = 3;
-  serve::ShardedExecTimeCache original(config);
+  cache::ShardedExecTimeCache original(config);
   Rng rng(21);
   for (uint64_t tick = 0; tick < 200; ++tick) {
     original.Observe(rng.NextBelow(50), rng.NextDouble() * 20, tick);
@@ -439,7 +438,7 @@ TEST(ShardedCacheCheckpointTest, RoundTripsAcrossShards) {
 
   std::stringstream buffer;
   original.Save(buffer);
-  serve::ShardedExecTimeCache restored(config);
+  cache::ShardedExecTimeCache restored(config);
   ASSERT_TRUE(restored.Load(buffer));
   EXPECT_EQ(restored.size(), original.size());
   for (uint64_t key = 0; key < 50; ++key) {
@@ -453,17 +452,17 @@ TEST(ShardedCacheCheckpointTest, RoundTripsAcrossShards) {
 }
 
 TEST(ShardedCacheCheckpointTest, LoadRejectsShardCountMismatch) {
-  serve::ShardedExecTimeCacheConfig two;
+  cache::ShardedExecTimeCacheConfig two;
   two.cache.capacity = 30;
   two.num_shards = 2;
-  serve::ShardedExecTimeCache original(two);
+  cache::ShardedExecTimeCache original(two);
   for (uint64_t key = 0; key < 10; ++key) original.Observe(key, 1.0, key);
   std::stringstream buffer;
   original.Save(buffer);
 
-  serve::ShardedExecTimeCacheConfig three = two;
+  cache::ShardedExecTimeCacheConfig three = two;
   three.num_shards = 3;
-  serve::ShardedExecTimeCache restored(three);
+  cache::ShardedExecTimeCache restored(three);
   EXPECT_FALSE(restored.Load(buffer));
   EXPECT_EQ(restored.size(), 0u);
 }
@@ -495,9 +494,9 @@ TEST(StagePredictorCheckpointTest, WarmRestartContinuesReplayBitForBit) {
     prefix.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
   std::stringstream buffer;
-  prefix.Save(buffer);
+  ASSERT_TRUE(prefix.SaveState(buffer));
   core::StagePredictor resumed(FastStage(), {.instance = &instance.config});
-  ASSERT_TRUE(resumed.Load(buffer));
+  ASSERT_TRUE(resumed.LoadState(buffer));
 
   for (size_t i = cut; i < contexts.size(); ++i) {
     const core::Prediction got = resumed.Predict(contexts[i]);
@@ -516,7 +515,7 @@ TEST(ServiceCheckpointTest, WarmRestartContinuesReplayBitForBit) {
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
   const size_t cut = contexts.size() / 2;
 
-  serve::PredictionService reference(SyncServiceConfig(2),
+  fleet_serve::TenantStack reference(SyncServiceConfig(2),
                                      {.instance = &instance.config});
   std::vector<core::Prediction> expected;
   for (size_t i = 0; i < contexts.size(); ++i) {
@@ -525,17 +524,17 @@ TEST(ServiceCheckpointTest, WarmRestartContinuesReplayBitForBit) {
     reference.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
 
-  serve::PredictionService prefix(SyncServiceConfig(2),
+  fleet_serve::TenantStack prefix(SyncServiceConfig(2),
                                   {.instance = &instance.config});
   for (size_t i = 0; i < cut; ++i) {
     prefix.Predict(contexts[i]);
     prefix.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
   std::stringstream buffer;
-  prefix.SaveCheckpoint(buffer);
-  serve::PredictionService resumed(SyncServiceConfig(2),
+  ASSERT_TRUE(prefix.SaveState(buffer));
+  fleet_serve::TenantStack resumed(SyncServiceConfig(2),
                                    {.instance = &instance.config});
-  ASSERT_TRUE(resumed.LoadCheckpoint(buffer));
+  ASSERT_TRUE(resumed.LoadState(buffer));
 
   for (size_t i = cut; i < contexts.size(); ++i) {
     const core::Prediction got = resumed.Predict(contexts[i]);
@@ -545,7 +544,7 @@ TEST(ServiceCheckpointTest, WarmRestartContinuesReplayBitForBit) {
     EXPECT_DOUBLE_EQ(want.uncertainty_log_std, got.uncertainty_log_std) << i;
     resumed.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
-  // The retrain cadence was restored too: both services end the replay with
+  // The retrain cadence was restored too: both stacks end the replay with
   // the same number of completed trainings and cache population.
   EXPECT_EQ(resumed.trainings(), reference.trainings());
   EXPECT_EQ(resumed.exec_time_cache().size(),
@@ -555,7 +554,7 @@ TEST(ServiceCheckpointTest, WarmRestartContinuesReplayBitForBit) {
 TEST(ServiceCheckpointTest, FileHelpersRoundTrip) {
   const fleet::InstanceTrace instance = MakeTrace(200);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
-  serve::PredictionService original(SyncServiceConfig(2),
+  fleet_serve::TenantStack original(SyncServiceConfig(2),
                                     {.instance = &instance.config});
   for (size_t i = 0; i < contexts.size(); ++i) {
     original.Observe(contexts[i], instance.trace[i].exec_seconds);
@@ -564,7 +563,7 @@ TEST(ServiceCheckpointTest, FileHelpersRoundTrip) {
   const std::string path = TempPath("service.snap");
   std::string error;
   ASSERT_TRUE(SaveServiceSnapshot(original, path, &error)) << error;
-  serve::PredictionService restored(SyncServiceConfig(2),
+  fleet_serve::TenantStack restored(SyncServiceConfig(2),
                                     {.instance = &instance.config});
   ASSERT_TRUE(LoadServiceSnapshot(&restored, path, &error)) << error;
 
@@ -580,17 +579,17 @@ TEST(ServiceCheckpointTest, FileHelpersRoundTrip) {
 TEST(ServiceCheckpointTest, LoadRejectsShardCountMismatch) {
   const fleet::InstanceTrace instance = MakeTrace(100);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
-  serve::PredictionService original(SyncServiceConfig(2),
+  fleet_serve::TenantStack original(SyncServiceConfig(2),
                                     {.instance = &instance.config});
   for (size_t i = 0; i < contexts.size(); ++i) {
     original.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
   std::stringstream buffer;
-  original.SaveCheckpoint(buffer);
+  ASSERT_TRUE(original.SaveState(buffer));
 
-  serve::PredictionService mismatched(SyncServiceConfig(3),
+  fleet_serve::TenantStack mismatched(SyncServiceConfig(3),
                                       {.instance = &instance.config});
-  EXPECT_FALSE(mismatched.LoadCheckpoint(buffer));
+  EXPECT_FALSE(mismatched.LoadState(buffer));
 }
 
 // ---------------------------------------------------------------------------
@@ -599,7 +598,7 @@ TEST(ServiceCheckpointTest, LoadRejectsShardCountMismatch) {
 TEST(PeriodicCheckpointerTest, WritesPeriodicallyAndSnapshotRestores) {
   const fleet::InstanceTrace instance = MakeTrace(150);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
-  serve::PredictionService service(SyncServiceConfig(2),
+  fleet_serve::TenantStack service(SyncServiceConfig(2),
                                    {.instance = &instance.config});
   for (size_t i = 0; i < contexts.size(); ++i) {
     service.Observe(contexts[i], instance.trace[i].exec_seconds);
@@ -623,7 +622,7 @@ TEST(PeriodicCheckpointerTest, WritesPeriodicallyAndSnapshotRestores) {
   EXPECT_EQ(checkpointer.failed(), 0u);
   EXPECT_TRUE(checkpointer.last_error().empty());
 
-  serve::PredictionService restored(SyncServiceConfig(2),
+  fleet_serve::TenantStack restored(SyncServiceConfig(2),
                                     {.instance = &instance.config});
   std::string error;
   ASSERT_TRUE(LoadServiceSnapshot(&restored, path, &error)) << error;
@@ -638,7 +637,7 @@ TEST(PeriodicCheckpointerTest, WritesPeriodicallyAndSnapshotRestores) {
 
 TEST(PeriodicCheckpointerTest, ReportsFailures) {
   const fleet::InstanceTrace instance = MakeTrace(50);
-  serve::PredictionService service(SyncServiceConfig(1),
+  fleet_serve::TenantStack service(SyncServiceConfig(1),
                                    {.instance = &instance.config});
 
   PeriodicCheckpointer::Options options;
@@ -708,25 +707,13 @@ std::vector<KindFile> AllKindFiles() {
   const fleet::InstanceTrace instance = MakeTrace(160);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
   {
-    core::StagePredictor predictor(FastStage(),
-                                   {.instance = &instance.config});
-    for (size_t i = 0; i < contexts.size(); ++i) {
-      predictor.Observe(contexts[i], instance.trace[i].exec_seconds);
-    }
-    std::stringstream payload;
-    predictor.Save(payload);
-    files.push_back(
-        {SnapshotKind::kStagePredictor,
-         EnvelopeBytes(SnapshotKind::kStagePredictor, payload.str())});
-  }
-  {
-    serve::PredictionService service(SyncServiceConfig(2),
+    fleet_serve::TenantStack service(SyncServiceConfig(2),
                                      {.instance = &instance.config});
     for (size_t i = 0; i < contexts.size(); ++i) {
       service.Observe(contexts[i], instance.trace[i].exec_seconds);
     }
     std::stringstream payload;
-    service.SaveCheckpoint(payload);
+    EXPECT_TRUE(service.SaveState(payload));
     files.push_back(
         {SnapshotKind::kPredictionService,
          EnvelopeBytes(SnapshotKind::kPredictionService, payload.str())});
@@ -778,13 +765,16 @@ bool TryLoadKind(SnapshotKind kind, const std::string& bytes,
       }
       return ok;
     }
-    case SnapshotKind::kStagePredictor: {
-      core::StagePredictor predictor(FastStage());
-      return LoadPredictorSnapshot(&predictor, path);
-    }
     case SnapshotKind::kPredictionService: {
-      serve::PredictionService service(SyncServiceConfig(2));
-      return LoadServiceSnapshot(&service, path);
+      fleet_serve::TenantStack service(SyncServiceConfig(2));
+      const bool ok = LoadServiceSnapshot(&service, path);
+      if (!ok) {
+        // All-or-nothing: nothing parsed before the failure was applied.
+        EXPECT_EQ(service.exec_time_cache().size(), 0u);
+        EXPECT_EQ(service.pool_size(), 0u);
+        EXPECT_EQ(service.local_model_snapshot(), nullptr);
+      }
+      return ok;
     }
     case SnapshotKind::kFleetService:
       // Fleet snapshots use the indexed SFLT layout (stage/fleet_serve),
@@ -838,7 +828,7 @@ TEST(CorruptionSuite, RandomByteFlipsFailCleanly) {
 }
 
 // Raw (un-enveloped) streams reach component Load()s through
-// StagePredictor/PredictionService payloads, so those parsers must also
+// StagePredictor state payloads, so those parsers must also
 // survive truncation on their own: no crash, no giant allocation from a
 // half-read size field, and never a trained model.
 TEST(CorruptionSuite, TruncatedRawLocalModelStreamNeverYieldsTrainedModel) {

@@ -103,7 +103,7 @@ TEST(StagePredictorTest, LocalModelTrainsAtThresholdAndServesMisses) {
     const plan::Plan plan = MakePlan(rng.NextUniform(1.0, 10.0));
     predictor.Observe(MakeQueryContext(plan, 0, i), 2.0);
   }
-  EXPECT_TRUE(predictor.local_model().trained());
+  EXPECT_NE(predictor.local_model_snapshot(), nullptr);
   const plan::Plan fresh = MakePlan(123.456);
   const Prediction prediction =
       predictor.Predict(MakeQueryContext(fresh, 0, 999));
@@ -118,7 +118,7 @@ TEST(StagePredictorTest, PoolDeduplicatesRepeatsThroughCache) {
     predictor.Observe(MakeQueryContext(plan, 0, i), 1.0);
   }
   // Only the first observation (a cache miss) entered the pool.
-  EXPECT_EQ(predictor.training_pool().size(), 1u);
+  EXPECT_EQ(predictor.pool_size(), 1u);
   EXPECT_EQ(predictor.exec_time_cache().size(), 1u);
 }
 
@@ -183,7 +183,7 @@ TEST(StagePredictorTest, UncertainLongQueriesEscalateToGlobal) {
     const plan::Plan plan = MakePlan(rng.NextUniform(1.0, 2.0));
     predictor.Observe(MakeQueryContext(plan, 0, i), 1.0);
   }
-  ASSERT_TRUE(predictor.local_model().trained());
+  ASSERT_NE(predictor.local_model_snapshot(), nullptr);
   const plan::Plan alien = MakePlan(1e7);
   const Prediction prediction =
       predictor.Predict(MakeQueryContext(alien, 0, 100));
@@ -223,7 +223,7 @@ TEST(StagePredictorTest, PredictBatchBitEqualsLoopedPredict) {
     observed.push_back(MakePlan(rng.NextUniform(1.0, 2.0)));
     predictor.Observe(MakeQueryContext(observed.back(), 0, i), 1.0);
   }
-  ASSERT_TRUE(predictor.local_model().trained());
+  ASSERT_NE(predictor.local_model_snapshot(), nullptr);
 
   std::vector<plan::Plan> fresh;
   for (int i = 0; i < 30; ++i) fresh.push_back(MakePlan(1e6 + i * 1e4));

@@ -1,26 +1,30 @@
-// Tests for the stage::fleet_serve registry: single-tenant equivalence
-// with PredictionService, eviction/cold-activation round-trips (bit-for-bit
-// predictions AND attribution counters), LRU order under a byte budget, the
-// indexed fleet snapshot format, and the tenant-churn concurrency stress
-// test (run under STAGE_SANITIZE=thread to prove the synchronization).
+// Tests for the stage::fleet_serve registry and its tenant stacks:
+// eviction/cold-activation round-trips (bit-for-bit predictions AND
+// attribution counters), LRU order under a byte budget, the indexed fleet
+// snapshot format and its fallback on bad payloads, the sharded stack's
+// batch path and background retrains, and the concurrency stress tests
+// (run under STAGE_SANITIZE=thread to prove the synchronization).
+// Single-tenant routing equivalence with the pinned goldens lives in
+// golden_routing_test.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "stage/core/replay.h"
+#include "stage/core/predictor.h"
 #include "stage/fleet/fleet.h"
 #include "stage/fleet_serve/fleet_service.h"
 #include "stage/fleet_serve/fleet_snapshot.h"
 #include "stage/fleet_serve/tenant_stack.h"
+#include "stage/global/global_model.h"
 #include "stage/obs/metrics.h"
-#include "stage/serve/prediction_service.h"
 
 namespace stage::fleet_serve {
 namespace {
@@ -85,42 +89,6 @@ TEST(FleetServiceConfigTest, ValidateRejectsNonsense) {
 
   config.stack.predictor.retrain_interval = 0;
   EXPECT_FALSE(config.Validate().empty());
-}
-
-// The facade acceptance bar from the other side: a replay through
-// FleetService under one tenant is bit-for-bit the replay through the
-// (pre-fleet) PredictionService surface.
-TEST(FleetServiceTest, SingleTenantReplayMatchesPredictionService) {
-  const fleet::InstanceTrace instance = MakeTrace(800);
-
-  serve::PredictionServiceConfig service_config;
-  service_config.predictor = FastStage();
-  service_config.cache_shards = 1;
-  service_config.async_retrain = false;
-  serve::PredictionService service(service_config,
-                                   {.instance = &instance.config});
-
-  FleetService fleet(DeterministicFleet());
-  constexpr TenantId kTenant = 42;
-  fleet.RegisterTenant(kTenant, {.instance = &instance.config});
-
-  const core::ReplayResult expected =
-      core::ReplayTrace(instance.trace, service);
-  for (size_t i = 0; i < instance.trace.size(); ++i) {
-    const auto context = core::MakeQueryContext(
-        instance.trace[i].plan, instance.trace[i].concurrent_queries,
-        static_cast<uint64_t>(instance.trace[i].arrival_ms));
-    const core::Prediction got = fleet.Predict(kTenant, context);
-    EXPECT_EQ(expected.records[i].source, got.source) << i;
-    EXPECT_DOUBLE_EQ(expected.records[i].predicted_seconds, got.seconds) << i;
-    fleet.Observe(kTenant, context, instance.trace[i].exec_seconds);
-  }
-  for (int s = 0; s < core::kNumPredictionSources; ++s) {
-    const auto source = static_cast<core::PredictionSource>(s);
-    EXPECT_EQ(service.predictions_from(source),
-              fleet.SourceCounts(kTenant)[static_cast<size_t>(s)])
-        << core::PredictionSourceName(source);
-  }
 }
 
 // The eviction-correctness bar: a tenant evicted mid-replay and
@@ -467,6 +435,82 @@ TEST(FleetSnapshotTest, SaveAttachActivateRoundTrip) {
   std::remove(path.c_str());
 }
 
+// A bad payload in an attached snapshot must not take the process down at
+// the tenant's first request: a corrupt payload (checksum mismatch) and one
+// written under another stack config (shard count) each fall back to a
+// fresh stack and are counted, while the intact tenant loads as saved.
+TEST(FleetSnapshotTest, BadTenantPayloadActivatesFresh) {
+  const std::string path = TempPath("fleet_snapshot_bad_payload.sflt");
+  const fleet::InstanceTrace instance = MakeTrace(200);
+  const std::vector<core::QueryContext> contexts = MakeContexts(instance);
+
+  FleetService original(DeterministicFleet());
+  for (TenantId t = 1; t <= 3; ++t) {
+    original.RegisterTenant(t, {.instance = &instance.config});
+    for (size_t i = 0; i < contexts.size(); ++i) {
+      original.Observe(t, contexts[i], instance.trace[i].exec_seconds);
+    }
+  }
+  std::string error;
+  ASSERT_TRUE(original.SaveSnapshot(path, &error)) << error;
+  {
+    FleetSnapshotReader reader;
+    ASSERT_TRUE(reader.Open(path, &error)) << error;
+    uint64_t tenant2_offset = 0;
+    for (const FleetSnapshotEntry& entry : reader.entries()) {
+      if (entry.tenant_id == 2) tenant2_offset = entry.offset;
+    }
+    ASSERT_GT(tenant2_offset, 0u);
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    // +8 skips the length prefix; +100 lands mid-payload.
+    file.seekp(static_cast<std::streamoff>(tenant2_offset + 8 + 100));
+    file.put('Z');
+  }
+
+  obs::MetricsRegistry registry;
+  FleetService restored(DeterministicFleet(), {.metrics = &registry});
+  restored.RegisterTenant(1, {.instance = &instance.config});
+  restored.RegisterTenant(2, {.instance = &instance.config});
+  TenantStackConfig two_shards = DeterministicFleet().stack;
+  two_shards.cache_shards = 2;
+  restored.RegisterTenant(3, {.instance = &instance.config}, &two_shards);
+  ASSERT_TRUE(restored.AttachSnapshot(path, &error)) << error;
+
+  for (const core::QueryContext& context : contexts) {
+    const core::Prediction want = original.Predict(1, context);
+    const core::Prediction got = restored.Predict(1, context);
+    EXPECT_EQ(want.source, got.source);
+    EXPECT_EQ(want.seconds, got.seconds);
+  }
+  EXPECT_EQ(restored.snapshot_fallbacks(), 0u);
+  for (TenantId t = 2; t <= 3; ++t) {
+    // Fresh: nothing cached, no local model, so the cold-start default.
+    const core::Prediction fresh = restored.Predict(t, contexts.front());
+    EXPECT_EQ(fresh.source, core::PredictionSource::kDefault) << t;
+    EXPECT_EQ(restored.snapshot_fallbacks(), t - 1);
+  }
+  EXPECT_EQ(restored.cold_activations(), 3u);
+  EXPECT_EQ(restored.activation_latency()
+                .slot(FleetService::kActivationFromFile)
+                .count,
+            1u);
+  EXPECT_EQ(restored.activation_latency()
+                .slot(FleetService::kActivationFresh)
+                .count,
+            2u);
+  EXPECT_NE(registry.RenderText().find(
+                "stage_fleet_snapshot_fallbacks_total 2"),
+            std::string::npos);
+
+  // The fresh stacks serve and learn like any other.
+  for (size_t i = 0; i < contexts.size(); ++i) {
+    restored.Observe(2, contexts[i], instance.trace[i].exec_seconds);
+  }
+  EXPECT_EQ(restored.Predict(2, contexts.front()).source,
+            core::PredictionSource::kCache);
+  std::remove(path.c_str());
+}
+
 // The symmetric status-returning save/load contract on the stack itself.
 TEST(TenantStackTest, SaveLoadStatusContract) {
   TenantStackConfig config;
@@ -505,6 +549,220 @@ TEST(TenantStackTest, SaveLoadStatusContract) {
     EXPECT_EQ(want.source, got.source);
     EXPECT_DOUBLE_EQ(want.seconds, got.seconds);
   }
+}
+
+TEST(ServiceConfigTest, ValidateRejectsNonsense) {
+  TenantStackConfig config;
+  EXPECT_TRUE(config.Validate().empty());
+
+  config.cache_shards = 0;
+  EXPECT_FALSE(config.Validate().empty());
+  config.cache_shards = 8;
+
+  config.predictor.cache.capacity = 0;
+  EXPECT_FALSE(config.Validate().empty());
+  config.predictor.cache.capacity = 2000;
+
+  config.predictor.cache.alpha = 1.5;
+  EXPECT_FALSE(config.Validate().empty());
+  config.predictor.cache.alpha = 0.8;
+
+  config.predictor.retrain_interval = 0;
+  EXPECT_FALSE(config.Validate().empty());
+  config.predictor.retrain_interval = 400;
+
+  config.predictor.min_train_size = 0;
+  EXPECT_FALSE(config.Validate().empty());
+  config.predictor.min_train_size = 30;
+
+  config.predictor.local.ensemble.num_members = 0;
+  EXPECT_FALSE(config.Validate().empty());
+  config.predictor.local.ensemble.num_members = 10;
+
+  EXPECT_TRUE(config.Validate().empty());
+}
+
+TEST(TenantStackTest, PredictBatchMatchesLoopedPredict) {
+  const fleet::InstanceTrace instance = MakeTrace(400);
+  const std::vector<core::QueryContext> contexts = MakeContexts(instance);
+
+  TenantStackConfig config;
+  config.predictor = FastStage();
+  TenantStack stack(config, {.instance = &instance.config});
+  for (size_t i = 0; i < contexts.size(); ++i) {
+    stack.Observe(contexts[i], instance.trace[i].exec_seconds);
+  }
+
+  const std::vector<core::Prediction> batch = stack.PredictBatch(contexts);
+  ASSERT_EQ(batch.size(), contexts.size());
+  for (size_t i = 0; i < contexts.size(); ++i) {
+    const core::Prediction single = stack.Predict(contexts[i]);
+    EXPECT_EQ(batch[i].source, single.source) << i;
+    EXPECT_DOUBLE_EQ(batch[i].seconds, single.seconds) << i;
+  }
+  // Every prediction was attributed and counted.
+  EXPECT_EQ(stack.total_predictions(), 2 * contexts.size());
+  EXPECT_EQ(stack.predict_latency().total_count(), 2 * contexts.size());
+}
+
+TEST(TenantStackTest, PredictBatchWithEscalationsMatchesLoopedPredict) {
+  // Same parity bar, with a trained global model wired in and thresholds
+  // forcing escalation: the batch path runs ONE GlobalModel::PredictBatch
+  // over every escalated query, which must be bit-identical to the inline
+  // per-query global pass Predict takes. >64 queries also exercises the
+  // parallel phase-1 fan-out.
+  const fleet::InstanceTrace instance = MakeTrace(400);
+  const std::vector<core::QueryContext> contexts = MakeContexts(instance);
+
+  std::vector<global::GlobalExample> examples;
+  for (const fleet::QueryEvent& event : instance.trace) {
+    examples.push_back(global::MakeGlobalExample(
+        event.plan, instance.config, event.concurrent_queries,
+        event.exec_seconds));
+  }
+  global::GlobalModelConfig global_config;
+  global_config.hidden_dim = 16;
+  global_config.num_layers = 2;
+  global_config.head_hidden = {16};
+  global_config.epochs = 2;
+  const global::GlobalModel global_model =
+      global::GlobalModel::Train(examples, global_config);
+
+  TenantStackConfig config;
+  config.predictor = FastStage();
+  config.predictor.short_running_seconds = 0.0;
+  config.predictor.uncertainty_log_std_threshold = 0.0;
+  TenantStack stack(
+      config, {.global_model = &global_model, .instance = &instance.config});
+  for (size_t i = 0; i + 100 < contexts.size(); ++i) {
+    stack.Observe(contexts[i], instance.trace[i].exec_seconds);
+  }
+  ASSERT_NE(stack.local_model_snapshot(), nullptr);
+
+  const std::vector<core::Prediction> batch = stack.PredictBatch(contexts);
+  ASSERT_EQ(batch.size(), contexts.size());
+  bool any_cache = false;
+  bool any_global = false;
+  for (size_t i = 0; i < contexts.size(); ++i) {
+    const core::Prediction single = stack.Predict(contexts[i]);
+    EXPECT_EQ(batch[i].source, single.source) << i;
+    EXPECT_EQ(batch[i].seconds, single.seconds) << i;
+    any_cache |= batch[i].source == core::PredictionSource::kCache;
+    any_global |= batch[i].source == core::PredictionSource::kGlobal;
+  }
+  EXPECT_TRUE(any_cache);
+  EXPECT_TRUE(any_global);
+  EXPECT_EQ(stack.total_predictions(), 2 * contexts.size());
+  EXPECT_EQ(stack.predict_latency().total_count(), 2 * contexts.size());
+}
+
+TEST(TenantStackTest, AsyncRetrainPublishesModelInBackground) {
+  const fleet::InstanceTrace instance = MakeTrace(600);
+  const std::vector<core::QueryContext> contexts = MakeContexts(instance);
+
+  FleetServiceConfig config;
+  config.stack.predictor = FastStage();
+  config.async_retrain = true;
+  FleetService service(config);
+  constexpr TenantId kTenant = 0;
+  service.RegisterTenant(kTenant, {.instance = &instance.config});
+  const std::shared_ptr<TenantStack> stack = service.PinTenant(kTenant);
+
+  EXPECT_EQ(stack->local_model_snapshot(), nullptr);
+  for (size_t i = 0; i < contexts.size(); ++i) {
+    stack->Predict(contexts[i]);
+    service.Observe(kTenant, contexts[i], instance.trace[i].exec_seconds);
+  }
+  service.WaitForRetrain();
+  EXPECT_GE(stack->trainings(), 1);
+  const auto model = stack->local_model_snapshot();
+  ASSERT_NE(model, nullptr);
+  EXPECT_TRUE(model->trained());
+  // A fresh (uncached) query is now served by the swapped-in local model.
+  const fleet::InstanceTrace probe = MakeTrace(10, /*seed=*/999);
+  const core::Prediction prediction =
+      stack->Predict(MakeContexts(probe).front());
+  EXPECT_NE(prediction.source, core::PredictionSource::kDefault);
+}
+
+// The issue's stress test: 8 reader threads hammering Predict/PredictBatch
+// race one writer replaying the trace (Observe) across several retrain
+// boundaries. Asserts no lost counters (every prediction attributed, every
+// cache lookup counted) and monotone attribution totals. Run under TSan to
+// prove the absence of data races.
+TEST(TenantStackTest, ConcurrentReadersWithRetrainingWriter) {
+  const fleet::InstanceTrace instance = MakeTrace(1500);
+  const std::vector<core::QueryContext> contexts = MakeContexts(instance);
+
+  FleetServiceConfig config;
+  config.stack.predictor = FastStage();
+  config.stack.predictor.retrain_interval = 150;  // Several retrains.
+  config.stack.cache_shards = 8;
+  config.async_retrain = true;
+  FleetService service(config);
+  constexpr TenantId kTenant = 0;
+  service.RegisterTenant(kTenant, {.instance = &instance.config});
+  const std::shared_ptr<TenantStack> stack = service.PinTenant(kTenant);
+
+  constexpr int kNumReaders = 8;
+  constexpr int kPredictsPerReader = 3000;
+  constexpr int kBatchSize = 16;
+  std::atomic<bool> writer_done{false};
+  std::atomic<uint64_t> reader_predictions{0};
+
+  std::vector<std::thread> readers;
+  readers.reserve(kNumReaders);
+  for (int r = 0; r < kNumReaders; ++r) {
+    readers.emplace_back([&, r] {
+      uint64_t made = 0;
+      uint64_t last_total = 0;
+      size_t at = static_cast<size_t>(r) * 131;
+      while (made < kPredictsPerReader) {
+        if (made % 3 == 0 && made + kBatchSize <= kPredictsPerReader) {
+          // Batched read path, racing the writer.
+          const size_t begin = at % (contexts.size() - kBatchSize);
+          const std::span<const core::QueryContext> window(
+              contexts.data() + begin, kBatchSize);
+          made += stack->PredictBatch(window).size();
+        } else {
+          stack->Predict(contexts[at % contexts.size()]);
+          ++made;
+        }
+        at += 127;
+        // Attribution totals only ever grow, even mid-retrain-swap.
+        const uint64_t total = stack->total_predictions();
+        EXPECT_GE(total, last_total);
+        last_total = total;
+      }
+      reader_predictions.fetch_add(made);
+    });
+  }
+
+  std::thread writer([&] {
+    for (size_t i = 0; i < contexts.size(); ++i) {
+      stack->Predict(contexts[i]);  // The serving flow: predict, run, observe.
+      service.Observe(kTenant, contexts[i], instance.trace[i].exec_seconds);
+    }
+    writer_done.store(true);
+  });
+
+  for (std::thread& reader : readers) reader.join();
+  writer.join();
+  ASSERT_TRUE(writer_done.load());
+  service.WaitForRetrain();
+
+  // No lost attribution: readers + writer predictions all counted.
+  const uint64_t expected_predictions =
+      reader_predictions.load() + contexts.size();
+  EXPECT_EQ(stack->total_predictions(), expected_predictions);
+  // No lost cache counters: every Predict did exactly one cache lookup.
+  EXPECT_EQ(stack->exec_time_cache().hits() + stack->exec_time_cache().misses(),
+            expected_predictions);
+  // Per-source latency telemetry saw every prediction too.
+  EXPECT_EQ(stack->predict_latency().total_count(), expected_predictions);
+  // The writer crossed retrain boundaries and models were swapped in.
+  EXPECT_GE(stack->trainings(), 1);
+  ASSERT_NE(stack->local_model_snapshot(), nullptr);
 }
 
 }  // namespace

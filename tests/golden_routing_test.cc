@@ -24,10 +24,10 @@
 #include "stage/common/crc32.h"
 #include "stage/core/stage_predictor.h"
 #include "stage/fleet/fleet.h"
+#include "stage/fleet_serve/fleet_service.h"
 #include "stage/global/global_model.h"
 #include "stage/obs/metrics.h"
 #include "stage/obs/trace.h"
-#include "stage/serve/prediction_service.h"
 
 #ifndef STAGE_GOLDEN_DIR
 #error "STAGE_GOLDEN_DIR must be defined by the build"
@@ -129,8 +129,10 @@ struct ReplaySummary {
   }
 };
 
-template <typename Predictor>
-ReplaySummary ReplayTraced(Predictor& predictor) {
+// `predict(context, &trace)` serves one query with its routing traced;
+// `observe(context, seconds)` records its outcome.
+template <typename PredictFn, typename ObserveFn>
+ReplaySummary ReplayTraced(PredictFn&& predict, ObserveFn&& observe) {
   const GoldenWorkload& workload = Workload();
   ReplaySummary summary;
   uint32_t crc = 0;
@@ -143,8 +145,8 @@ ReplaySummary ReplayTraced(Predictor& predictor) {
         core::MakeQueryContext(event.plan, event.concurrent_queries,
                                static_cast<uint64_t>(event.arrival_ms));
     obs::PredictionTrace trace;
-    predictor.PredictTraced(context, &trace);
-    predictor.Observe(context, event.exec_seconds);
+    predict(context, &trace);
+    observe(context, event.exec_seconds);
     const std::string line = obs::FormatTraceLine(query_index, trace) + "\n";
     crc = Crc32(line.data(), line.size(), crc);
     ++stage_counts[static_cast<size_t>(trace.stage)];
@@ -161,6 +163,46 @@ ReplaySummary ReplayTraced(Predictor& predictor) {
   summary.values["escalations"] = escalations;
   summary.values["cache_hits"] = cache_hits;
   summary.values["trace_crc32"] = crc;
+  return summary;
+}
+
+ReplaySummary ReplayTraced(core::StagePredictor& predictor) {
+  return ReplayTraced(
+      [&](const core::QueryContext& context, obs::PredictionTrace* trace) {
+        predictor.PredictTraced(context, trace);
+      },
+      [&](const core::QueryContext& context, double seconds) {
+        predictor.Observe(context, seconds);
+      });
+}
+
+// The same replay through a one-tenant FleetService: one cache shard and
+// inline retrains, the configuration whose routing the goldens pin. The
+// fleet's attribution counters must agree with the traced stage counts.
+ReplaySummary ReplayThroughFleet(const core::StagePredictorConfig& config) {
+  const GoldenWorkload& workload = Workload();
+  fleet_serve::FleetServiceConfig fleet_config;
+  fleet_config.stack.predictor = config;
+  fleet_config.stack.cache_shards = 1;
+  fleet_config.async_retrain = false;
+  fleet_serve::FleetService fleet(fleet_config);
+  constexpr fleet_serve::TenantId kTenant = 7;
+  fleet.RegisterTenant(kTenant, {.global_model = &workload.global_model,
+                                 .instance = &workload.instance.config});
+  const ReplaySummary summary = ReplayTraced(
+      [&](const core::QueryContext& context, obs::PredictionTrace* trace) {
+        fleet.PredictTraced(kTenant, context, trace);
+      },
+      [&](const core::QueryContext& context, double seconds) {
+        fleet.Observe(kTenant, context, seconds);
+      });
+  const auto counts = fleet.SourceCounts(kTenant);
+  for (int i = 0; i < obs::kNumTraceStages; ++i) {
+    EXPECT_EQ(counts[static_cast<size_t>(i)],
+              summary.values.at("stage_" +
+                                std::string(obs::TraceStageName(
+                                    static_cast<obs::TraceStage>(i)))));
+  }
   return summary;
 }
 
@@ -266,26 +308,16 @@ TEST(GoldenRoutingTest, CalibratedReplayMatchesPinnedGolden) {
   CheckAgainstGolden(calibrated_summary.Serialize(), CalibratedGoldenPath());
 }
 
-// The serving layer must route bit-for-bit like the bare predictor: same
-// trace stream (hence same CRC), same stage counts. One shard + sync
-// retrain is the configuration documented to be replay-equivalent.
-TEST(GoldenRoutingTest, PredictionServiceMatchesPredictorTraceStream) {
-  const GoldenWorkload& workload = Workload();
+// The fleet serving path must route bit-for-bit like the bare predictor:
+// a one-tenant FleetService replay reproduces both pinned goldens.
+TEST(GoldenRoutingTest, FleetServiceReplayMatchesPinnedGolden) {
+  CheckAgainstGolden(ReplayThroughFleet(GoldenConfig()).Serialize(),
+                     GoldenPath());
+}
 
-  core::StagePredictorOptions options;
-  options.global_model = &workload.global_model;
-  options.instance = &workload.instance.config;
-  core::StagePredictor predictor(GoldenConfig(), options);
-  const ReplaySummary predictor_summary = ReplayTraced(predictor);
-
-  serve::PredictionServiceConfig service_config;
-  service_config.predictor = GoldenConfig();
-  service_config.cache_shards = 1;
-  service_config.async_retrain = false;
-  serve::PredictionService service(service_config, options);
-  const ReplaySummary service_summary = ReplayTraced(service);
-
-  EXPECT_EQ(predictor_summary.Serialize(), service_summary.Serialize());
+TEST(GoldenRoutingTest, CalibratedFleetServiceReplayMatchesPinnedGolden) {
+  CheckAgainstGolden(ReplayThroughFleet(CalibratedGoldenConfig()).Serialize(),
+                     CalibratedGoldenPath());
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -495,6 +496,53 @@ TEST(WireTest, RejectsHostilePlans) {
 
   // An orphan (node 1 has no parent).
   EXPECT_FALSE(encode_then_parse(0, 2, {leaf, leaf}));
+}
+
+// Optimizer estimates are validated once, in the BuildWirePlan gate both
+// codecs share: NaN, infinite and negative node numerics are malformed, as
+// is a non-finite observed exec time.
+TEST(WireTest, RejectsNonFiniteAndNegativeNumerics) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const plan::Plan good = MakeWirePlan(1.0);
+  for (int field = 0; field < 4; ++field) {
+    for (const double bad : {std::nan(""), kInf, -kInf, -5.0}) {
+      std::vector<plan::PlanNode> nodes = good.nodes();
+      double* const fields[] = {
+          &nodes[1].estimated_cost, &nodes[1].estimated_cardinality,
+          &nodes[1].tuple_width, &nodes[1].table_rows};
+      *fields[field] = bad;
+      plan::Plan built;
+      EXPECT_FALSE(BuildWirePlan(0, nodes, &built)) << field << " " << bad;
+
+      PredictRequest request;
+      request.plan = plan::Plan(good.query_type(), nodes);
+      std::string payload;
+      AppendPredictRequest(&payload, request);
+      PredictRequest parsed;
+      EXPECT_FALSE(ParsePredictRequest(payload, &parsed))
+          << field << " " << bad;
+    }
+  }
+  // The JSON decoder reaches the same gate.
+  bool is_predict = false;
+  PredictRequest predict;
+  ObserveRequest observe;
+  std::string error;
+  EXPECT_FALSE(ParseJsonRequest(
+      R"({"type":"predict","tenant":0,"concurrent":0,"plan":)"
+      R"({"query_type":0,"nodes":[{"op":0,"cost":-5,"card":1,)"
+      R"("width":8,"s3":1,"rows":10}]}})",
+      &is_predict, &predict, &observe, &error));
+
+  ObserveRequest request;
+  request.plan = good;
+  for (const double bad : {kInf, -kInf}) {
+    request.exec_seconds = bad;
+    std::string payload;
+    AppendObserveRequest(&payload, request);
+    ObserveRequest parsed;
+    EXPECT_FALSE(ParseObserveRequest(payload, &parsed)) << bad;
+  }
 }
 
 TEST(WireJsonTest, ParsesPredictAndObserveLines) {
@@ -1032,6 +1080,51 @@ TEST(ServerTest, MalformedPayloadGetsErrorReplyAndConnectionSurvives) {
                             &transport_error),
             Client::RpcStatus::kOk)
       << transport_error;
+}
+
+// A peer cannot feed a tenant non-finite numbers: a NaN-cost predict and a
+// +inf observe both get kMalformed, the connection survives, and the
+// tenant's prediction for that plan stays finite (the observe never reached
+// its cache).
+TEST(ServerTest, NonFiniteNumericsGetMalformedAndPredictionsStayFinite) {
+  ServerFixture fx;
+  fx.Start(ServerConfig{});
+  auto client = fx.Connect();
+  ASSERT_NE(client, nullptr);
+  ErrorReply error_reply;
+  std::string transport_error;
+
+  const plan::Plan plan = fx.TracePlan(3);
+  std::vector<plan::PlanNode> nodes = plan.nodes();
+  nodes[0].estimated_cost = std::nan("");
+  PredictRequest bad_predict;
+  bad_predict.plan = plan::Plan(plan.query_type(), nodes);
+  PredictResponse response;
+  ASSERT_EQ(client->Predict(bad_predict, &response, &error_reply,
+                            &transport_error),
+            Client::RpcStatus::kError)
+      << transport_error;
+  EXPECT_EQ(error_reply.code, WireError::kMalformed);
+
+  ObserveRequest bad_observe;
+  bad_observe.exec_seconds = std::numeric_limits<double>::infinity();
+  bad_observe.plan = plan;
+  ObserveAck ack;
+  ASSERT_EQ(client->Observe(bad_observe, &ack, &error_reply,
+                            &transport_error),
+            Client::RpcStatus::kError)
+      << transport_error;
+  EXPECT_EQ(error_reply.code, WireError::kMalformed);
+
+  PredictRequest request;
+  request.plan = plan;
+  ASSERT_EQ(client->Predict(request, &response, &error_reply,
+                            &transport_error),
+            Client::RpcStatus::kOk)
+      << transport_error;
+  EXPECT_TRUE(std::isfinite(response.seconds));
+  EXPECT_NE(response.source, core::PredictionSource::kCache);
+  EXPECT_EQ(fx.server_->Stats().observes, 0u);
 }
 
 TEST(ServerTest, CorruptFrameGetsBadFrameReplyThenClose) {

@@ -212,13 +212,11 @@ TEST(TraceTest, FormatTraceLineIsDeterministic) {
 
 TEST(TraceTest, RoutingMetricSetRecords) {
   MetricsRegistry registry;
-  const RoutingMetricSet set =
-      RoutingMetricSet::Create(&registry, "t_", /*with_latency=*/true);
+  const RoutingMetricSet set = RoutingMetricSet::Create(&registry, "t_");
   ASSERT_TRUE(set.enabled());
   PredictionTrace trace;
   trace.stage = TraceStage::kLocal;
   trace.uncertainty_log_std = 0.4;
-  trace.total_nanos = 800;
   set.Record(trace);
   trace.stage = TraceStage::kGlobal;
   trace.escalated = true;
@@ -226,14 +224,12 @@ TEST(TraceTest, RoutingMetricSetRecords) {
   set.Record(trace);
   EXPECT_EQ(set.escalations->value(), 1u);
   EXPECT_EQ(set.uncertainty->count(), 2u);
-  EXPECT_EQ(set.latency[static_cast<int>(TraceStage::kLocal)]->count(), 1u);
   std::string error;
   EXPECT_TRUE(ValidateTextExposition(registry.RenderText(), &error)) << error;
 }
 
 TEST(TraceTest, DisabledSetIsInert) {
-  const RoutingMetricSet set =
-      RoutingMetricSet::Create(nullptr, "t_", /*with_latency=*/true);
+  const RoutingMetricSet set = RoutingMetricSet::Create(nullptr, "t_");
   EXPECT_FALSE(set.enabled());
 }
 
@@ -302,7 +298,7 @@ TEST(MetricsConcurrencyTest, WritersVsRenderingReader) {
 }
 
 // Registration racing render: components come and go while a reader
-// scrapes (the StagePredictor/PredictionService destructor contract).
+// scrapes (the StagePredictor destructor contract).
 TEST(MetricsConcurrencyTest, RegistrationVsRender) {
   MetricsRegistry registry;
   std::atomic<bool> stop{false};

@@ -26,8 +26,8 @@
 #include "stage/common/rng.h"
 #include "stage/core/stage_predictor.h"
 #include "stage/fleet/fleet.h"
+#include "stage/fleet_serve/tenant_stack.h"
 #include "stage/local/local_model.h"
-#include "stage/serve/prediction_service.h"
 
 namespace stage::ckpt {
 namespace {
@@ -46,11 +46,10 @@ core::StagePredictorConfig TinyStage() {
   return config;
 }
 
-serve::PredictionServiceConfig TinyService() {
-  serve::PredictionServiceConfig config;
+fleet_serve::TenantStackConfig TinyService() {
+  fleet_serve::TenantStackConfig config;
   config.predictor = TinyStage();
   config.cache_shards = 2;
-  config.async_retrain = false;
   return config;
 }
 
@@ -126,13 +125,13 @@ std::string ReadFileBytes(const std::string& path) {
   return buffer.str();
 }
 
-// The fuzz harness fixture: builds one exercised service + predictor +
-// local model, snapshots each, and exposes TryLoad* helpers that assert
-// the no-partial-state property on every failed load.
+// The fuzz harness fixture: builds one exercised sharded stack + one-shard
+// predictor + local model, snapshots each, and exposes TryLoad* helpers
+// that assert the no-partial-state property on every failed load.
 class SnapshotFuzzTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    service_ = new serve::PredictionService(TinyService());
+    service_ = new fleet_serve::TenantStack(TinyService());
     predictor_ = new core::StagePredictor(TinyStage());
     const auto contexts = ProbeContexts();
     const auto exec_times = ExecTimes();
@@ -143,7 +142,7 @@ class SnapshotFuzzTest : public ::testing::Test {
       predictor_->Observe(contexts[i], exec_times[i]);
     }
     ASSERT_GT(service_->trainings(), 0);
-    ASSERT_TRUE(predictor_->local_model().trained());
+    ASSERT_NE(predictor_->local_model_snapshot(), nullptr);
 
     recalibrator_ = new calib::ConformalRecalibrator(TinyConformal());
     {
@@ -164,8 +163,9 @@ class SnapshotFuzzTest : public ::testing::Test {
     const std::string model_path = TempPath("fuzz_model.snap");
     const std::string recalibrator_path = TempPath("fuzz_recal.snap");
     ASSERT_TRUE(SaveServiceSnapshot(*service_, service_path));
-    ASSERT_TRUE(SavePredictorSnapshot(*predictor_, predictor_path));
-    ASSERT_TRUE(SaveLocalModelSnapshot(predictor_->local_model(), model_path));
+    ASSERT_TRUE(SaveServiceSnapshot(*predictor_, predictor_path));
+    ASSERT_TRUE(
+        SaveLocalModelSnapshot(*predictor_->local_model_snapshot(), model_path));
     ASSERT_TRUE(SaveRecalibratorSnapshot(*recalibrator_, recalibrator_path));
     *service_bytes_ = ReadFileBytes(service_path);
     *predictor_bytes_ = ReadFileBytes(predictor_path);
@@ -196,7 +196,7 @@ class SnapshotFuzzTest : public ::testing::Test {
   // snapshotted service bit-for-bit.
   static bool TryLoadService(const std::string& bytes,
                              const std::string& label) {
-    static serve::PredictionService scratch(TinyService());
+    static fleet_serve::TenantStack scratch(TinyService());
     static const std::vector<double> before = Fingerprint(scratch);
     const std::string path = TempPath("fuzz_mut_service.snap");
     WriteFileBytes(path, bytes);
@@ -214,7 +214,7 @@ class SnapshotFuzzTest : public ::testing::Test {
     return ok;
   }
 
-  static serve::PredictionService* service_;
+  static fleet_serve::TenantStack* service_;
   static core::StagePredictor* predictor_;
   static calib::ConformalRecalibrator* recalibrator_;
   static std::string* service_bytes_;
@@ -223,7 +223,7 @@ class SnapshotFuzzTest : public ::testing::Test {
   static std::string* recalibrator_bytes_;
 };
 
-serve::PredictionService* SnapshotFuzzTest::service_ = nullptr;
+fleet_serve::TenantStack* SnapshotFuzzTest::service_ = nullptr;
 core::StagePredictor* SnapshotFuzzTest::predictor_ = nullptr;
 calib::ConformalRecalibrator* SnapshotFuzzTest::recalibrator_ = nullptr;
 std::string* SnapshotFuzzTest::service_bytes_ = nullptr;
@@ -235,7 +235,7 @@ std::string* SnapshotFuzzTest::recalibrator_bytes_ = nullptr;
 //    leaves the target untouched.
 
 TEST_F(SnapshotFuzzTest, ServiceTruncationAtEveryByteBoundary) {
-  serve::PredictionService scratch(TinyService());
+  fleet_serve::TenantStack scratch(TinyService());
   const std::vector<double> before = Fingerprint(scratch);
   const std::string path = TempPath("fuzz_trunc_service.snap");
   for (size_t cut = 0; cut < service_bytes_->size(); ++cut) {
@@ -262,7 +262,7 @@ TEST_F(SnapshotFuzzTest, PredictorTruncationAtEveryByteBoundary) {
   const std::string path = TempPath("fuzz_trunc_predictor.snap");
   for (size_t cut = 0; cut < predictor_bytes_->size(); ++cut) {
     WriteFileBytes(path, predictor_bytes_->substr(0, cut));
-    ASSERT_FALSE(LoadPredictorSnapshot(&scratch, path))
+    ASSERT_FALSE(LoadServiceSnapshot(&scratch, path))
         << "truncation at byte " << cut << " was accepted";
     if (cut % 97 == 0) {
       ASSERT_EQ(Fingerprint(scratch), before) << "state leak at byte " << cut;
@@ -270,7 +270,7 @@ TEST_F(SnapshotFuzzTest, PredictorTruncationAtEveryByteBoundary) {
   }
   ASSERT_EQ(Fingerprint(scratch), before);
   WriteFileBytes(path, *predictor_bytes_);
-  ASSERT_TRUE(LoadPredictorSnapshot(&scratch, path));
+  ASSERT_TRUE(LoadServiceSnapshot(&scratch, path));
   EXPECT_EQ(Fingerprint(scratch), Fingerprint(*predictor_));
 }
 
@@ -435,20 +435,20 @@ TEST_F(SnapshotFuzzTest, ServiceLengthFieldInflation) {
 TEST_F(SnapshotFuzzTest, KindConfusionIsRejected) {
   const std::string path = TempPath("fuzz_kind.snap");
   WriteFileBytes(path, *model_bytes_);  // A valid kLocalModel envelope.
-  serve::PredictionService service_scratch(TinyService());
+  fleet_serve::TenantStack service_scratch(TinyService());
   core::StagePredictor predictor_scratch(TinyStage());
   calib::ConformalRecalibrator recalibrator_scratch(TinyConformal());
   std::string error;
   EXPECT_FALSE(LoadServiceSnapshot(&service_scratch, path, &error));
   EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(LoadPredictorSnapshot(&predictor_scratch, path));
+  EXPECT_FALSE(LoadServiceSnapshot(&predictor_scratch, path));
   EXPECT_FALSE(LoadRecalibratorSnapshot(&recalibrator_scratch, path));
 
   // And the reverse direction: a valid recalibrator envelope must be
   // rejected by every other kind's loader.
   WriteFileBytes(path, *recalibrator_bytes_);
   EXPECT_FALSE(LoadServiceSnapshot(&service_scratch, path));
-  EXPECT_FALSE(LoadPredictorSnapshot(&predictor_scratch, path));
+  EXPECT_FALSE(LoadServiceSnapshot(&predictor_scratch, path));
   local::LocalModel model_scratch(TinyStage().local);
   EXPECT_FALSE(LoadLocalModelSnapshot(&model_scratch, path));
 }

@@ -11,9 +11,9 @@
 #include "stage/common/macros.h"
 #include "stage/common/rng.h"
 #include "stage/core/predictor.h"
+#include "stage/core/stage_predictor.h"
 #include "stage/obs/metrics.h"
 #include "stage/fleet/fleet.h"
-#include "stage/serve/prediction_service.h"
 #include "stage/wlm/closed_loop.h"
 #include "stage/wlm/policy.h"
 #include "stage/wlm/trace_util.h"
@@ -122,7 +122,7 @@ TEST(ClosedLoopTest, OracleSchedulesOnTruth) {
   EXPECT_EQ(result.wlm.short_queue_admissions, 2);
 }
 
-// The tentpole behavior: a live PredictionService in the loop adapts
+// The tentpole behavior: a live StagePredictor in the loop adapts
 // mid-run. Twelve executions of one 50s dashboard query: the first six
 // arrive cold (default 1s prediction -> short queue, head-of-line
 // blocking); by the time the last six arrive, the first completion has been
@@ -135,16 +135,13 @@ TEST(ClosedLoopTest, CacheAdaptationRoutesRepeatsMidRun) {
   for (int i = 0; i < 6; ++i) spec.emplace_back(60000 + i, 50.0);
   const auto trace = MakeTrace(spec);
 
-  serve::PredictionServiceConfig service_config;
-  service_config.cache_shards = 1;
-  service_config.async_retrain = false;
-  serve::PredictionService service(service_config);
+  core::StagePredictor predictor(core::StagePredictorConfig{});
 
   ClosedLoopConfig config;
   config.wlm.short_slots = 1;
   config.wlm.long_slots = 1;
   const ClosedLoopResult closed =
-      SimulateClosedLoop(trace, &service, config);
+      SimulateClosedLoop(trace, &predictor, config);
 
   EXPECT_EQ(closed.wlm.short_queue_admissions, 6);
   EXPECT_EQ(closed.wlm.long_queue_admissions, 6);

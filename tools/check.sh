@@ -2,13 +2,15 @@
 # Full verification gate: Release build + ASan + TSan, ctest on each, plus
 # an explicit run of the checkpoint corruption fault-injection suite under
 # ASan (truncations and bit flips must fail loads cleanly — no crash, no
-# OOM, no half-trained model), the pinned golden routing replay, and a
-# structural check of the stage_sim stats Prometheus exposition. Run from
-# anywhere; builds live next to the source tree as
-# build-check-{release,asan,tsan}.
+# OOM, no half-trained model), the pinned golden routing replay, a
+# structural check of the stage_sim stats Prometheus exposition, and short
+# runs of the serving benchmark (perfbench/) whose output checks must pass.
+# Run from anywhere; builds live next to the source tree as
+# build-check-{release,asan,tsan,perfbench}.
 #
 # Usage: tools/check.sh [--fast]
-#   --fast  Release build + tests only (skip the sanitizer builds).
+#   --fast  Release build + tests + benchmark runs only (skip the sanitizer
+#           builds).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -117,6 +119,18 @@ grep -q '^stage_cache_hits_total ' <<< "${stats_out}"
 grep -q '^stage_predict_latency_ns_bucket{stage="cache",le="250"} ' \
   <<< "${stats_out}"
 echo "=== stats exposition OK ==="
+
+# The serving benchmark, built from this tree (also in --fast). Each
+# workload's output checks — finite, non-negative predictions, request
+# accounting, and net_escalate's bit-equality with an in-process twin fleet
+# — fail the run with a non-zero exit. Two-second runs: timings are not
+# compared here.
+for workload in net_escalate inproc_prequential net_churn; do
+  echo "=== [perfbench] ${workload} output checks ==="
+  (cd "${repo_root}" && CARGO_TARGET_DIR=build-check-perfbench \
+    python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 2 \
+    --trace 0)
+done
 
 if [[ "${fast}" -eq 0 ]]; then
   build_and_test asan address

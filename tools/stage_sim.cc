@@ -9,15 +9,16 @@
 //   wlm           End-to-end closed-loop workload-manager comparison: the
 //                 predictor runs inside the queue simulation (Predict at
 //                 admission, Observe at completion), per --policy.
-//   serve         Drive the concurrent PredictionService: one writer
-//                 replays the trace while N reader threads predict; prints
-//                 attribution, cache stats, and per-source latency/QPS.
-//   stats         Replay a trace through an instrumented PredictionService
+//   serve         Drive one concurrent predictor stack (a pinned
+//                 FleetService tenant): one writer replays the trace while
+//                 N reader threads predict; prints attribution, cache
+//                 stats, and per-source latency/QPS.
+//   stats         Replay a trace through an instrumented predictor stack
 //                 and dump the full metrics registry (Prometheus text, or
 //                 JSON with --json). With --out the periodic checkpointer
 //                 runs too, so its snapshot metrics show up in the dump.
 //   snapshot      Replay the first --stop_after events of a trace through
-//                 a PredictionService and publish a crash-safe snapshot
+//                 a predictor stack and publish a crash-safe snapshot
 //                 (CRC-checked, atomic-rename) of the full predictor state.
 //   fleet-serve   Serve every instance of the generated fleet as a
 //                 FleetService tenant: N threads replay the traces under an
@@ -77,7 +78,6 @@
 #include "stage/net/loadgen.h"
 #include "stage/net/server.h"
 #include "stage/obs/metrics.h"
-#include "stage/serve/prediction_service.h"
 #include "stage/wlm/policy.h"
 #include "stage/wlm/trace_util.h"
 #include "stage/wlm/workload_manager.h"
@@ -540,6 +540,22 @@ int RunWlm(const Flags& flags) {
   return 0;
 }
 
+// serve and stats run the single-instance serving shape: one tenant of a
+// FleetService, pinned warm, so reads go straight to its stack while
+// observes go through the service and retrain on its worker (inline with
+// --sync).
+constexpr fleet_serve::TenantId kServeTenant = 0;
+
+fleet_serve::FleetServiceConfig ServeConfigFromFlags(const Flags& flags,
+                                                     int64_t default_shards) {
+  fleet_serve::FleetServiceConfig config;
+  config.stack.predictor = StageConfigFromFlags(flags);
+  config.stack.cache_shards =
+      static_cast<size_t>(flags.GetInt("shards", default_shards));
+  config.async_retrain = !flags.GetBool("sync", false);
+  return config;
+}
+
 int RunSnapshot(const Flags& flags) {
   global::GlobalModel global_model;
   bool use_global = false;
@@ -548,13 +564,13 @@ int RunSnapshot(const Flags& flags) {
   fleet::FleetGenerator generator(FleetFromFlags(flags));
   const fleet::InstanceTrace instance = generator.MakeInstanceTrace(0);
 
-  serve::PredictionServiceConfig config;
+  fleet_serve::TenantStackConfig config;
   config.predictor = StageConfigFromFlags(flags);
   config.cache_shards = static_cast<size_t>(flags.GetInt("shards", 1));
-  // Suspend/resume is a deterministic-replay workflow: retrain inline so
-  // the snapshot captures the exact state after --stop_after events.
-  config.async_retrain = false;
-  serve::PredictionService service(
+  // Suspend/resume is a deterministic-replay workflow: Observe retrains
+  // inline, so the snapshot captures the exact state after --stop_after
+  // events.
+  fleet_serve::TenantStack stack(
       config, {use_global ? &global_model : nullptr, &instance.config});
 
   size_t stop_after = static_cast<size_t>(
@@ -565,13 +581,13 @@ int RunSnapshot(const Flags& flags) {
     const core::QueryContext context = core::MakeQueryContext(
         event.plan, event.concurrent_queries,
         static_cast<uint64_t>(event.arrival_ms));
-    service.Predict(context);
-    service.Observe(context, event.exec_seconds);
+    stack.Predict(context);
+    stack.Observe(context, event.exec_seconds);
   }
 
   const std::string path = flags.GetString("out", "stage_snapshot.bin");
   std::string error;
-  if (!ckpt::SaveServiceSnapshot(service, path, &error)) {
+  if (!ckpt::SaveServiceSnapshot(stack, path, &error)) {
     std::fprintf(stderr, "error: snapshot failed: %s\n", error.c_str());
     return 1;
   }
@@ -581,10 +597,9 @@ int RunSnapshot(const Flags& flags) {
       "resume: stage_sim serve --restore_from=%s --skip=%zu --shards=%zu "
       "--sync [same --instances/--queries/--seed/--rounds/--members]\n",
       stop_after, instance.trace.size(), path.c_str(),
-      service.exec_time_cache().size(),
-      service.exec_time_cache().num_shards(), service.pool_size(),
-      service.trainings(), path.c_str(), stop_after,
-      service.exec_time_cache().num_shards());
+      stack.exec_time_cache().size(), stack.exec_time_cache().num_shards(),
+      stack.pool_size(), stack.trainings(), path.c_str(), stop_after,
+      stack.exec_time_cache().num_shards());
   return 0;
 }
 
@@ -603,24 +618,24 @@ int RunServe(const Flags& flags) {
         static_cast<uint64_t>(event.arrival_ms)));
   }
 
-  serve::PredictionServiceConfig config;
-  config.predictor = StageConfigFromFlags(flags);
-  config.cache_shards = static_cast<size_t>(flags.GetInt("shards", 8));
-  config.async_retrain = !flags.GetBool("sync", false);
+  const fleet_serve::FleetServiceConfig config = ServeConfigFromFlags(flags, 8);
   const std::string metrics_out = flags.GetString("metrics_out", "");
   obs::MetricsRegistry registry;
   core::StagePredictorOptions options;
   options.global_model = use_global ? &global_model : nullptr;
   options.instance = &instance.config;
   if (!metrics_out.empty()) options.metrics = &registry;
-  serve::PredictionService service(config, options);
+  fleet_serve::FleetService service(config);
+  service.RegisterTenant(kServeTenant, options);
+  const std::shared_ptr<fleet_serve::TenantStack> stack =
+      service.PinTenant(kServeTenant);
 
   // Warm restart: restore a snapshotted replay and continue at --skip.
   const std::string restore_from = flags.GetString("restore_from", "");
   size_t skip = static_cast<size_t>(flags.GetInt("skip", 0));
   if (!restore_from.empty()) {
     std::string error;
-    if (!ckpt::LoadServiceSnapshot(&service, restore_from, &error)) {
+    if (!ckpt::LoadServiceSnapshot(stack.get(), restore_from, &error)) {
       std::fprintf(stderr,
                    "error: restore from %s failed: %s (flags must match the "
                    "snapshotting run, e.g. --shards)\n",
@@ -628,8 +643,8 @@ int RunServe(const Flags& flags) {
       return 1;
     }
     std::printf("restored %s: cache %zu entries, pool %zu, trainings %d\n",
-                restore_from.c_str(), service.exec_time_cache().size(),
-                service.pool_size(), service.trainings());
+                restore_from.c_str(), stack->exec_time_cache().size(),
+                stack->pool_size(), stack->trainings());
   }
   if (skip > contexts.size()) skip = contexts.size();
 
@@ -650,7 +665,7 @@ int RunServe(const Flags& flags) {
       // can finish before a reader is ever scheduled.
       while (!writer_done.load(std::memory_order_relaxed) ||
              made < contexts.size()) {
-        service.Predict(contexts[at % contexts.size()]);
+        stack->Predict(contexts[at % contexts.size()]);
         at += 127;
         ++made;
       }
@@ -658,8 +673,8 @@ int RunServe(const Flags& flags) {
     });
   }
   for (size_t i = skip; i < contexts.size(); ++i) {
-    service.Predict(contexts[i]);
-    service.Observe(contexts[i], instance.trace[i].exec_seconds);
+    stack->Predict(contexts[i]);
+    service.Observe(kServeTenant, contexts[i], instance.trace[i].exec_seconds);
   }
   writer_done.store(true);
   for (std::thread& reader : readers) reader.join();
@@ -674,21 +689,21 @@ int RunServe(const Flags& flags) {
               contexts.size() - skip,
               static_cast<unsigned long long>(reader_predictions.load()),
               elapsed,
-              metrics::LatencyRecorder::Qps(service.total_predictions(),
+              metrics::LatencyRecorder::Qps(stack->total_predictions(),
                                             elapsed),
-              num_readers, service.exec_time_cache().num_shards(),
+              num_readers, stack->exec_time_cache().num_shards(),
               config.async_retrain ? "async" : "inline");
   std::printf("trainings: %d, cache hits: %llu, misses: %llu, evictions: "
               "%llu, pool: %zu, resident: %zu bytes\n",
-              service.trainings(),
-              static_cast<unsigned long long>(service.exec_time_cache().hits()),
+              stack->trainings(),
+              static_cast<unsigned long long>(stack->exec_time_cache().hits()),
               static_cast<unsigned long long>(
-                  service.exec_time_cache().misses()),
+                  stack->exec_time_cache().misses()),
               static_cast<unsigned long long>(
-                  service.exec_time_cache().evictions()),
-              service.pool_size(), service.LocalMemoryBytes());
-  std::printf("%s", service.predict_latency()
-                        .RenderTable(serve::PredictionService::
+                  stack->exec_time_cache().evictions()),
+              stack->pool_size(), stack->LocalMemoryBytes());
+  std::printf("%s", stack->predict_latency()
+                        .RenderTable(core::StagePredictor::
                                          PredictLatencySlotNames(),
                                      elapsed)
                         .c_str());
@@ -697,7 +712,7 @@ int RunServe(const Flags& flags) {
 }
 
 // stats: the observability one-stop. Replays one instance trace through a
-// fully instrumented PredictionService (plus, with --out, the periodic
+// fully instrumented predictor stack (plus, with --out, the periodic
 // checkpointer) and dumps every metric in the registry.
 int RunStats(const Flags& flags) {
   global::GlobalModel global_model;
@@ -708,15 +723,14 @@ int RunStats(const Flags& flags) {
   const fleet::InstanceTrace instance = generator.MakeInstanceTrace(0);
 
   obs::MetricsRegistry registry;
-  serve::PredictionServiceConfig config;
-  config.predictor = StageConfigFromFlags(flags);
-  config.cache_shards = static_cast<size_t>(flags.GetInt("shards", 4));
-  config.async_retrain = !flags.GetBool("sync", false);
   core::StagePredictorOptions options;
   options.global_model = use_global ? &global_model : nullptr;
   options.instance = &instance.config;
   options.metrics = &registry;
-  serve::PredictionService service(config, options);
+  fleet_serve::FleetService service(ServeConfigFromFlags(flags, 4));
+  service.RegisterTenant(kServeTenant, options);
+  const std::shared_ptr<fleet_serve::TenantStack> stack =
+      service.PinTenant(kServeTenant);
 
   std::unique_ptr<ckpt::PeriodicCheckpointer> checkpointer;
   const std::string snapshot_path = flags.GetString("out", "");
@@ -726,7 +740,7 @@ int RunStats(const Flags& flags) {
     ckpt_options.interval = std::chrono::milliseconds(250);
     ckpt_options.metrics = &registry;
     checkpointer =
-        std::make_unique<ckpt::PeriodicCheckpointer>(service, ckpt_options);
+        std::make_unique<ckpt::PeriodicCheckpointer>(*stack, ckpt_options);
   }
 
   for (size_t i = 0; i < instance.trace.size(); ++i) {
@@ -734,8 +748,8 @@ int RunStats(const Flags& flags) {
     const core::QueryContext context = core::MakeQueryContext(
         event.plan, event.concurrent_queries,
         static_cast<uint64_t>(event.arrival_ms));
-    service.Predict(context);
-    service.Observe(context, event.exec_seconds);
+    stack->Predict(context);
+    service.Observe(kServeTenant, context, event.exec_seconds);
   }
   service.WaitForRetrain();
   if (checkpointer != nullptr) {
