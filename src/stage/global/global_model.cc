@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "stage/common/macros.h"
 #include "stage/common/serialize.h"
@@ -333,9 +334,17 @@ void GlobalModel::Save(std::ostream& out) const {
 
 bool GlobalModel::Load(std::istream& in) {
   if (!ReadHeader(in, kGlobalMagic, kGlobalVersion)) return false;
-  if (!gcn_.Load(in) || !head_.Load(in)) return false;
-  // The head must accept [gcn hidden + system features].
-  if (head_.in_dim() != gcn_.hidden_dim() + kSystemFeatureDim) return false;
+  nn::TreeGcn gcn;
+  nn::Mlp head;
+  if (!gcn.Load(in) || !head.Load(in)) return false;
+  // The GCN must read the featurizer's node rows, and the head must accept
+  // [gcn hidden + system features] and return one log-seconds value per
+  // query (PredictBatch reads output q as query q's answer).
+  if (gcn.input_dim() != plan::kNodeFeatureDim) return false;
+  if (head.in_dim() != gcn.hidden_dim() + kSystemFeatureDim) return false;
+  if (head.out_dim() != 1) return false;
+  gcn_ = std::move(gcn);
+  head_ = std::move(head);
   config_.hidden_dim = gcn_.hidden_dim();
   trained_ = true;
   return true;

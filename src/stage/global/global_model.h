@@ -127,7 +127,10 @@ class GlobalModel {
 
   // Checkpointing: train once on the fleet, ship the file to every
   // instance (the paper deploys the global model as a shared service).
-  // Save requires trained(); Load yields a trained, inference-ready model.
+  // Save requires trained(); Load yields a trained, inference-ready model,
+  // or fails and leaves this one untouched when the stream is corrupt or
+  // its shapes do not fit the featurizer (GCN input width) or the serving
+  // path (one head output).
   void Save(std::ostream& out) const;
   bool Load(std::istream& in);
 

@@ -7,6 +7,7 @@
 #endif
 
 #include "stage/common/macros.h"
+#include "stage/nn/gemm_kernels.h"
 
 namespace stage::nn {
 
@@ -20,151 +21,163 @@ constexpr size_t kMinChunkFloats = 4096;
 // value never affects results (see gemm.h).
 constexpr int kRowBlock = 64;
 
-// Output columns accumulated per register block in the forward kernel.
-constexpr int kOutBlock = 16;
+// The forward leaf kernels. Each writes columns [0, cols) of one panel's
+// slice of y rows [0, rows), from that panel and `bias16` (the panel's
+// kPanelWidth bias values, zero-padded), splitting the rows into groups
+// that share every panel-row load. Every output element is the scalar chain
+//   acc = bias[o]; for k ascending: acc = acc + x[k] * W[o][k]
+// with the product rounded before the add, so all kernels match
+// Linear::Forward bit for bit. Padded columns are computed and discarded.
+using PanelKernel = void (*)(int rows, int in_dim, const float* x,
+                             const float* panel, const float* bias16,
+                             int cols, float* y, int out_dim);
 
-// One forward row: y = x * wt + bias with wt pre-transposed [in x out].
-//
-// Why this is fast where the naive loop is not: the naive per-output dot
-// product walks a W row with a single serial float chain the compiler must
-// not reassociate. Here a block of kOutBlock output accumulators lives in
-// registers; each k-step broadcasts x[k] and adds x[k] * wt[k][o..] — SIMD
-// across the independent output columns (contiguous in wt) while each
-// individual acc[o] still starts at the bias and sums k in the naive
-// order. No row packing is needed, so the kernel has no warm-up cost and
-// stays fast even for one-row (single plan) calls.
-void ForwardRow(int out_dim, int in_dim, const float* x, const float* wt,
-                const float* bias, float* y) {
-  int o0 = 0;
-  for (; o0 + kOutBlock <= out_dim; o0 += kOutBlock) {
-    float acc[kOutBlock];
-    if (bias != nullptr) {
-      for (int j = 0; j < kOutBlock; ++j) acc[j] = bias[o0 + j];
-    } else {
-      for (int j = 0; j < kOutBlock; ++j) acc[j] = 0.0f;
+// Portable kernel: one row at a time, its kPanelWidth accumulators in a
+// local array the compiler vectorizes with the baseline ISA.
+void PanelRowsPortable(int rows, int in_dim, const float* x,
+                       const float* panel, const float* bias16, int cols,
+                       float* y, int out_dim) {
+  for (int r = 0; r < rows; ++r) {
+    const float* xr = x + static_cast<size_t>(r) * in_dim;
+    float acc[kPanelWidth];
+    for (int j = 0; j < kPanelWidth; ++j) acc[j] = bias16[j];
+    const float* wk = panel;
+    for (int k = 0; k < in_dim; ++k, wk += kPanelWidth) {
+      const float xk = xr[k];
+      for (int j = 0; j < kPanelWidth; ++j) acc[j] += xk * wk[j];
     }
-    const float* wk = wt + o0;
-    for (int k = 0; k < in_dim; ++k, wk += out_dim) {
-      const float xk = x[k];
-      for (int j = 0; j < kOutBlock; ++j) acc[j] += xk * wk[j];
-    }
-    for (int j = 0; j < kOutBlock; ++j) y[o0 + j] = acc[j];
-  }
-  if (o0 < out_dim) {
-    const int tail = out_dim - o0;
-    float acc[kOutBlock];
-    for (int j = 0; j < tail; ++j) {
-      acc[j] = bias != nullptr ? bias[o0 + j] : 0.0f;
-    }
-    const float* wk = wt + o0;
-    for (int k = 0; k < in_dim; ++k, wk += out_dim) {
-      const float xk = x[k];
-      for (int j = 0; j < tail; ++j) acc[j] += xk * wk[j];
-    }
-    for (int j = 0; j < tail; ++j) y[o0 + j] = acc[j];
+    std::copy(acc, acc + cols, y + static_cast<size_t>(r) * out_dim);
   }
 }
 
-// Rows per forward tile. ForwardRow streams the whole [in x out] weight
-// panel from cache once PER ROW, so a large batch pays the panel's memory
-// traffic `rows` times and each k-step's adds sit on one dependency chain
-// per output lane. A tile of kRowTile rows loads each weight vector once,
-// shares it across the tile (panel traffic / kRowTile), and gives the FPU
-// kRowTile independent accumulator chains per lane. Every acc[r][j] still
-// starts at the bias and adds x_r[k] * wt[k][j] in ascending k — the float
-// sequence per output element is exactly ForwardRow's, so tiled and
-// row-at-a-time calls stay bit-identical (the gemm.h contract).
-constexpr int kRowTile = 4;
-
 #if defined(__x86_64__)
-// The tile kernel is compiled for AVX2 and selected at runtime: the
-// baseline SSE2 build cannot hold a 4-row tile's accumulators (4 rows x 16
-// columns = 16 XMM registers before weights and broadcasts), but the YMM
-// file fits them in 8 registers with room to spare. The function's target
-// set is avx2 WITHOUT fma, so the compiler is not allowed to contract the
-// separate vmulps/vaddps below into fused multiply-adds — every lane
-// performs exactly the scalar two-op sequence, keeping outputs
-// bit-identical to ForwardRow on every machine, AVX2 or not.
-__attribute__((target("avx2"))) void ForwardTile4Avx2(int out_dim, int in_dim,
-                                                      const float* x,
-                                                      const float* wt,
-                                                      const float* bias,
-                                                      float* y) {
-  const float* x0 = x;
-  const float* x1 = x + in_dim;
-  const float* x2 = x1 + in_dim;
-  const float* x3 = x2 + in_dim;
-  float* y0 = y;
-  float* y1 = y + out_dim;
-  float* y2 = y1 + out_dim;
-  float* y3 = y2 + out_dim;
-  int o0 = 0;
-  for (; o0 + 16 <= out_dim; o0 += 16) {
-    const __m256 b0 = bias != nullptr ? _mm256_loadu_ps(bias + o0)
-                                      : _mm256_setzero_ps();
-    const __m256 b1 = bias != nullptr ? _mm256_loadu_ps(bias + o0 + 8)
-                                      : _mm256_setzero_ps();
-    __m256 a00 = b0, a01 = b1;
-    __m256 a10 = b0, a11 = b1;
-    __m256 a20 = b0, a21 = b1;
-    __m256 a30 = b0, a31 = b1;
-    const float* wk = wt + o0;
-    for (int k = 0; k < in_dim; ++k, wk += out_dim) {
-      const __m256 w0 = _mm256_loadu_ps(wk);
-      const __m256 w1 = _mm256_loadu_ps(wk + 8);
-      const __m256 f0 = _mm256_broadcast_ss(x0 + k);
-      a00 = _mm256_add_ps(a00, _mm256_mul_ps(f0, w0));
-      a01 = _mm256_add_ps(a01, _mm256_mul_ps(f0, w1));
-      const __m256 f1 = _mm256_broadcast_ss(x1 + k);
-      a10 = _mm256_add_ps(a10, _mm256_mul_ps(f1, w0));
-      a11 = _mm256_add_ps(a11, _mm256_mul_ps(f1, w1));
-      const __m256 f2 = _mm256_broadcast_ss(x2 + k);
-      a20 = _mm256_add_ps(a20, _mm256_mul_ps(f2, w0));
-      a21 = _mm256_add_ps(a21, _mm256_mul_ps(f2, w1));
-      const __m256 f3 = _mm256_broadcast_ss(x3 + k);
-      a30 = _mm256_add_ps(a30, _mm256_mul_ps(f3, w0));
-      a31 = _mm256_add_ps(a31, _mm256_mul_ps(f3, w1));
-    }
-    _mm256_storeu_ps(y0 + o0, a00);
-    _mm256_storeu_ps(y0 + o0 + 8, a01);
-    _mm256_storeu_ps(y1 + o0, a10);
-    _mm256_storeu_ps(y1 + o0 + 8, a11);
-    _mm256_storeu_ps(y2 + o0, a20);
-    _mm256_storeu_ps(y2 + o0 + 8, a21);
-    _mm256_storeu_ps(y3 + o0, a30);
-    _mm256_storeu_ps(y3 + o0 + 8, a31);
+// The SIMD kernels are compiled for their ISA with a target attribute and
+// run only where the CPU reports it. A row group holds R rows' accumulators
+// in registers and loads each panel row once for all R; the R chains per
+// lane are independent, which also hides the add latency. The row loops
+// carry `#pragma GCC unroll`: without it GCC -O2 keeps the accumulator
+// arrays on the stack, and the spills cost the group its advantage.
+//
+// The avx512f target set makes FMA instructions available to the compiler
+// (avx2 alone does not), so the separate multiply and add intrinsics below
+// stay separate only because stage_nn is built with -ffp-contract=off.
+
+// AVX2: R (<= 4) rows x 16 columns in 2R YMM accumulators.
+template <int R>
+__attribute__((target("avx2"))) void RowGroupAvx2(int in_dim, const float* x,
+                                                  const float* panel,
+                                                  const float* bias16,
+                                                  int cols, float* y,
+                                                  int out_dim) {
+  const __m256 b0 = _mm256_loadu_ps(bias16);
+  const __m256 b1 = _mm256_loadu_ps(bias16 + 8);
+  __m256 lo[R];
+  __m256 hi[R];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    lo[r] = b0;
+    hi[r] = b1;
   }
-  // Column tail: scalar, the same bias-first ascending-k order per element.
-  for (; o0 < out_dim; ++o0) {
-    const float b = bias != nullptr ? bias[o0] : 0.0f;
-    float a0 = b, a1 = b, a2 = b, a3 = b;
-    const float* wk = wt + o0;
-    for (int k = 0; k < in_dim; ++k, wk += out_dim) {
-      const float w = *wk;
-      a0 += x0[k] * w;
-      a1 += x1[k] * w;
-      a2 += x2[k] * w;
-      a3 += x3[k] * w;
+  const float* wk = panel;
+  for (int k = 0; k < in_dim; ++k, wk += kPanelWidth) {
+    const __m256 w0 = _mm256_loadu_ps(wk);
+    const __m256 w1 = _mm256_loadu_ps(wk + 8);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m256 f =
+          _mm256_broadcast_ss(x + static_cast<size_t>(r) * in_dim + k);
+      lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(f, w0));
+      hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(f, w1));
     }
-    y0[o0] = a0;
-    y1[o0] = a1;
-    y2[o0] = a2;
-    y3[o0] = a3;
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    float* yr = y + static_cast<size_t>(r) * out_dim;
+    if (cols == kPanelWidth) {
+      _mm256_storeu_ps(yr, lo[r]);
+      _mm256_storeu_ps(yr + 8, hi[r]);
+    } else {
+      alignas(32) float tail[kPanelWidth];
+      _mm256_store_ps(tail, lo[r]);
+      _mm256_store_ps(tail + 8, hi[r]);
+      std::copy(tail, tail + cols, yr);
+    }
+  }
+}
+
+__attribute__((target("avx2"))) void PanelRowsAvx2(int rows, int in_dim,
+                                                   const float* x,
+                                                   const float* panel,
+                                                   const float* bias16,
+                                                   int cols, float* y,
+                                                   int out_dim) {
+  static constexpr decltype(&RowGroupAvx2<1>) kGroups[] = {
+      nullptr, &RowGroupAvx2<1>, &RowGroupAvx2<2>, &RowGroupAvx2<3>,
+      &RowGroupAvx2<4>};
+  for (int r = 0; r < rows; r += 4) {
+    kGroups[std::min(4, rows - r)](
+        in_dim, x + static_cast<size_t>(r) * in_dim, panel, bias16, cols,
+        y + static_cast<size_t>(r) * out_dim, out_dim);
+  }
+}
+
+// AVX-512F: R (<= 8) rows x 16 columns, one ZMM accumulator per row; the
+// tail panel's padded columns are masked off at the store.
+template <int R>
+__attribute__((target("avx512f"))) void RowGroupAvx512(
+    int in_dim, const float* x, const float* panel, const float* bias16,
+    __mmask16 store_mask, float* y, int out_dim) {
+  const __m512 b = _mm512_loadu_ps(bias16);
+  __m512 acc[R];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) acc[r] = b;
+  const float* wk = panel;
+  for (int k = 0; k < in_dim; ++k, wk += kPanelWidth) {
+    const __m512 w = _mm512_loadu_ps(wk);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m512 f =
+          _mm512_set1_ps(x[static_cast<size_t>(r) * in_dim + k]);
+      acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(f, w));
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    _mm512_mask_storeu_ps(y + static_cast<size_t>(r) * out_dim, store_mask,
+                          acc[r]);
+  }
+}
+
+__attribute__((target("avx512f"))) void PanelRowsAvx512(int rows, int in_dim,
+                                                        const float* x,
+                                                        const float* panel,
+                                                        const float* bias16,
+                                                        int cols, float* y,
+                                                        int out_dim) {
+  static constexpr decltype(&RowGroupAvx512<1>) kGroups[] = {
+      nullptr,           &RowGroupAvx512<1>, &RowGroupAvx512<2>,
+      &RowGroupAvx512<3>, &RowGroupAvx512<4>, &RowGroupAvx512<5>,
+      &RowGroupAvx512<6>, &RowGroupAvx512<7>, &RowGroupAvx512<8>};
+  const __mmask16 mask = static_cast<__mmask16>((1u << cols) - 1u);
+  for (int r = 0; r < rows; r += 8) {
+    kGroups[std::min(8, rows - r)](
+        in_dim, x + static_cast<size_t>(r) * in_dim, panel, bias16, mask,
+        y + static_cast<size_t>(r) * out_dim, out_dim);
   }
 }
 #endif  // defined(__x86_64__)
 
-// Whether the row-tiled forward kernel is usable on this machine. Checked
-// once; without AVX2 the per-row kernel is already the best this file has
-// (a 4-row tile does not fit the XMM file and measures slower than
-// ForwardRow when the compiler spills it).
-bool UseForwardTile() {
+PanelKernel KernelFor(internal::GemmKernel kernel) {
+  switch (kernel) {
 #if defined(__x86_64__)
-  static const bool avx2 = __builtin_cpu_supports("avx2");
-  return avx2;
-#else
-  return false;
+    case internal::GemmKernel::kAvx512:
+      return &PanelRowsAvx512;
+    case internal::GemmKernel::kAvx2:
+      return &PanelRowsAvx2;
 #endif
+    default:
+      return &PanelRowsPortable;
+  }
 }
 
 // One input-gradient row block: dx rows [row0, ...) += dy * W. For a fixed
@@ -217,6 +230,32 @@ void ForEachRowBlock(int rows, ThreadPool* pool, Fn&& fn) {
   }
 }
 
+// GemmBias on a given leaf kernel: row blocks fan out on the pool, and
+// inside a block the loop is panel-outer, so the block's row groups all
+// pass over one panel (L1-resident after the first group) before the next
+// panel is touched.
+void GemmBiasPanels(PanelKernel leaf, int rows, int out_dim, int in_dim,
+                    const float* x, const float* panels, const float* bias,
+                    float* y, ThreadPool* pool) {
+  STAGE_DCHECK(rows >= 0 && out_dim > 0 && in_dim > 0);
+  const int num_panels = (out_dim + kPanelWidth - 1) / kPanelWidth;
+  const size_t panel_floats = static_cast<size_t>(in_dim) * kPanelWidth;
+  ForEachRowBlock(rows, pool, [&](int block) {
+    const int row0 = block * kRowBlock;
+    const int block_rows = std::min(kRowBlock, rows - row0);
+    const float* xb = x + static_cast<size_t>(row0) * in_dim;
+    float* yb = y + static_cast<size_t>(row0) * out_dim;
+    for (int p = 0; p < num_panels; ++p) {
+      const int o0 = p * kPanelWidth;
+      const int cols = std::min(kPanelWidth, out_dim - o0);
+      float bias16[kPanelWidth] = {};
+      if (bias != nullptr) std::copy(bias + o0, bias + o0 + cols, bias16);
+      leaf(block_rows, in_dim, xb, panels + p * panel_floats, bias16, cols,
+           yb + o0, out_dim);
+    }
+  });
+}
+
 }  // namespace
 
 float* Arena::Alloc(size_t n) {
@@ -252,32 +291,71 @@ size_t Arena::CapacityFloats() const {
   return total;
 }
 
-void GemmBias(int rows, int out_dim, int in_dim, const float* x,
-              const float* wt, const float* bias, float* y,
-              ThreadPool* pool) {
-  STAGE_DCHECK(rows >= 0 && out_dim > 0 && in_dim > 0);
-  const bool tiled = UseForwardTile();
-  ForEachRowBlock(rows, pool, [&](int block) {
-    const int row0 = block * kRowBlock;
-    const int block_rows = std::min(kRowBlock, rows - row0);
-    int r = 0;
-#if defined(__x86_64__)
-    if (tiled) {
-      for (; r + kRowTile <= block_rows; r += kRowTile) {
-        ForwardTile4Avx2(out_dim, in_dim,
-                         x + static_cast<size_t>(row0 + r) * in_dim, wt, bias,
-                         y + static_cast<size_t>(row0 + r) * out_dim);
+size_t PackedPanelFloats(int out_dim, int in_dim) {
+  const size_t panels = (static_cast<size_t>(out_dim) + kPanelWidth - 1) /
+                        kPanelWidth;
+  return panels * static_cast<size_t>(in_dim) * kPanelWidth;
+}
+
+void PackPanels(int out_dim, int in_dim, const float* w, float* panels) {
+  const int num_panels = (out_dim + kPanelWidth - 1) / kPanelWidth;
+  for (int p = 0; p < num_panels; ++p) {
+    float* panel =
+        panels + static_cast<size_t>(p) * in_dim * kPanelWidth;
+    for (int k = 0; k < in_dim; ++k) {
+      for (int j = 0; j < kPanelWidth; ++j) {
+        const int o = p * kPanelWidth + j;
+        panel[static_cast<size_t>(k) * kPanelWidth + j] =
+            o < out_dim ? w[static_cast<size_t>(o) * in_dim + k] : 0.0f;
       }
     }
-#else
-    (void)tiled;
+  }
+}
+
+namespace internal {
+
+GemmKernel SelectedGemmKernel() {
+  static const GemmKernel selected = [] {
+    if (GemmKernelSupported(GemmKernel::kAvx512)) return GemmKernel::kAvx512;
+    if (GemmKernelSupported(GemmKernel::kAvx2)) return GemmKernel::kAvx2;
+    return GemmKernel::kPortable;
+  }();
+  return selected;
+}
+
+bool GemmKernelSupported(GemmKernel kernel) {
+#if defined(__x86_64__)
+  __builtin_cpu_init();  // Safe before static constructors have run.
 #endif
-    for (; r < block_rows; ++r) {
-      ForwardRow(out_dim, in_dim,
-                 x + static_cast<size_t>(row0 + r) * in_dim, wt, bias,
-                 y + static_cast<size_t>(row0 + r) * out_dim);
-    }
-  });
+  switch (kernel) {
+    case GemmKernel::kPortable:
+      return true;
+#if defined(__x86_64__)
+    case GemmKernel::kAvx2:
+      return __builtin_cpu_supports("avx2");
+    case GemmKernel::kAvx512:
+      return __builtin_cpu_supports("avx512f");
+#endif
+    default:
+      return false;
+  }
+}
+
+void GemmBiasWithKernel(GemmKernel kernel, int rows, int out_dim, int in_dim,
+                        const float* x, const float* panels,
+                        const float* bias, float* y, ThreadPool* pool) {
+  STAGE_CHECK(GemmKernelSupported(kernel));
+  GemmBiasPanels(KernelFor(kernel), rows, out_dim, in_dim, x, panels, bias, y,
+                 pool);
+}
+
+}  // namespace internal
+
+void GemmBias(int rows, int out_dim, int in_dim, const float* x,
+              const float* panels, const float* bias, float* y,
+              ThreadPool* pool) {
+  static const PanelKernel leaf = KernelFor(internal::SelectedGemmKernel());
+  GemmBiasPanels(leaf, rows, out_dim, in_dim, x, panels, bias, y, pool);
 }
 
 void GemmGradInput(int rows, int out_dim, int in_dim, const float* dy,

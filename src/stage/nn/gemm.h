@@ -2,6 +2,7 @@
 #define STAGE_NN_GEMM_H_
 
 #include <cstddef>
+#include <new>
 #include <vector>
 
 #include "stage/common/thread_pool.h"
@@ -14,7 +15,8 @@ namespace stage::nn {
 //
 // Bit-exactness contract: for every output element, terms are accumulated
 // in exactly the order the naive per-row loops use — the accumulator starts
-// at the bias and products are added in ascending k — so results are
+// at the bias and products are added in ascending k, each product rounded
+// to float before its add (never a fused multiply-add) — so results are
 // bit-for-bit identical to Linear::Forward/Backward no matter the batch
 // size, the row-block size, or how many pool threads execute. The kernels
 // get their speed from vectorizing ACROSS independent output elements
@@ -46,22 +48,72 @@ class Arena {
   size_t used_ = 0;  // Floats consumed in chunks_[chunk_index_].
 };
 
-// y [rows x out_dim] = x [rows x in_dim] * wt + bias, with wt the
-// PRE-TRANSPOSED weight panel [in_dim x out_dim] (Linear keeps it in sync
-// with its row-major W) and bias [out_dim] (may be null for no bias). Each
-// row of y equals Linear::Forward on the matching row of x, bit for bit:
-// the kernel broadcasts x[k] and accumulates into a register block of
-// output columns, so each output element still sums bias-first in
-// ascending k while the contiguous wt row provides the SIMD axis — fast
-// even for single-row (one plan) calls. On AVX2 machines, groups of four
-// rows run through a row-tiled kernel that streams each weight row once
-// for the whole tile (the batched-inference hot path behind the network
-// micro-batcher); the tile uses separate multiply and add — never fused —
-// so its outputs match the per-row kernel bit for bit and the contract
-// above holds on every machine. Row blocks fan out on `pool` when
-// provided.
+// Forward weights in packed panel layout: W [out_dim x in_dim] re-laid as
+// ceil(out_dim / kPanelWidth) contiguous [in_dim x kPanelWidth] panels, so
+// panel p holds output columns [16p, 16p + 16) and row k of a panel is the
+// 16 weights that multiply x[k]: panels[(p * in_dim + k) * 16 + j] =
+// W[16p + j][k]. The last panel's columns past out_dim are zero. One panel
+// row is one 64-byte cache line (PanelVector aligns the storage to it), and
+// a panel is in_dim cache lines read front to back. Linear rebuilds its
+// panels at every mutation point (Init/Load/Step); they are a derived
+// cache, never serialized.
+inline constexpr int kPanelWidth = 16;
+
+// Floats in the packed panels of an [out_dim x in_dim] weight matrix.
+size_t PackedPanelFloats(int out_dim, int in_dim);
+
+// Writes row-major W [out_dim x in_dim] into `panels`
+// (PackedPanelFloats(out_dim, in_dim) floats), zero padding included.
+void PackPanels(int out_dim, int in_dim, const float* w, float* panels);
+
+// Allocator for PanelVector: cache-line aligned storage, so no panel row
+// load straddles two lines.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+
+  T* allocate(size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, size_t) noexcept { ::operator delete(p, kAlign); }
+
+  template <typename U>
+  bool operator==(const CacheLineAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
+using PanelVector = std::vector<float, CacheLineAllocator<float>>;
+
+// y [rows x out_dim] = x [rows x in_dim] * W^T + bias, with W given as
+// packed panels (above) and bias [out_dim] (may be null for no bias). Each
+// row of y equals Linear::Forward on the matching row of x, bit for bit.
+//
+// Loop order: panel-outer, row-group-inner. Within a row block (64 rows,
+// the pool fan-out unit) each panel is read from memory once and then
+// reused from L1 by every row group, so a call reads the weights once per
+// row block, and a call of up to 64 rows (one plan's nodes, or a small
+// batch of plans) reads them once. A row group keeps kPanelWidth
+// accumulators per row in SIMD registers, broadcasts x[k] and adds
+// x[k] * panel row k, so each output element still starts at the bias and
+// sums its products in ascending k, with a separate multiply and add per
+// term (stage_nn is compiled with -ffp-contract=off, and tools/check.sh
+// fails on any fused multiply-add in the library).
+//
+// The leaf kernel is chosen once per process from the CPU's features:
+// AVX-512F (row groups of up to 8 rows, one ZMM accumulator per row,
+// masked tail columns), else AVX2 (up to 4 rows, two YMM accumulators per
+// row), else a portable per-row loop. No option selects it, and all three
+// produce the same bytes (nn_test checks each against Linear::Forward
+// over a table of shapes). Row blocks fan out on `pool` when provided;
+// blocks own disjoint output rows, so the pool never changes the bytes.
 void GemmBias(int rows, int out_dim, int in_dim, const float* x,
-              const float* wt, const float* bias, float* y,
+              const float* panels, const float* bias, float* y,
               ThreadPool* pool = nullptr);
 
 // dx [rows x in_dim] += dy [rows x out_dim] * W, the input-gradient half of

@@ -16,18 +16,12 @@ void Linear::Init(int in_dim, int out_dim, Rng& rng) {
   const float scale = std::sqrt(6.0f / static_cast<float>(in_dim));
   w_.Init(static_cast<size_t>(in_dim) * out_dim, scale, rng);
   b_.Init(out_dim, 0.0f, rng);
-  RefreshTransposed();
+  RefreshPanels();
 }
 
-void Linear::RefreshTransposed() {
-  wt_.resize(static_cast<size_t>(in_dim_) * out_dim_);
-  const float* w = w_.data();
-  for (int o = 0; o < out_dim_; ++o) {
-    for (int i = 0; i < in_dim_; ++i) {
-      wt_[static_cast<size_t>(i) * out_dim_ + o] =
-          w[static_cast<size_t>(o) * in_dim_ + i];
-    }
-  }
+void Linear::RefreshPanels() {
+  panels_.resize(PackedPanelFloats(out_dim_, in_dim_));
+  PackPanels(out_dim_, in_dim_, w_.data(), panels_.data());
 }
 
 void Linear::Forward(const float* x, float* y) const {
@@ -60,7 +54,7 @@ void Linear::Backward(const float* x, const float* dy, float* dx) {
 
 void Linear::ForwardBatch(const float* x, int rows, float* y,
                           ThreadPool* pool) const {
-  GemmBias(rows, out_dim_, in_dim_, x, wt_.data(), b_.data(), y, pool);
+  GemmBias(rows, out_dim_, in_dim_, x, panels_.data(), b_.data(), y, pool);
 }
 
 void Linear::BackwardBatch(const float* x, const float* dy, int rows,
@@ -79,7 +73,7 @@ void Linear::ZeroGrad() {
 void Linear::Step(const AdamConfig& config, double grad_divisor) {
   w_.Step(config, grad_divisor);
   b_.Step(config, grad_divisor);
-  RefreshTransposed();
+  RefreshPanels();
 }
 
 void Linear::Save(std::ostream& out) const {
@@ -101,7 +95,7 @@ bool Linear::Load(std::istream& in) {
   }
   in_dim_ = in_dim;
   out_dim_ = out_dim;
-  RefreshTransposed();
+  RefreshPanels();
   return true;
 }
 

@@ -7,6 +7,7 @@
 
 #include "stage/common/rng.h"
 #include "stage/common/thread_pool.h"
+#include "stage/nn/gemm.h"
 #include "stage/nn/param.h"
 
 namespace stage::nn {
@@ -17,7 +18,9 @@ namespace stage::nn {
 // Forward/Backward are the naive single-example reference loops;
 // ForwardBatch/BackwardBatch run the blocked GEMM kernels (nn/gemm.h) over
 // whole batches and are bit-for-bit identical per row (the kernels keep
-// each output element's naive accumulation order — see gemm.h).
+// each output element's naive accumulation order — see gemm.h). The
+// forward GEMM reads W as packed 16-column panels, a derived copy the
+// layer keeps beside W.
 class Linear {
  public:
   Linear() = default;
@@ -52,18 +55,20 @@ class Linear {
   size_t MemoryBytes() const { return w_.MemoryBytes() + b_.MemoryBytes(); }
 
  private:
-  // Rebuilds wt_ from w_. Called from every mutation point (Init / Load /
-  // Step) so const Forward paths can read wt_ concurrently without locks.
-  void RefreshTransposed();
+  // Rebuilds panels_ from w_. Called from every mutation point (Init /
+  // Load / Step) so const Forward paths can read panels_ concurrently
+  // without locks.
+  void RefreshPanels();
 
   int in_dim_ = 0;
   int out_dim_ = 0;
   Param w_;  // Row-major [out_dim x in_dim].
   Param b_;  // [out_dim].
-  // W pre-transposed to [in_dim x out_dim]: the forward GEMM broadcasts
-  // x[k] against contiguous output columns (see gemm.h). Derived cache —
-  // never serialized, refreshed whenever w_ changes.
-  std::vector<float> wt_;
+  // W as packed panels (gemm.h): ceil(out_dim / 16) cache-line aligned
+  // [in_dim x 16] blocks, the tail block zero-padded, so the forward GEMM
+  // reads each panel once per call. Derived cache — never serialized,
+  // refreshed whenever w_ changes.
+  PanelVector panels_;
 };
 
 }  // namespace stage::nn

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
+#include <utility>
 
 #include "stage/common/macros.h"
 #include "stage/common/serialize.h"
@@ -231,15 +233,27 @@ bool TreeGcn::Load(std::istream& in) {
   config.input_dim = input_dim;
   config.hidden_dim = hidden_dim;
   config.num_layers = num_layers;
+  std::vector<Linear> self(num_layers);
+  std::vector<Linear> child(num_layers);
+  for (Linear& layer : self) {
+    if (!layer.Load(in)) return false;
+  }
+  for (Linear& layer : child) {
+    if (!layer.Load(in)) return false;
+  }
+  // Every layer must map exactly what the header promises: Forward sizes
+  // its arena rows from the header, so a wider layer would write past them.
+  for (int l = 0; l < num_layers; ++l) {
+    const int layer_in = l == 0 ? input_dim : hidden_dim;
+    for (const Linear* layer : {&self[l], &child[l]}) {
+      if (layer->in_dim() != layer_in || layer->out_dim() != hidden_dim) {
+        return false;
+      }
+    }
+  }
   config_ = config;
-  self_.assign(num_layers, Linear());
-  child_.assign(num_layers, Linear());
-  for (Linear& layer : self_) {
-    if (!layer.Load(in)) return false;
-  }
-  for (Linear& layer : child_) {
-    if (!layer.Load(in)) return false;
-  }
+  self_ = std::move(self);
+  child_ = std::move(child);
   return true;
 }
 

@@ -98,6 +98,8 @@ class TreeGcn {
   void Step(const AdamConfig& config, double grad_divisor);
   size_t MemoryBytes() const;
   void Save(std::ostream& out) const;
+  // Fails, leaving this network untouched, unless every layer maps
+  // LayerInDim(l) -> hidden_dim as the stream's header says.
   bool Load(std::istream& in);
 
  private:

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include "stage/common/rng.h"
+#include "stage/common/serialize.h"
 #include "stage/fleet/fleet.h"
 #include "stage/global/global_model.h"
 #include "stage/metrics/error_metrics.h"
+#include "stage/nn/mlp.h"
+#include "stage/nn/tree_gcn.h"
+#include "stage/plan/featurizer.h"
 
 namespace stage::global {
 namespace {
@@ -279,6 +284,49 @@ TEST(GlobalModelTest, LoadRejectsGarbage) {
   GlobalModel model;
   std::stringstream garbage("this is not a checkpoint");
   EXPECT_FALSE(model.Load(garbage));
+  EXPECT_FALSE(model.trained());
+}
+
+// A checkpoint stream assembled from parts: the global-model header, a
+// GCN over `input_dim`-wide node rows, and a head [hidden + system ->
+// 8 -> head_out]. Each part is self-consistent, so only GlobalModel::Load
+// can tell whether they fit the featurizer and the serving path.
+std::string AssembledCheckpoint(int input_dim, int head_out) {
+  Rng rng(43);
+  nn::TreeGcn::Config gcn_config;
+  gcn_config.input_dim = input_dim;
+  gcn_config.hidden_dim = 12;
+  gcn_config.num_layers = 2;
+  nn::TreeGcn gcn;
+  gcn.Init(gcn_config, rng);
+  nn::Mlp head;
+  head.Init({gcn_config.hidden_dim + kSystemFeatureDim, 8, head_out}, rng);
+  std::stringstream out;
+  WriteHeader(out, 0x53474d4c /* "SGML" */, /*version=*/1);
+  gcn.Save(out);
+  head.Save(out);
+  return out.str();
+}
+
+TEST(GlobalModelTest, LoadRejectsGcnInputOtherThanNodeFeatureWidth) {
+  std::istringstream serving(AssembledCheckpoint(plan::kNodeFeatureDim, 1));
+  ASSERT_TRUE(GlobalModel().Load(serving));
+  // A GCN over 4-wide node rows cannot read the featurizer's rows: such a
+  // checkpoint used to load, and the first PredictSeconds then aborted.
+  std::istringstream in(AssembledCheckpoint(4, 1));
+  GlobalModel model;
+  EXPECT_FALSE(model.Load(in));
+  EXPECT_FALSE(model.trained());
+}
+
+TEST(GlobalModelTest, LoadRejectsHeadWithMoreThanOneOutput) {
+  std::istringstream serving(AssembledCheckpoint(plan::kNodeFeatureDim, 1));
+  ASSERT_TRUE(GlobalModel().Load(serving));
+  // With two outputs per query, PredictBatch would read query 0's second
+  // output as query 1's answer.
+  std::istringstream in(AssembledCheckpoint(plan::kNodeFeatureDim, 2));
+  GlobalModel model;
+  EXPECT_FALSE(model.Load(in));
   EXPECT_FALSE(model.trained());
 }
 

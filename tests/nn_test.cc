@@ -14,6 +14,7 @@
 #include "stage/common/serialize.h"
 #include "stage/common/thread_pool.h"
 #include "stage/nn/gemm.h"
+#include "stage/nn/gemm_kernels.h"
 #include "stage/nn/linear.h"
 #include "stage/nn/mlp.h"
 #include "stage/nn/param.h"
@@ -258,6 +259,116 @@ TEST(LinearTest, ForwardBatchBitEqualsNaivePerRow) {
   layer.ForwardBatch(x.data(), rows, pooled.data(), &pool);
   EXPECT_TRUE(BitEqual(naive.data(), pooled.data(), naive.size()));
 }
+
+// A layer with the given weights and bias, loaded through Linear's own
+// stream format (Init would leave the bias at zero).
+Linear LoadedLinear(int in_dim, int out_dim, const std::vector<float>& w,
+                    const std::vector<float>& b) {
+  std::stringstream stream;
+  WritePod<int32_t>(stream, in_dim);
+  WritePod<int32_t>(stream, out_dim);
+  WriteVector(stream, w);
+  WriteVector(stream, b);
+  Linear layer;
+  EXPECT_TRUE(layer.Load(stream));
+  return layer;
+}
+
+// Every leaf kernel GemmBias can dispatch to, reached through the test seam
+// whether or not this machine selects it, against Linear::Forward over
+// widths with and without a full 16-column panel, ragged tails, and row
+// counts on both sides of every row-group (4, 8) and row-block (64) edge.
+class GemmKernelTest : public testing::TestWithParam<internal::GemmKernel> {};
+
+TEST_P(GemmKernelTest, BitEqualsLinearForwardOverShapeTable) {
+  const internal::GemmKernel kernel = GetParam();
+  if (!internal::GemmKernelSupported(kernel)) {
+    GTEST_SKIP() << "this CPU lacks the kernel's instruction set";
+  }
+  const bool selected = kernel == internal::SelectedGemmKernel();
+  constexpr int kMaxRows = 147;
+  constexpr size_t kGuard = 32;  // Floats past y that must stay untouched.
+  const float sentinel = -12345.0f;
+  Rng rng(31);
+  ThreadPool pool(3);
+  for (const int out_dim : {1, 11, 16, 48, 130, 256}) {
+    for (const int in_dim : {19, 99, 276}) {
+      std::vector<float> w(static_cast<size_t>(out_dim) * in_dim);
+      std::vector<float> b(static_cast<size_t>(out_dim));
+      FillUniform(&w, rng);
+      FillUniform(&b, rng);
+      const Linear layer = LoadedLinear(in_dim, out_dim, w, b);
+      const Linear unbiased = LoadedLinear(
+          in_dim, out_dim, w, std::vector<float>(b.size(), 0.0f));
+      PanelVector panels(PackedPanelFloats(out_dim, in_dim));
+      PackPanels(out_dim, in_dim, w.data(), panels.data());
+
+      std::vector<float> x(static_cast<size_t>(kMaxRows) * in_dim);
+      FillUniform(&x, rng, -2.0, 2.0);
+      for (size_t i = 0; i < x.size(); i += 7) x[i] = 0.0f;  // ReLU zeros.
+      std::vector<float> naive(static_cast<size_t>(kMaxRows) * out_dim);
+      std::vector<float> naive_unbiased(naive.size());
+      for (int r = 0; r < kMaxRows; ++r) {
+        layer.Forward(x.data() + static_cast<size_t>(r) * in_dim,
+                      naive.data() + static_cast<size_t>(r) * out_dim);
+        unbiased.Forward(
+            x.data() + static_cast<size_t>(r) * in_dim,
+            naive_unbiased.data() + static_cast<size_t>(r) * out_dim);
+      }
+
+      for (const int rows :
+           {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 17, 64, 65, 147}) {
+        const size_t n = static_cast<size_t>(rows) * out_dim;
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          const std::string where =
+              "out " + std::to_string(out_dim) + " in " +
+              std::to_string(in_dim) + " rows " + std::to_string(rows) +
+              (p != nullptr ? " pooled" : " serial");
+          std::vector<float> y(n + kGuard, sentinel);
+          internal::GemmBiasWithKernel(kernel, rows, out_dim, in_dim,
+                                       x.data(), panels.data(), b.data(),
+                                       y.data(), p);
+          ASSERT_TRUE(BitEqual(naive.data(), y.data(), n)) << where;
+          for (size_t i = n; i < y.size(); ++i) {
+            ASSERT_EQ(y[i], sentinel) << where << ": wrote past y";
+          }
+
+          // A null bias is a zero bias.
+          std::vector<float> y0(n, sentinel);
+          internal::GemmBiasWithKernel(kernel, rows, out_dim, in_dim,
+                                       x.data(), panels.data(), nullptr,
+                                       y0.data(), p);
+          ASSERT_TRUE(BitEqual(naive_unbiased.data(), y0.data(), n))
+              << where << " (null bias)";
+
+          // The layer's own panels, through the dispatched GemmBias.
+          if (selected) {
+            std::vector<float> batched(n, sentinel);
+            layer.ForwardBatch(x.data(), rows, batched.data(), p);
+            ASSERT_TRUE(BitEqual(naive.data(), batched.data(), n))
+                << where << " (ForwardBatch)";
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKernels, GemmKernelTest,
+    testing::Values(internal::GemmKernel::kPortable,
+                    internal::GemmKernel::kAvx2,
+                    internal::GemmKernel::kAvx512),
+    [](const testing::TestParamInfo<internal::GemmKernel>& info) {
+      switch (info.param) {
+        case internal::GemmKernel::kAvx2:
+          return std::string("avx2");
+        case internal::GemmKernel::kAvx512:
+          return std::string("avx512");
+        default:
+          return std::string("portable");
+      }
+    });
 
 TEST(LinearTest, BackwardBatchBitEqualsNaivePerRow) {
   Rng rng(23);
@@ -803,6 +914,49 @@ TEST(TreeGcnTest, LoadRejectsCorruptedDropout) {
   std::istringstream in(bytes);
   TreeGcn loaded;
   EXPECT_TRUE(loaded.Load(in));
+}
+
+TEST(TreeGcnTest, LoadRejectsLayersThatDisagreeWithHeader) {
+  Rng rng(41);
+  TreeGcn::Config config;
+  config.input_dim = 4;
+  config.hidden_dim = 64;
+  config.num_layers = 2;
+  TreeGcn gcn;
+  gcn.Init(config, rng);
+  std::stringstream buffer;
+  gcn.Save(buffer);
+  const std::string bytes = buffer.str();
+
+  // The stream starts with input_dim, hidden_dim, num_layers (int32 each).
+  // Forward sizes its arena rows from the header, so a header narrower
+  // than the layers (hidden 8 over 4 -> 64 layers) would let Forward write
+  // 64-float rows into 8-float slots; a header whose input width differs
+  // from layer 0's would read past each feature row.
+  const struct {
+    size_t offset;
+    int32_t value;
+  } lies[] = {{sizeof(int32_t), 8}, {sizeof(int32_t), 65}, {0, 5}, {0, 3}};
+  for (const auto& lie : lies) {
+    std::string patched = bytes;
+    std::memcpy(patched.data() + lie.offset, &lie.value, sizeof(int32_t));
+    std::istringstream in(patched);
+    TreeGcn loaded;
+    EXPECT_FALSE(loaded.Load(in))
+        << "header field at " << lie.offset << " = " << lie.value;
+  }
+
+  // A failed load leaves a loaded network as it was.
+  std::istringstream good(bytes);
+  TreeGcn loaded;
+  ASSERT_TRUE(loaded.Load(good));
+  std::string patched = bytes;
+  const int32_t narrow = 8;
+  std::memcpy(patched.data() + sizeof(int32_t), &narrow, sizeof(int32_t));
+  std::istringstream bad(patched);
+  EXPECT_FALSE(loaded.Load(bad));
+  EXPECT_EQ(loaded.hidden_dim(), 64);
+  EXPECT_EQ(loaded.input_dim(), 4);
 }
 
 TEST(SerializationTest, MlpRoundTripPreservesOutputs) {

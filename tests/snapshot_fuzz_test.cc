@@ -13,10 +13,13 @@
 // This generalizes the stride-64 CorruptionSuite in ckpt_test.cc down to
 // every byte boundary and up through all three snapshot kinds.
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -108,9 +111,17 @@ std::vector<double> Fingerprint(const Predictor& predictor) {
   return out;
 }
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
+// ctest runs every case in its own process, in parallel, and cases share
+// file names (the fixture's snapshots, TryLoadService's scratch file), so
+// each process keeps its files in a directory of its own, which
+// TearDownTestSuite removes.
+std::string ScratchDir() {
+  static const std::string dir = ::testing::TempDir() + "stage_snapshot_fuzz_" +
+                                 std::to_string(::getpid()) + "/";
+  return dir;
 }
+
+std::string TempPath(const std::string& name) { return ScratchDir() + name; }
 
 void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -131,6 +142,7 @@ std::string ReadFileBytes(const std::string& path) {
 class SnapshotFuzzTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    std::filesystem::create_directories(ScratchDir());
     service_ = new fleet_serve::TenantStack(TinyService());
     predictor_ = new core::StagePredictor(TinyStage());
     const auto contexts = ProbeContexts();
@@ -188,6 +200,7 @@ class SnapshotFuzzTest : public ::testing::Test {
     recalibrator_ = nullptr;
     service_bytes_ = predictor_bytes_ = model_bytes_ = nullptr;
     recalibrator_bytes_ = nullptr;
+    std::filesystem::remove_all(ScratchDir());
   }
 
   // Loads mutated service-snapshot bytes into a scratch service that

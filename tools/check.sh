@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
 # Full verification gate: Release build + ASan + TSan, ctest on each, plus
+# a disassembly check that the nn kernels contain no fused multiply-add,
 # an explicit run of the checkpoint corruption fault-injection suite under
 # ASan (truncations and bit flips must fail loads cleanly — no crash, no
 # OOM, no half-trained model), the pinned golden routing replay, a
@@ -31,6 +32,21 @@ build_and_test() {
 }
 
 build_and_test release ""
+
+# The nn kernels' bit-exactness contract (src/stage/nn/gemm.h) needs every
+# multiply and add rounded on its own; stage_nn is built with
+# -ffp-contract=off so its AVX-512 kernel stays unfused. Fail if a fused
+# multiply-add reaches the library anyway (a flag lost, a new target set).
+echo "=== [release] no fused multiply-add in stage_nn ==="
+nn_archive="${repo_root}/build-check-release/src/stage/nn/libstage_nn.a"
+disassembly="$(objdump -d "${nn_archive}")"
+fused="$(grep -E '\svfn?m(add|sub)' <<< "${disassembly}" || true)"
+if [[ -n "${fused}" ]]; then
+  echo "fused multiply-add instructions in ${nn_archive}:" >&2
+  echo "${fused}" | head -20 >&2
+  exit 1
+fi
+echo "=== stage_nn is FMA-free ==="
 
 echo "=== [release] GBT hot-path bench smoke (STAGE_BENCH_FAST=1) ==="
 (cd "${repo_root}/build-check-release/bench" && \
