@@ -1,6 +1,6 @@
-// Network serving bench: quantifies the adaptive micro-batching aggregator
-// against the batching-disabled baseline (batch_window_us = 0, every
-// predict inline on its worker thread) over real loopback sockets.
+// Network serving bench: quantifies the micro-batching aggregator against
+// the batching-disabled baseline (batching = false, every predict inline
+// on its worker thread) over real loopback sockets.
 //
 // The workload is built so every prediction escalates to the global model
 // (tenants registered with an unreachable min_train_size, never observed,
@@ -11,8 +11,8 @@
 // and survives single-core CI runners.
 //
 // The load generator keeps `connections` pipelined sockets saturated from
-// one poll() loop while the server runs a window sweep. The acceptance
-// gate (ROADMAP item 3): with >= 16 concurrent connections, adaptive
+// one poll() loop against one baseline server and one batched server. The
+// acceptance gate (ROADMAP item 3): with >= 16 concurrent connections,
 // batching must deliver >= 2x the qps of the batching-disabled baseline at
 // equal or better p99. Emits machine-readable BENCH_net_serve.json.
 //
@@ -42,7 +42,6 @@ struct BenchConfig {
   int connections = 16;          // The gate requires >= 16.
   int pipeline = 8;
   int64_t requests_per_connection = 400;
-  std::vector<int64_t> windows_us = {100, 200, 500, 1000};
 };
 
 BenchConfig MakeBenchConfig() {
@@ -52,27 +51,24 @@ BenchConfig MakeBenchConfig() {
     config.fast = true;
     config.train_queries = 150;
     config.requests_per_connection = 100;
-    config.windows_us = {200, 1000};
   }
   return config;
 }
 
 struct RoundResult {
-  int64_t window_us = 0;  // 0 = batching disabled (the baseline).
   net::LoadgenResult loadgen;
   net::ServerStats stats;
   double mean_batch = 0.0;
-  uint64_t effective_window_us = 0;
 };
 
-// One server lifetime + one loadgen run at the given batch window.
+// One server lifetime + one loadgen run, batched or inline.
 bool RunRound(fleet_serve::FleetService* fleet,
               const std::vector<plan::Plan>& plans,
-              const BenchConfig& bench, int64_t window_us,
-              RoundResult* result) {
+              const BenchConfig& bench, bool batching, RoundResult* result) {
+  const char* const name = batching ? "batched" : "baseline";
   net::ServerConfig server_config;
   server_config.num_workers = 2;
-  server_config.batch_window_us = window_us;
+  server_config.batching = batching;
   server_config.max_batch = 64;
   server_config.queue_bound = 4096;
   server_config.max_connections = 1024;
@@ -85,11 +81,10 @@ bool RunRound(fleet_serve::FleetService* fleet,
   loadgen_config.requests_per_connection = bench.requests_per_connection;
   loadgen_config.tenants = bench.num_tenants;
 
-  result->window_us = window_us;
   std::string error;
   if (!net::RunLoadgen(loadgen_config, plans, &result->loadgen, &error)) {
-    std::fprintf(stderr, "loadgen failed at window %lld: %s\n",
-                 static_cast<long long>(window_us), error.c_str());
+    std::fprintf(stderr, "loadgen failed on the %s server: %s\n", name,
+                 error.c_str());
     return false;
   }
   server.Shutdown();
@@ -97,7 +92,6 @@ bool RunRound(fleet_serve::FleetService* fleet,
   const obs::Histogram::Snapshot hist = server.batch_size_histogram();
   result->mean_batch =
       hist.count == 0 ? 0.0 : hist.sum / static_cast<double>(hist.count);
-  result->effective_window_us = result->stats.effective_window_us;
 
   const uint64_t expected =
       static_cast<uint64_t>(bench.connections) *
@@ -105,23 +99,23 @@ bool RunRound(fleet_serve::FleetService* fleet,
   if (result->loadgen.completed != expected ||
       result->loadgen.errors != 0) {
     std::fprintf(stderr,
-                 "window %lld: %llu/%llu completed, %llu errors — the bench "
+                 "%s: %llu/%llu completed, %llu errors — the bench "
                  "requires a loss-free run\n",
-                 static_cast<long long>(window_us),
+                 name,
                  static_cast<unsigned long long>(result->loadgen.completed),
                  static_cast<unsigned long long>(expected),
                  static_cast<unsigned long long>(result->loadgen.errors));
     return false;
   }
   // The workload contract: everything escalates to the global model, so
-  // the batched rounds exercise the batched-GEMM path and nothing else.
+  // the batched round exercises the batched-GEMM path and nothing else.
   const uint64_t global_served = result->loadgen.source_counts[
       static_cast<size_t>(core::PredictionSource::kGlobal)];
   if (global_served != expected) {
     std::fprintf(stderr,
-                 "window %lld: only %llu/%llu predictions came from the "
+                 "%s: only %llu/%llu predictions came from the "
                  "global model — workload contract broken\n",
-                 static_cast<long long>(window_us),
+                 name,
                  static_cast<unsigned long long>(global_served),
                  static_cast<unsigned long long>(expected));
     return false;
@@ -196,36 +190,30 @@ int main() {
 
   // Baseline first: batching disabled, every predict inline.
   RoundResult baseline;
-  if (!RunRound(&fleet, plans, bench, 0, &baseline)) return 1;
+  if (!RunRound(&fleet, plans, bench, false, &baseline)) return 1;
   std::printf("baseline (no batching): %.0f qps, p50 %.2fms, p99 %.2fms\n",
               baseline.loadgen.qps, baseline.loadgen.p50_ms,
               baseline.loadgen.p99_ms);
 
-  std::vector<RoundResult> rounds;
-  for (const int64_t window_us : bench.windows_us) {
-    RoundResult round;
-    if (!RunRound(&fleet, plans, bench, window_us, &round)) return 1;
-    std::printf("window %4lldus: %.0f qps (%.2fx), p50 %.2fms, p99 %.2fms, "
-                "mean batch %.1f, effective window %llu us\n",
-                static_cast<long long>(window_us), round.loadgen.qps,
-                round.loadgen.qps / baseline.loadgen.qps,
-                round.loadgen.p50_ms, round.loadgen.p99_ms, round.mean_batch,
-                static_cast<unsigned long long>(round.effective_window_us));
-    rounds.push_back(round);
-  }
+  RoundResult batched;
+  if (!RunRound(&fleet, plans, bench, true, &batched)) return 1;
+  const uint64_t full_flushes =
+      batched.stats.batch_flushes[static_cast<size_t>(net::FlushReason::kFull)];
+  const uint64_t partial_flushes = batched.stats.batch_flushes[
+      static_cast<size_t>(net::FlushReason::kTimeout)];
+  std::printf("batched: %.0f qps, p50 %.2fms, p99 %.2fms, mean batch %.1f, "
+              "%llu full / %llu partial flushes\n",
+              batched.loadgen.qps, batched.loadgen.p50_ms,
+              batched.loadgen.p99_ms, batched.mean_batch,
+              static_cast<unsigned long long>(full_flushes),
+              static_cast<unsigned long long>(partial_flushes));
 
-  // Gate on the best batched round: >= 2x baseline qps at <= baseline p99.
-  const RoundResult* best = &rounds.front();
-  for (const RoundResult& round : rounds) {
-    if (round.loadgen.qps > best->loadgen.qps) best = &round;
-  }
-  const double speedup = best->loadgen.qps / baseline.loadgen.qps;
+  // Gate: >= 2x baseline qps at <= baseline p99.
+  const double speedup = batched.loadgen.qps / baseline.loadgen.qps;
   const bool speedup_ok = speedup >= 2.0;
-  const bool p99_ok = best->loadgen.p99_ms <= baseline.loadgen.p99_ms;
-  std::printf("best window %lldus: %.2fx qps, p99 %.2fms vs baseline "
-              "%.2fms -> %s\n",
-              static_cast<long long>(best->window_us), speedup,
-              best->loadgen.p99_ms, baseline.loadgen.p99_ms,
+  const bool p99_ok = batched.loadgen.p99_ms <= baseline.loadgen.p99_ms;
+  std::printf("batched vs baseline: %.2fx qps, p99 %.2fms vs %.2fms -> %s\n",
+              speedup, batched.loadgen.p99_ms, baseline.loadgen.p99_ms,
               speedup_ok && p99_ok ? "PASS" : "FAIL");
 
   std::FILE* json = std::fopen("BENCH_net_serve.json", "w");
@@ -233,41 +221,27 @@ int main() {
     std::fprintf(stderr, "cannot open BENCH_net_serve.json for write\n");
     return 1;
   }
+  // Readers key on the gate names, so best_window_us stays; batching has
+  // no window, so it is always 0.
   std::fprintf(
       json,
       "{\n"
       "  \"config\": {\"fast\": %s, \"connections\": %d, \"pipeline\": %d, "
       "\"requests_per_connection\": %lld, \"tenants\": %d},\n"
       "  \"baseline\": {\"qps\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f},\n"
-      "  \"windows\": [\n",
+      "  \"batched\": {\"qps\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
+      "\"mean_batch\": %.2f, \"full_flushes\": %llu, "
+      "\"partial_flushes\": %llu},\n"
+      "  \"gates\": {\"best_window_us\": 0, \"qps_speedup\": %.3f, "
+      "\"speedup_ge_2x\": %s, \"p99_no_worse\": %s, \"pass\": %s}\n"
+      "}\n",
       bench.fast ? "true" : "false", bench.connections, bench.pipeline,
       static_cast<long long>(bench.requests_per_connection),
       bench.num_tenants, baseline.loadgen.qps, baseline.loadgen.p50_ms,
-      baseline.loadgen.p99_ms);
-  for (size_t i = 0; i < rounds.size(); ++i) {
-    const RoundResult& round = rounds[i];
-    std::fprintf(
-        json,
-        "    {\"window_us\": %lld, \"qps\": %.1f, \"p50_ms\": %.3f, "
-        "\"p99_ms\": %.3f, \"mean_batch\": %.2f, "
-        "\"effective_window_us\": %llu, \"full_flushes\": %llu, "
-        "\"timeout_flushes\": %llu}%s\n",
-        static_cast<long long>(round.window_us), round.loadgen.qps,
-        round.loadgen.p50_ms, round.loadgen.p99_ms, round.mean_batch,
-        static_cast<unsigned long long>(round.effective_window_us),
-        static_cast<unsigned long long>(round.stats.batch_flushes[
-            static_cast<size_t>(net::FlushReason::kFull)]),
-        static_cast<unsigned long long>(round.stats.batch_flushes[
-            static_cast<size_t>(net::FlushReason::kTimeout)]),
-        i + 1 < rounds.size() ? "," : "");
-  }
-  std::fprintf(
-      json,
-      "  ],\n"
-      "  \"gates\": {\"best_window_us\": %lld, \"qps_speedup\": %.3f, "
-      "\"speedup_ge_2x\": %s, \"p99_no_worse\": %s, \"pass\": %s}\n"
-      "}\n",
-      static_cast<long long>(best->window_us), speedup,
+      baseline.loadgen.p99_ms, batched.loadgen.qps, batched.loadgen.p50_ms,
+      batched.loadgen.p99_ms, batched.mean_batch,
+      static_cast<unsigned long long>(full_flushes),
+      static_cast<unsigned long long>(partial_flushes), speedup,
       speedup_ok ? "true" : "false", p99_ok ? "true" : "false",
       speedup_ok && p99_ok ? "true" : "false");
   std::fclose(json);

@@ -87,8 +87,9 @@ bool ReadSnapshotStream(std::istream& in, SnapshotKind kind,
   }
 }
 
-bool WriteSnapshotFile(const std::string& path, SnapshotKind kind,
-                       std::string_view payload, std::string* error) {
+bool PublishFile(const std::string& path,
+                 const std::function<void(std::ostream&)>& write,
+                 std::string* error) {
   const std::string tmp_path = path + ".tmp";
   {
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
@@ -96,7 +97,7 @@ bool WriteSnapshotFile(const std::string& path, SnapshotKind kind,
       SetError(error, "cannot open " + tmp_path + " for writing");
       return false;
     }
-    WriteSnapshotStream(out, kind, payload);
+    write(out);
     out.flush();
     if (!out) {
       SetError(error, "write to " + tmp_path + " failed");
@@ -105,13 +106,21 @@ bool WriteSnapshotFile(const std::string& path, SnapshotKind kind,
     }
   }
   // The atomic publication step: readers only ever see the old complete
-  // snapshot or the new complete snapshot, never a torn one.
+  // file or the new complete file, never a torn one.
   if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
     SetError(error, "rename " + tmp_path + " -> " + path + " failed");
     std::remove(tmp_path.c_str());
     return false;
   }
   return true;
+}
+
+bool WriteSnapshotFile(const std::string& path, SnapshotKind kind,
+                       std::string_view payload, std::string* error) {
+  return PublishFile(
+      path,
+      [&](std::ostream& out) { WriteSnapshotStream(out, kind, payload); },
+      error);
 }
 
 bool ReadSnapshotFile(const std::string& path, SnapshotKind kind,

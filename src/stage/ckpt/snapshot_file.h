@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -73,10 +74,18 @@ void WriteSnapshotStream(std::ostream& out, SnapshotKind kind,
 bool ReadSnapshotStream(std::istream& in, SnapshotKind kind,
                         std::string* payload, std::string* error = nullptr);
 
-// Crash-safe file publication: writes the envelope to `path + ".tmp"`,
-// flushes, and atomically renames over `path`. A writer killed mid-write
-// leaves at most a stale *.tmp behind — the previously published snapshot
-// at `path` is never touched until the new one is fully on disk.
+// Crash-safe file publication: `write` streams the content into a fresh
+// `path + ".tmp"`, which is flushed and atomically renamed over `path`. A
+// writer killed mid-write leaves at most a stale *.tmp behind — the file
+// previously published at `path` is never touched until the new one is
+// fully on disk. Returns false (filling `error` when non-null) and removes
+// the *.tmp when the open, a write, or the rename fails. Every snapshot
+// format publishes through this one function.
+bool PublishFile(const std::string& path,
+                 const std::function<void(std::ostream&)>& write,
+                 std::string* error = nullptr);
+
+// Publishes the envelope around `payload` at `path` via PublishFile.
 bool WriteSnapshotFile(const std::string& path, SnapshotKind kind,
                        std::string_view payload, std::string* error = nullptr);
 

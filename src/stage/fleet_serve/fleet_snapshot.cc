@@ -1,6 +1,6 @@
 #include "stage/fleet_serve/fleet_snapshot.h"
 
-#include <cstdio>
+#include <optional>
 #include <sstream>
 
 #include "stage/common/crc32.h"
@@ -60,40 +60,26 @@ bool WriteFleetSnapshotFile(
   }
   const std::string index_bytes = index_stream.str();
 
-  const std::string tmp_path = path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      SetError(error, "cannot open " + tmp_path + " for writing");
-      return false;
-    }
-    WritePod(out, kFleetMagic);
-    WritePod(out, kFleetVersion);
-    WritePod(out, static_cast<uint32_t>(ckpt::SnapshotKind::kFleetService));
-    WritePod<uint64_t>(out, payloads.size());
-    WritePod(out, Crc32(index_bytes));
-    out.write(index_bytes.data(),
-              static_cast<std::streamsize>(index_bytes.size()));
-    for (const auto& [tenant, payload] : payloads) {
-      WritePod<uint64_t>(out, payload.size());
-      out.write(payload.data(),
-                static_cast<std::streamsize>(payload.size()));
-    }
-    out.flush();
-    if (!out) {
-      SetError(error, "write to " + tmp_path + " failed");
-      std::remove(tmp_path.c_str());
-      return false;
-    }
-  }
-  // Atomic publication: readers see the old complete snapshot or the new
-  // complete one, never a torn file.
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    SetError(error, "rename " + tmp_path + " -> " + path + " failed");
-    std::remove(tmp_path.c_str());
-    return false;
-  }
-  return true;
+  // Payloads stream straight into the file; the fleet is never buffered
+  // whole in memory.
+  return ckpt::PublishFile(
+      path,
+      [&](std::ostream& out) {
+        WritePod(out, kFleetMagic);
+        WritePod(out, kFleetVersion);
+        WritePod(out,
+                 static_cast<uint32_t>(ckpt::SnapshotKind::kFleetService));
+        WritePod<uint64_t>(out, payloads.size());
+        WritePod(out, Crc32(index_bytes));
+        out.write(index_bytes.data(),
+                  static_cast<std::streamsize>(index_bytes.size()));
+        for (const auto& [tenant, payload] : payloads) {
+          WritePod<uint64_t>(out, payload.size());
+          out.write(payload.data(),
+                    static_cast<std::streamsize>(payload.size()));
+        }
+      },
+      error);
 }
 
 bool FleetSnapshotReader::Open(const std::string& path, std::string* error) {
@@ -203,6 +189,13 @@ bool FleetSnapshotReader::ReadTenant(TenantId tenant, std::string* payload,
   if (prefixed_size != entry->size) {
     SetError(error, "fleet snapshot payload length prefix disagrees with "
                     "index");
+    return false;
+  }
+  // The index CRC vouches for the bytes, not for their sense: bound the
+  // declared size against the file before allocating it.
+  const std::optional<uint64_t> remaining = RemainingBytes(file_);
+  if (remaining && entry->size > *remaining) {
+    SetError(error, "fleet snapshot payload truncated");
     return false;
   }
   std::string bytes(entry->size, '\0');

@@ -32,8 +32,8 @@ using TenantId = uint64_t;
 // `offset` addresses the payload's length prefix from the start of the
 // file; `size`/`payload_crc32` describe the payload bytes (a TenantStack
 // "SSRV" stream), so the prefix and the index cross-check each other.
-// Files are published tmp-then-rename, same crash-safety contract as
-// ckpt::WriteSnapshotFile.
+// Files are published tmp-then-rename through ckpt::PublishFile, the same
+// crash-safety contract as every other snapshot file.
 
 struct FleetSnapshotEntry {
   TenantId tenant_id = 0;

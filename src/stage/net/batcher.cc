@@ -20,10 +20,6 @@ std::string_view FlushReasonName(FlushReason reason) {
 }
 
 std::string MicroBatcherConfig::Validate() const {
-  if (window_us == 0) {
-    return "window_us must be >= 1 (window 0 means no batcher; the serve "
-           "layer handles that by predicting inline)";
-  }
   if (max_batch == 0) return "max_batch must be >= 1";
   if (queue_bound < max_batch) {
     return "queue_bound must be >= max_batch (a full batch must fit)";
@@ -32,10 +28,7 @@ std::string MicroBatcherConfig::Validate() const {
 }
 
 MicroBatcher::MicroBatcher(const MicroBatcherConfig& config, FlushFn flush)
-    : config_(config),
-      window_floor_us_(std::max<uint64_t>(1, config.window_us / 8)),
-      flush_(std::move(flush)),
-      effective_window_us_(config.window_us) {
+    : config_(config), flush_(std::move(flush)) {
   const std::string error = config_.Validate();
   STAGE_CHECK_MSG(error.empty(), error.c_str());
   STAGE_CHECK(flush_ != nullptr);
@@ -57,20 +50,22 @@ SubmitResult MicroBatcher::Submit(BatchItem item) {
     queue_depth_.store(queue_.size(), std::memory_order_relaxed);
     submitted_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Wake the loop: the first item of a window arms the deadline, a full
-  // batch flushes immediately. Intermediate items need no wakeup, but
-  // notifying unconditionally is cheap and keeps the logic obvious.
+  // Wakes an idle consumer; while a flush runs nobody waits and this is a
+  // no-op, the item simply joins the next batch.
   cv_.notify_one();
   return SubmitResult::kAccepted;
 }
 
-void MicroBatcher::Drain() {
+void MicroBatcher::Stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_ && !thread_.joinable()) return;
     stopping_ = true;
   }
   cv_.notify_one();
+}
+
+void MicroBatcher::Drain() {
+  Stop();
   if (thread_.joinable()) thread_.join();
 }
 
@@ -79,18 +74,6 @@ void MicroBatcher::Loop() {
   while (true) {
     cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
     if (queue_.empty()) break;  // stopping_ with nothing left to drain.
-
-    if (!stopping_) {
-      // A batch is forming. Sleep until the oldest item's window expires,
-      // waking early on kFull or drain.
-      const auto window = std::chrono::microseconds(
-          effective_window_us_.load(std::memory_order_relaxed));
-      const auto deadline = queue_.front().enqueue_time + window;
-      cv_.wait_until(lock, deadline, [this, deadline] {
-        return stopping_ || queue_.size() >= config_.max_batch ||
-               std::chrono::steady_clock::now() >= deadline;
-      });
-    }
 
     const size_t take = std::min(queue_.size(), config_.max_batch);
     const FlushReason reason = stopping_              ? FlushReason::kDrain
@@ -103,24 +86,9 @@ void MicroBatcher::Loop() {
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
-    const bool backlog = !queue_.empty();
     queue_depth_.store(queue_.size(), std::memory_order_relaxed);
     flushes_[static_cast<int>(reason)].fetch_add(1,
                                                  std::memory_order_relaxed);
-
-    // Adapt the window (drain flushes don't count: shutdown timing says
-    // nothing about arrival density).
-    if (reason != FlushReason::kDrain) {
-      const uint64_t window =
-          effective_window_us_.load(std::memory_order_relaxed);
-      if (reason == FlushReason::kFull || backlog) {
-        effective_window_us_.store(std::max(window_floor_us_, window / 2),
-                                   std::memory_order_relaxed);
-      } else if (batch.size() * 4 <= config_.max_batch) {
-        effective_window_us_.store(std::min(config_.window_us, window * 2),
-                                   std::memory_order_relaxed);
-      }
-    }
 
     lock.unlock();
     flush_(std::move(batch), reason);

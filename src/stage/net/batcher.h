@@ -34,12 +34,13 @@ struct BatchItem {
 enum class SubmitResult {
   kAccepted = 0,
   kOverloaded,  // Bounded queue full — caller replies kOverloaded.
-  kStopped,     // Drain started — caller replies kShuttingDown.
+  kStopped,     // Stop/Drain started — caller replies kShuttingDown.
 };
 
 enum class FlushReason {
-  kFull = 0,  // max_batch items were waiting.
-  kTimeout,   // The adaptive window expired with a partial batch.
+  kFull = 0,  // max_batch items were queued.
+  kTimeout,   // Partial batch: the consumer came free with fewer than
+              // max_batch queued.
   kDrain,     // Shutdown drain of whatever remained queued.
 };
 
@@ -48,14 +49,7 @@ inline constexpr int kNumFlushReasons = 3;
 std::string_view FlushReasonName(FlushReason reason);
 
 struct MicroBatcherConfig {
-  // Maximum time a request may wait for co-batched company, in
-  // microseconds. This is the ceiling of the ADAPTIVE window: under load
-  // the effective window shrinks (see below) so a hot queue never sits on
-  // latency it does not need. Must be >= 1 here — the serve layer maps its
-  // user-facing batch_window_us == 0 to "no batcher at all".
-  uint64_t window_us = 200;
-
-  // Flush as soon as this many items are queued, window or not.
+  // A flush carries at most this many items.
   size_t max_batch = 64;
 
   // Bounded-queue backpressure: Submit returns kOverloaded beyond this.
@@ -65,23 +59,16 @@ struct MicroBatcherConfig {
   std::string Validate() const;
 };
 
-// The adaptive micro-batching aggregator between the network edge and
+// The micro-batching aggregator between the network edge and
 // FleetService::PredictBatch. Single consumer thread; producers (the
 // server's worker threads) call Submit.
 //
-// Flush policy — a batch leaves the queue when the first of these fires:
-//   * kFull:    max_batch items are waiting (checked on every Submit, so a
-//               burst flushes immediately, not at the next timer tick);
-//   * kTimeout: the oldest queued item has waited effective_window_us;
-//   * kDrain:   Drain() was called.
-//
-// The effective window adapts to load between a floor of window_us / 8
-// (at least 1us) and the configured ceiling:
-//   * hot  — a flush that fills max_batch, or that leaves a backlog
-//            behind, halves the window: arrivals are dense enough that
-//            batches fill without waiting, so waiting only buys latency;
-//   * cold — a timeout flush carrying <= max_batch / 4 items doubles it:
-//            sparse traffic needs the longer window to find company.
+// Natural batching: the consumer takes everything queued, up to
+// max_batch, the moment it is free, and never waits on a timer. A lone
+// request on an idle batcher flushes at once; requests that arrive while
+// a flush runs queue up and form the next batch, so batch size follows
+// load: one under sparse traffic, max_batch under a backlog. Collecting
+// batch N+1 overlaps computing batch N.
 //
 // The flush callback runs on the batcher thread with no locks held, so it
 // may do real work (grouped PredictBatch + completion delivery). Items are
@@ -99,9 +86,14 @@ class MicroBatcher {
 
   SubmitResult Submit(BatchItem item);
 
-  // Stops accepting work, flushes everything still queued (as kDrain
-  // batches, in order), and joins the batcher thread. Idempotent. After
-  // Drain returns, every accepted item has been handed to the callback.
+  // Stops accepting work without waiting: every later Submit returns
+  // kStopped, and whatever is still queued leaves as kDrain batches once
+  // the consumer is free. Idempotent.
+  void Stop();
+
+  // Stop(), then flushes everything still queued (as kDrain batches, in
+  // order) and joins the batcher thread. Idempotent. After Drain returns,
+  // every accepted item has been handed to the callback.
   void Drain();
 
   // ---- Telemetry (safe from any thread) ----
@@ -114,9 +106,6 @@ class MicroBatcher {
   uint64_t flushes(FlushReason reason) const {
     return flushes_[static_cast<int>(reason)].load(std::memory_order_relaxed);
   }
-  uint64_t effective_window_us() const {
-    return effective_window_us_.load(std::memory_order_relaxed);
-  }
   size_t queue_depth() const {
     return queue_depth_.load(std::memory_order_relaxed);
   }
@@ -125,7 +114,6 @@ class MicroBatcher {
   void Loop();
 
   const MicroBatcherConfig config_;
-  const uint64_t window_floor_us_;
   const FlushFn flush_;
 
   std::mutex mutex_;
@@ -136,7 +124,6 @@ class MicroBatcher {
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> flushes_[kNumFlushReasons] = {};
-  std::atomic<uint64_t> effective_window_us_;
   std::atomic<size_t> queue_depth_{0};
 
   std::thread thread_;

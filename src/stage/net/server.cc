@@ -30,12 +30,6 @@ std::string ServerConfig::Validate() const {
   if (num_workers < 1 || num_workers > 256) {
     return "num_workers must be in [1, 256]";
   }
-  if (batch_window_us < 0) {
-    return "batch_window_us must be >= 0 (0 disables batching)";
-  }
-  if (batch_window_us > 10'000'000) {
-    return "batch_window_us above 10s is a config error, not a batch window";
-  }
   if (max_batch < 1) return "max_batch must be >= 1";
   if (queue_bound < max_batch) {
     return "queue_bound must be >= max_batch (a full batch must fit)";
@@ -246,7 +240,6 @@ ServerStats Server::Stats() const {
     stats.batch_submitted = impl.batcher->submitted();
     stats.batch_rejected = impl.batcher->rejected();
     stats.batch_queue_depth = impl.batcher->queue_depth();
-    stats.effective_window_us = impl.batcher->effective_window_us();
   }
   stats.connections_active =
       impl.connections_active.load(std::memory_order_relaxed);
@@ -264,9 +257,8 @@ const metrics::LatencyRecorder& Server::frame_latency() const {
 void Server::Impl::Start() {
   OpenListener();
 
-  if (config.batch_window_us > 0) {
+  if (config.batching) {
     MicroBatcherConfig batcher_config;
-    batcher_config.window_us = static_cast<uint64_t>(config.batch_window_us);
     batcher_config.max_batch = static_cast<size_t>(config.max_batch);
     batcher_config.queue_bound = static_cast<size_t>(config.queue_bound);
     batcher = std::make_unique<MicroBatcher>(
@@ -390,9 +382,6 @@ void Server::Impl::RegisterMetrics() {
     registry->RegisterGaugeCallback(owner, p + "batch_queue_depth", [b] {
       return static_cast<double>(b->queue_depth());
     });
-    registry->RegisterGaugeCallback(
-        owner, p + "batch_window_effective_us",
-        [b] { return static_cast<double>(b->effective_window_us()); });
   }
 }
 
@@ -405,9 +394,11 @@ void Server::Shutdown() {
     if (impl.shutdown_done) return;
     impl.shutdown_done = true;
   }
-  // 1. Stop the intake: no new connections, workers start refusing new
-  //    work with kShuttingDown.
+  // 1. Stop the intake: workers start refusing new work with
+  //    kShuttingDown, the batcher refuses new items, and only then does the
+  //    listener close, so a refused connect proves the intake is shut.
   impl.stopping.store(true, std::memory_order_release);
+  if (impl.batcher != nullptr) impl.batcher->Stop();
   uint64_t one = 1;
   (void)!write(impl.listener_event_fd, &one, sizeof(one));
   impl.listener_thread.join();
@@ -674,20 +665,22 @@ void Server::Impl::ProcessReadBuffer(Worker& w, Connection& conn) {
   } else if (conn.mode == Connection::Mode::kJson) {
     while (true) {
       const size_t nl = conn.read_buf.find('\n', conn.read_pos);
-      if (nl == std::string::npos) {
-        if (conn.read_buf.size() - conn.read_pos >
-            static_cast<size_t>(config.max_json_line_bytes)) {
-          SendError(w, conn, 0, WireError::kMalformed,
-                    "JSON line exceeds the line-length cap");
-          Connection* c = live();
-          if (c != nullptr) {
-            c->close_after_write = true;
-            FlushWrite(w, *c);
-          }
-          return;
+      // The cap applies whether or not the line's newline has arrived: a
+      // complete over-long line is as malformed as an unterminated one.
+      const size_t line_end = nl == std::string::npos ? conn.read_buf.size()
+                                                      : nl;
+      if (line_end - conn.read_pos >
+          static_cast<size_t>(config.max_json_line_bytes)) {
+        SendError(w, conn, 0, WireError::kMalformed,
+                  "JSON line exceeds the line-length cap");
+        Connection* c = live();
+        if (c != nullptr) {
+          c->close_after_write = true;
+          FlushWrite(w, *c);
         }
-        break;
+        return;
       }
+      if (nl == std::string::npos) break;
       std::string_view line =
           std::string_view(conn.read_buf).substr(conn.read_pos,
                                                  nl - conn.read_pos);

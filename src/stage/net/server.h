@@ -27,11 +27,11 @@ struct ServerConfig {
   // the connections).
   int num_workers = 2;
 
-  // Adaptive micro-batching ceiling in microseconds. 0 disables the
-  // aggregator entirely: every predict runs inline on its worker thread
-  // (the bench baseline). See MicroBatcherConfig for the adaptive policy.
-  int64_t batch_window_us = 200;
-  int64_t max_batch = 64;     // Flush threshold; also the GEMM batch size.
+  // Routes predicts through the MicroBatcher, which flushes whatever is
+  // queued whenever its consumer is free (see MicroBatcher). false predicts
+  // inline on the worker thread instead (the bench baseline).
+  bool batching = true;
+  int64_t max_batch = 64;     // Largest flush; also the GEMM batch size.
   int64_t queue_bound = 1024;  // Aggregator backpressure bound.
 
   int64_t max_connections = 256;
@@ -73,7 +73,8 @@ struct ServerStats {
   // Gauges.
   uint64_t connections_active = 0;
   uint64_t batch_queue_depth = 0;
-  uint64_t effective_window_us = 0;  // 0 when batching is disabled.
+  // Always 0: batching waits on no window. Kept for existing readers.
+  uint64_t effective_window_us = 0;
 };
 
 // The epoll-based async prediction server (ROADMAP item 3): FleetService
@@ -86,9 +87,10 @@ struct ServerStats {
 //     over its shard of connections plus an eventfd-signaled mailbox of
 //     {new connections, batch completions, stop}. Workers own all
 //     connection state — no connection is ever touched by two threads;
-//   * one MicroBatcher thread (absent when batch_window_us == 0): flushes
+//   * one MicroBatcher thread (absent when batching is false): flushes
 //     aggregated predict requests through FleetService::PredictBatch and
-//     routes completions back to the owning workers' mailboxes.
+//     routes completions back to the owning workers' mailboxes. While it
+//     computes one flush, the next one collects in its queue.
 //
 // Protocol: length-prefixed binary frames (wire.h) or line-delimited JSON
 // (auto-detected from the first byte, '{' = JSON). Predictions served over
@@ -96,10 +98,11 @@ struct ServerStats {
 // FleetService::Predict — the server rebuilds the QueryContext from the
 // decoded plan with the same deterministic featurizer.
 //
-// Graceful shutdown (Shutdown / destructor): stop accepting, drain the
-// batcher (every accepted request gets its response), then each worker
-// delivers remaining completions, writes a shutdown frame to every open
-// connection, and closes it.
+// Graceful shutdown (Shutdown / destructor): stop accepting (workers and
+// batcher refuse new work before the listener closes), drain the batcher
+// (every accepted request gets its response), then each worker delivers
+// remaining completions, writes a shutdown frame to every open connection,
+// and closes it.
 class Server {
  public:
   // Binds and starts serving immediately. Aborts via STAGE_CHECK on an

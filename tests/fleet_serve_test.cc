@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <span>
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stage/common/crc32.h"
 #include "stage/core/predictor.h"
 #include "stage/fleet/fleet.h"
 #include "stage/fleet_serve/fleet_service.h"
@@ -386,6 +388,39 @@ TEST(FleetSnapshotTest, CorruptionIsDetectedPerTenant) {
   }
   EXPECT_FALSE(reader.Open(path, &error));
   EXPECT_NE(error.find("index"), std::string::npos) << error;
+
+  // A CRC-valid index can still declare a size the file cannot hold:
+  // inflate tenant 2's index size and its length prefix alike, then
+  // recompute the index CRC. Only tenant 2's read fails, without
+  // allocating the declared size.
+  ASSERT_TRUE(WriteFleetSnapshotFile(path, payloads, &error)) << error;
+  {
+    constexpr std::streamoff kIndexCrcAt = 4 * 3 + 8;
+    constexpr std::streamoff kIndexAt = kIndexCrcAt + 4;
+    constexpr std::streamoff kEntryBytes = 8 + 8 + 8 + 4;
+    const uint64_t inflated = uint64_t{1} << 62;
+    char inflated_bytes[sizeof(inflated)];
+    std::memcpy(inflated_bytes, &inflated, sizeof(inflated));
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    // Tenant 2 is the second entry; its size follows the id and offset.
+    file.seekp(kIndexAt + kEntryBytes + 16);
+    file.write(inflated_bytes, sizeof(inflated_bytes));
+    file.seekp(static_cast<std::streamoff>(tenant2_offset));
+    file.write(inflated_bytes, sizeof(inflated_bytes));
+    std::string index(2 * kEntryBytes, '\0');
+    file.seekg(kIndexAt);
+    file.read(index.data(), static_cast<std::streamsize>(index.size()));
+    const uint32_t crc = Crc32(index);
+    char crc_bytes[sizeof(crc)];
+    std::memcpy(crc_bytes, &crc, sizeof(crc));
+    file.seekp(kIndexCrcAt);
+    file.write(crc_bytes, sizeof(crc_bytes));
+    ASSERT_TRUE(file.good());
+  }
+  ASSERT_TRUE(reader.Open(path, &error)) << error;
+  EXPECT_TRUE(reader.ReadTenant(1, &payload, &error)) << error;
+  EXPECT_EQ(payload, payloads[0].second);
+  EXPECT_FALSE(reader.ReadTenant(2, &payload, &error));
   std::remove(path.c_str());
 }
 

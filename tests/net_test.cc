@@ -1,13 +1,14 @@
 // Tests for the stage::net network edge: config validation (including
 // death tests for the STAGE_CHECK-on-construction contract), the JSON
 // writer/parser pair, wire round-trips (and the ground-truth fields that
-// must NOT survive a round-trip), hostile-plan rejection, the adaptive
-// MicroBatcher policy (full/timeout/drain flushes, window shrink/grow,
-// deterministic overload via a blocked flush callback), and the server
-// itself: socket predictions bit-for-bit identical to in-process
-// FleetService::Predict across binary-batched, binary-inline, and JSON
-// modes; observes applied over the socket match an in-process twin; error
-// replies for unknown tenants / malformed payloads / corrupt frames;
+// must NOT survive a round-trip), hostile-plan rejection, the
+// MicroBatcher's natural batching (full/partial/drain flushes formed by
+// items queued while the consumer is held inside a flush, deterministic
+// overload via a blocked flush callback), and the server itself: socket
+// predictions bit-for-bit identical to in-process FleetService::Predict
+// across binary-batched, binary-inline, and JSON modes; observes applied
+// over the socket match an in-process twin; error replies for unknown
+// tenants / malformed payloads / corrupt frames / over-long JSON lines;
 // graceful-shutdown drain (every queued request answered, then a shutdown
 // frame, then EOF); metrics exposition; and a multi-connection stress run
 // for the TSan lane (NetStressTest.*).
@@ -104,14 +105,6 @@ TEST(ServerConfigTest, ValidateRejectsNonsense) {
   EXPECT_FALSE(config.Validate().empty());
   config.num_workers = 2;
 
-  config.batch_window_us = -1;
-  EXPECT_FALSE(config.Validate().empty());
-  config.batch_window_us = 0;  // 0 is legal: batching disabled.
-  EXPECT_TRUE(config.Validate().empty());
-  config.batch_window_us = 20'000'000;  // > 10s: nonsense latency budget.
-  EXPECT_FALSE(config.Validate().empty());
-  config.batch_window_us = 200;
-
   config.max_batch = 0;
   EXPECT_FALSE(config.Validate().empty());
   config.max_batch = 64;
@@ -140,10 +133,6 @@ TEST(ServerConfigTest, ValidateRejectsNonsense) {
 TEST(MicroBatcherConfigTest, ValidateRejectsNonsense) {
   MicroBatcherConfig config;
   EXPECT_TRUE(config.Validate().empty());
-
-  config.window_us = 0;
-  EXPECT_FALSE(config.Validate().empty());
-  config.window_us = 200;
 
   config.max_batch = 0;
   EXPECT_FALSE(config.Validate().empty());
@@ -196,9 +185,9 @@ using NetDeathTest = ::testing::Test;
 
 TEST(NetDeathTest, MicroBatcherAbortsOnInvalidConfig) {
   MicroBatcherConfig config;
-  config.window_us = 0;
+  config.max_batch = 0;
   EXPECT_DEATH(MicroBatcher(config, [](std::vector<BatchItem>, FlushReason) {}),
-               "window_us");
+               "max_batch");
 }
 
 TEST(NetDeathTest, ServerAbortsOnInvalidConfig) {
@@ -622,21 +611,44 @@ TEST(WireJsonTest, RejectsBadLines) {
 
 // ---- MicroBatcher -------------------------------------------------------
 
-// Collects flushes from the batcher thread for the test to wait on.
+// Collects flushes (reason and request ids, in order) from the batcher
+// thread for the test to wait on. Fn(/*hold_first=*/true) adds the promise
+// seam of BoundedQueueRejectsWhenFlushIsStuck: the first flush parks the
+// consumer until Release, so a test can queue items behind a busy consumer
+// deterministically.
 struct FlushLog {
   std::mutex mutex;
   std::condition_variable cv;
-  std::vector<std::pair<FlushReason, size_t>> flushes;
+  std::vector<std::pair<FlushReason, std::vector<uint64_t>>> flushes;
   size_t items = 0;
+  std::promise<void> entered;
+  std::promise<void> release;
 
-  MicroBatcher::FlushFn Fn() {
-    return [this](std::vector<BatchItem> batch, FlushReason reason) {
-      std::lock_guard<std::mutex> lock(mutex);
-      flushes.emplace_back(reason, batch.size());
-      items += batch.size();
+  MicroBatcher::FlushFn Fn(bool hold_first = false) {
+    std::shared_future<void> released = release.get_future().share();
+    return [this, hold_first, released](std::vector<BatchItem> batch,
+                                        FlushReason reason) {
+      bool first = false;
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        std::vector<uint64_t> ids;
+        for (const BatchItem& item : batch) ids.push_back(item.request_id);
+        flushes.emplace_back(reason, std::move(ids));
+        items += batch.size();
+        first = flushes.size() == 1;
+      }
       cv.notify_all();
+      if (hold_first && first) {
+        entered.set_value();
+        released.wait();  // Hold the batcher thread hostage.
+      }
     };
   }
+  void WaitUntilHeld() {
+    ASSERT_EQ(entered.get_future().wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+  }
+  void Release() { release.set_value(); }
   void WaitForItems(size_t n) {
     std::unique_lock<std::mutex> lock(mutex);
     ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
@@ -650,68 +662,82 @@ BatchItem MakeItem(uint64_t request_id) {
   return item;
 }
 
+using Ids = std::vector<uint64_t>;
+
+// max_batch + 1 items queue behind a held flush: the next flush is full,
+// the one after carries the remainder, both in submit order.
 TEST(MicroBatcherTest, FullBatchFlushesImmediately) {
   FlushLog log;
   MicroBatcherConfig config;
-  config.window_us = 1'000'000;  // 1s: a timeout flush would hang the test.
   config.max_batch = 3;
   config.queue_bound = 16;
-  MicroBatcher batcher(config, log.Fn());
-  for (uint64_t i = 0; i < 3; ++i) {
+  MicroBatcher batcher(config, log.Fn(/*hold_first=*/true));
+  EXPECT_EQ(batcher.Submit(MakeItem(0)), SubmitResult::kAccepted);
+  log.WaitUntilHeld();
+  for (uint64_t i = 1; i <= 4; ++i) {
     EXPECT_EQ(batcher.Submit(MakeItem(i)), SubmitResult::kAccepted);
   }
-  log.WaitForItems(3);
+  log.Release();
+  log.WaitForItems(5);
   std::lock_guard<std::mutex> lock(log.mutex);
-  ASSERT_EQ(log.flushes.size(), 1u);
-  EXPECT_EQ(log.flushes[0].first, FlushReason::kFull);
-  EXPECT_EQ(log.flushes[0].second, 3u);
+  ASSERT_EQ(log.flushes.size(), 3u);
+  EXPECT_EQ(log.flushes[1].first, FlushReason::kFull);
+  EXPECT_EQ(log.flushes[1].second, (Ids{1, 2, 3}));
+  EXPECT_EQ(log.flushes[2].first, FlushReason::kTimeout);
+  EXPECT_EQ(log.flushes[2].second, (Ids{4}));
   EXPECT_EQ(batcher.flushes(FlushReason::kFull), 1u);
-  // A full flush halves the effective window.
-  EXPECT_EQ(batcher.effective_window_us(), 500'000u);
 }
 
-TEST(MicroBatcherTest, PartialBatchFlushesOnTimeoutAndWindowGrowsBack) {
+// A lone item on an idle batcher flushes at once, with no timer; the items
+// that queue while that flush runs leave together as the next, partial,
+// batch.
+TEST(MicroBatcherTest, ItemsQueuedDuringAFlushFormThePartialNextBatch) {
   FlushLog log;
   MicroBatcherConfig config;
-  config.window_us = 4000;  // 4ms.
   config.max_batch = 8;
   config.queue_bound = 16;
-  MicroBatcher batcher(config, log.Fn());
-
-  // Fill one batch: window halves to 2000us.
-  for (uint64_t i = 0; i < 8; ++i) {
+  MicroBatcher batcher(config, log.Fn(/*hold_first=*/true));
+  EXPECT_EQ(batcher.Submit(MakeItem(0)), SubmitResult::kAccepted);
+  log.WaitUntilHeld();
+  for (uint64_t i = 1; i <= 3; ++i) {
     EXPECT_EQ(batcher.Submit(MakeItem(i)), SubmitResult::kAccepted);
   }
-  log.WaitForItems(8);
-  EXPECT_EQ(batcher.effective_window_us(), 2000u);
-
-  // A sparse timeout flush (1 item <= max_batch / 4) doubles it back.
-  EXPECT_EQ(batcher.Submit(MakeItem(100)), SubmitResult::kAccepted);
-  log.WaitForItems(9);
+  EXPECT_EQ(batcher.queue_depth(), 3u);
+  log.Release();
+  log.WaitForItems(4);
   std::lock_guard<std::mutex> lock(log.mutex);
   ASSERT_EQ(log.flushes.size(), 2u);
+  EXPECT_EQ(log.flushes[0].first, FlushReason::kTimeout);
+  EXPECT_EQ(log.flushes[0].second, (Ids{0}));
   EXPECT_EQ(log.flushes[1].first, FlushReason::kTimeout);
-  EXPECT_EQ(log.flushes[1].second, 1u);
-  EXPECT_EQ(batcher.effective_window_us(), 4000u);  // Capped at configured.
+  EXPECT_EQ(log.flushes[1].second, (Ids{1, 2, 3}));
+  EXPECT_EQ(batcher.flushes(FlushReason::kTimeout), 2u);
 }
 
+// Items queued behind a held flush when Stop lands leave as one kDrain
+// batch; nothing is accepted after Stop.
 TEST(MicroBatcherTest, DrainFlushesRemainderAndStopsAccepting) {
   FlushLog log;
   MicroBatcherConfig config;
-  config.window_us = 1'000'000;
   config.max_batch = 64;
   config.queue_bound = 64;
-  MicroBatcher batcher(config, log.Fn());
+  MicroBatcher batcher(config, log.Fn(/*hold_first=*/true));
+  EXPECT_EQ(batcher.Submit(MakeItem(0)), SubmitResult::kAccepted);
+  log.WaitUntilHeld();
   EXPECT_EQ(batcher.Submit(MakeItem(1)), SubmitResult::kAccepted);
   EXPECT_EQ(batcher.Submit(MakeItem(2)), SubmitResult::kAccepted);
+  batcher.Stop();
+  EXPECT_EQ(batcher.Submit(MakeItem(3)), SubmitResult::kStopped);
+  log.Release();
   batcher.Drain();
   {
     std::lock_guard<std::mutex> lock(log.mutex);
-    ASSERT_EQ(log.flushes.size(), 1u);
-    EXPECT_EQ(log.flushes[0].first, FlushReason::kDrain);
-    EXPECT_EQ(log.flushes[0].second, 2u);
+    ASSERT_EQ(log.flushes.size(), 2u);
+    EXPECT_EQ(log.flushes[0].second, (Ids{0}));
+    EXPECT_EQ(log.flushes[1].first, FlushReason::kDrain);
+    EXPECT_EQ(log.flushes[1].second, (Ids{1, 2}));
   }
-  EXPECT_EQ(batcher.Submit(MakeItem(3)), SubmitResult::kStopped);
+  EXPECT_EQ(batcher.Submit(MakeItem(4)), SubmitResult::kStopped);
   batcher.Drain();  // Idempotent.
 }
 
@@ -726,7 +752,6 @@ TEST(MicroBatcherTest, BoundedQueueRejectsWhenFlushIsStuck) {
   std::atomic<int> calls{0};
 
   MicroBatcherConfig config;
-  config.window_us = 1;  // Grab the first item immediately.
   config.max_batch = 1;
   config.queue_bound = 2;
   MicroBatcher batcher(
@@ -826,7 +851,7 @@ TEST(ServerTest, BatchedPredictionsMatchInProcessBitForBit) {
   ServerFixture fx;
   ServerConfig config;
   config.num_workers = 2;
-  config.batch_window_us = 200;
+  config.batching = true;
   fx.Start(config);
   auto client = fx.Connect();
   ASSERT_NE(client, nullptr);
@@ -868,7 +893,7 @@ TEST(ServerTest, InlinePredictionsMatchInProcessBitForBit) {
   ServerFixture fx;
   ServerConfig config;
   config.num_workers = 1;
-  config.batch_window_us = 0;  // Batching disabled: the bench baseline.
+  config.batching = false;  // Batching disabled: the bench baseline.
   fx.Start(config);
   auto client = fx.Connect();
   ASSERT_NE(client, nullptr);
@@ -948,6 +973,55 @@ TEST(ServerTest, ObservesOverTheSocketMatchInProcessState) {
   EXPECT_EQ(fx.server_->Stats().observes, 30u);
 }
 
+// One line-JSON predict request for `plan`, newline included. A non-empty
+// `padding` rides along as an extra string field, which the parser ignores.
+std::string JsonPredictLine(const plan::Plan& plan, uint64_t id,
+                            uint64_t tenant, int32_t concurrent,
+                            uint64_t tick, const std::string& padding = "") {
+  std::string line;
+  JsonWriter w(&line);
+  w.BeginObject();
+  w.Key("type").String("predict");
+  w.Key("id").UInt(id);
+  w.Key("tenant").UInt(tenant);
+  w.Key("concurrent").Int(concurrent);
+  w.Key("tick").UInt(tick);
+  if (!padding.empty()) w.Key("padding").String(padding);
+  w.Key("plan").BeginObject();
+  w.Key("query_type").UInt(static_cast<uint64_t>(plan.query_type()));
+  w.Key("nodes").BeginArray();
+  for (const plan::PlanNode& node : plan.nodes()) {
+    w.BeginObject();
+    w.Key("op").UInt(static_cast<uint64_t>(node.op));
+    w.Key("cost").Double(node.estimated_cost);
+    w.Key("card").Double(node.estimated_cardinality);
+    w.Key("width").Double(node.tuple_width);
+    w.Key("s3").UInt(static_cast<uint64_t>(node.s3_format));
+    w.Key("rows").Double(node.table_rows);
+    w.Key("children").BeginArray();
+    for (const int32_t child : node.children) w.Int(child);
+    w.EndArray();
+    w.EndObject();
+  }
+  w.EndArray();
+  w.EndObject();
+  w.EndObject();
+  line.push_back('\n');
+  return line;
+}
+
+// Reads one newline-terminated line from `fd`; false on EOF or error.
+bool ReadLine(int fd, std::string* line) {
+  line->clear();
+  char c;
+  while (true) {
+    const ssize_t n = read(fd, &c, 1);
+    if (n != 1) return false;
+    if (c == '\n') return true;
+    line->push_back(c);
+  }
+}
+
 TEST(ServerTest, JsonModePredictionsMatchInProcessBitForBit) {
   ServerFixture fx;
   ServerConfig config;
@@ -956,52 +1030,14 @@ TEST(ServerTest, JsonModePredictionsMatchInProcessBitForBit) {
   auto client = fx.Connect();
   ASSERT_NE(client, nullptr);
 
-  const auto read_line = [&](std::string* line) {
-    line->clear();
-    char c;
-    while (true) {
-      const ssize_t n = read(client->fd(), &c, 1);
-      if (n != 1) return false;
-      if (c == '\n') return true;
-      line->push_back(c);
-    }
-  };
-
   for (uint64_t i = 0; i < 10; ++i) {
     const plan::Plan plan = fx.TracePlan(i);
-    std::string line;
-    JsonWriter w(&line);
-    w.BeginObject();
-    w.Key("type").String("predict");
-    w.Key("id").UInt(i);
-    w.Key("tenant").UInt(1);
-    w.Key("concurrent").Int(2);
-    w.Key("tick").UInt(i);
-    w.Key("plan").BeginObject();
-    w.Key("query_type").UInt(static_cast<uint64_t>(plan.query_type()));
-    w.Key("nodes").BeginArray();
-    for (const plan::PlanNode& node : plan.nodes()) {
-      w.BeginObject();
-      w.Key("op").UInt(static_cast<uint64_t>(node.op));
-      w.Key("cost").Double(node.estimated_cost);
-      w.Key("card").Double(node.estimated_cardinality);
-      w.Key("width").Double(node.tuple_width);
-      w.Key("s3").UInt(static_cast<uint64_t>(node.s3_format));
-      w.Key("rows").Double(node.table_rows);
-      w.Key("children").BeginArray();
-      for (const int32_t child : node.children) w.Int(child);
-      w.EndArray();
-      w.EndObject();
-    }
-    w.EndArray();
-    w.EndObject();
-    w.EndObject();
-    line.push_back('\n');
+    const std::string line = JsonPredictLine(plan, i, 1, 2, i);
     std::string send_error;
     ASSERT_TRUE(client->SendRaw(line, &send_error)) << send_error;
 
     std::string reply;
-    ASSERT_TRUE(read_line(&reply));
+    ASSERT_TRUE(ReadLine(client->fd(), &reply));
     JsonValue v;
     ASSERT_TRUE(ParseJson(reply, &v)) << reply;
     ASSERT_NE(v.Find("seconds"), nullptr) << reply;
@@ -1017,6 +1053,40 @@ TEST(ServerTest, JsonModePredictionsMatchInProcessBitForBit) {
   EXPECT_EQ(stats.json_lines_in, 10u);
   EXPECT_EQ(stats.json_lines_out, 10u);
   EXPECT_EQ(stats.frames_in, 0u);
+}
+
+// The JSON line cap holds for a line that arrives whole, newline and all,
+// in one read: an error line with code "malformed", then the server closes.
+TEST(ServerTest, CompleteJsonLineOverTheCapIsMalformedThenClosed) {
+  ServerFixture fx;
+  ServerConfig config;
+  config.num_workers = 1;
+  config.max_json_line_bytes = 512;
+  fx.Start(config);
+  auto client = fx.Connect();
+  ASSERT_NE(client, nullptr);
+  const plan::Plan plan = MakeWirePlan(1.0);
+  std::string send_error;
+  std::string reply;
+  JsonValue v;
+
+  // A line under the cap is served.
+  const std::string line = JsonPredictLine(plan, 1, 0, 0, 1);
+  ASSERT_LE(line.size(), 512u);
+  ASSERT_TRUE(client->SendRaw(line, &send_error)) << send_error;
+  ASSERT_TRUE(ReadLine(client->fd(), &reply));
+  ASSERT_TRUE(ParseJson(reply, &v)) << reply;
+  EXPECT_NE(v.Find("seconds"), nullptr) << reply;
+
+  const std::string padded =
+      JsonPredictLine(plan, 2, 0, 0, 2, std::string(600, 'x'));
+  ASSERT_GT(padded.size(), 512u + 1);
+  ASSERT_TRUE(client->SendRaw(padded, &send_error)) << send_error;
+  ASSERT_TRUE(ReadLine(client->fd(), &reply));
+  ASSERT_TRUE(ParseJson(reply, &v)) << reply;
+  ASSERT_NE(v.Find("code"), nullptr) << reply;
+  EXPECT_EQ(v.Find("code")->string_value, "malformed") << reply;
+  EXPECT_FALSE(ReadLine(client->fd(), &reply));  // EOF.
 }
 
 TEST(ServerTest, UnknownTenantGetsErrorReplyAndConnectionSurvives) {
@@ -1155,7 +1225,6 @@ TEST(ServerTest, OverloadRepliesMatchBatcherRejections) {
   ServerFixture fx;
   ServerConfig config;
   config.num_workers = 1;
-  config.batch_window_us = 5000;
   config.max_batch = 4;
   config.queue_bound = 4;
   fx.Start(config);
@@ -1208,23 +1277,53 @@ TEST(ServerTest, OverloadRepliesMatchBatcherRejections) {
 }
 
 TEST(ServerTest, GracefulShutdownDrainsQueuedRequests) {
+  // Request 0 goes to a cold tenant whose stack registers its metrics on
+  // `registry` during activation. The test holds the registry's lock inside
+  // a blocked RenderText callback, so the batcher consumer parks in that
+  // activation with request 0 and everything after it stays queued until
+  // Shutdown drains it. The parked tenant is configured exactly like
+  // tenant 0, so its answer matches the twin's tenant 0 bit-for-bit.
+  obs::MetricsRegistry registry;
   ServerFixture fx;
+  constexpr fleet_serve::TenantId kParked = 2;
+  fx.served_->RegisterTenant(kParked, {fx.global_model_.get(),
+                                       &fx.instances_[0].config, &registry});
   ServerConfig config;
   config.num_workers = 1;
-  // A huge window so the requests sit in the batcher queue until Shutdown
-  // drains them — proving the drain path, not a lucky timeout flush.
-  config.batch_window_us = 10'000'000;
   config.max_batch = 64;
   fx.Start(config);
   auto client = fx.Connect();
   ASSERT_NE(client, nullptr);
 
+  std::promise<void> rendering_promise;
+  std::future<void> rendering = rendering_promise.get_future();
+  std::promise<void> release_promise;
+  std::shared_future<void> release = release_promise.get_future().share();
+  registry.RegisterGaugeCallback(&release, "test_hold_registry", [&] {
+    rendering_promise.set_value();
+    release.wait();
+    return 0.0;
+  });
+  std::thread render([&] { registry.RenderText(); });
+  ASSERT_EQ(rendering.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+
   constexpr uint64_t kQueued = 5;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  // Polls the server's stats until `done` holds; false at the deadline.
+  const auto wait_for = [&](const auto& done) {
+    while (!done(fx.server_->Stats())) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  };
   std::string payload;
   for (uint64_t i = 0; i < kQueued; ++i) {
     PredictRequest request;
     request.request_id = i;
-    request.tenant = 0;
+    request.tenant = i == 0 ? kParked : 0;
     request.tick = i;
     request.plan = fx.TracePlan(i);
     payload.clear();
@@ -1233,16 +1332,33 @@ TEST(ServerTest, GracefulShutdownDrainsQueuedRequests) {
     ASSERT_TRUE(client->SendMessage(MessageType::kPredictRequest, payload,
                                     &send_error))
         << send_error;
+    // Request 0 must leave the queue (the consumer takes it and parks)
+    // before the others arrive, or they would share its flush.
+    if (i == 0) {
+      ASSERT_TRUE(wait_for([](const ServerStats& stats) {
+        return stats.batch_submitted == 1 && stats.batch_queue_depth == 0;
+      }));
+    }
   }
-  // Wait until all five are queued in the batcher (none answered yet).
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (fx.server_->Stats().batch_submitted < kQueued) {
+  // Wait until the other four are queued behind it (none answered yet).
+  ASSERT_TRUE(wait_for([&](const ServerStats& stats) {
+    return stats.batch_submitted == kQueued;
+  }));
+
+  // Shutdown blocks until the parked flush finishes, so it runs on its own
+  // thread. The listener closes only after the batcher has stopped
+  // accepting, so once a connect is refused the queued requests can only
+  // leave as the drain flush, and the consumer may be released.
+  std::thread shutdown([&] { fx.server_->Shutdown(); });
+  while (Client::Connect("127.0.0.1", fx.server_->port(), nullptr) !=
+         nullptr) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-
-  fx.server_->Shutdown();
+  release_promise.set_value();
+  render.join();
+  shutdown.join();
+  registry.UnregisterAll(&release);
 
   // Every queued request is answered (bit-for-bit), then the shutdown
   // frame, then EOF — no lost observations, no dangling clients.
@@ -1404,7 +1520,6 @@ TEST(NetStressTest, ConcurrentClientsAndGracefulShutdown) {
   ServerFixture fx;
   ServerConfig config;
   config.num_workers = 2;
-  config.batch_window_us = 100;
   config.max_batch = 16;
   fx.Start(config);
 
