@@ -97,14 +97,14 @@ void CompleteTrace(obs::PredictionTrace* trace, const Prediction& out) {
 // cold-start default. `cached_seconds` is the already-made cache lookup;
 // `local` may be null or untrained. When the query escalates to the global
 // model it returns with out.source == kGlobal, out.seconds NOT yet
-// computed, and *needs_global = true: the caller fills them, inline or with
-// ONE GlobalModel::PredictBatch over a batch's escalations (bit-for-bit the
-// same, GlobalModel's contract), then calls CompleteTrace. When `trace` is
-// non-null the routing decision is recorded into it; the latency fields are
-// the caller's job. `uncertainty_scale` multiplies the local model's
-// log_std before the confidence check and in the reported uncertainty (the
-// §4.8 conformal correction); 1.0 — the only value the flag-off path
-// passes — is bit-for-bit identity.
+// computed, and *needs_global = true: StagePredictor::Route fills them from
+// one GlobalModel::PredictBatch over the call's escalations, then calls
+// CompleteTrace. When `trace` is non-null the routing decision is recorded
+// into it; the shard and latency fields are the caller's job.
+// `uncertainty_scale` multiplies the local model's log_std before the
+// confidence check and in the reported uncertainty (the §4.8 conformal
+// correction); 1.0 — the only value the flag-off path passes — is
+// bit-for-bit identity.
 Prediction RouteHierarchical(const StagePredictorConfig& config,
                              const QueryContext& query,
                              std::optional<double> cached_seconds,
@@ -281,142 +281,115 @@ void StagePredictor::RegisterMetrics() {
       [] { return ThreadPool::Shared().tasks_run(); });
 }
 
-Prediction StagePredictor::PredictImpl(const QueryContext& query,
-                                       obs::PredictionTrace* trace) const {
-  const auto start = std::chrono::steady_clock::now();
-  // Take the model snapshot before the cache lookup: a snapshot held for
-  // the whole routing decision can never be freed mid-predict, and the
-  // routing function sees one consistent model.
+namespace {
+
+// Per-thread working storage of StagePredictor::Route, reused across
+// calls: allocation-free once a thread has served its largest batch.
+struct RouteScratch {
+  struct Routed {
+    uint64_t nanos = 0;  // Cache probe + routing.
+    bool escalated = false;
+  };
+  std::vector<Routed> routed;                   // One per query.
+  std::vector<global::GlobalQuery> escalations;  // In query order.
+  std::vector<double> global_seconds;            // One per escalation.
+};
+
+RouteScratch& TlsRouteScratch() {
+  thread_local RouteScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+void StagePredictor::Route(std::span<const QueryContext> queries,
+                           std::span<Prediction> out,
+                           std::span<obs::PredictionTrace> traces) const {
+  RouteScratch& scratch = TlsRouteScratch();
+  scratch.routed.resize(queries.size());
+  scratch.escalations.clear();
+
+  // Phase 1: cache probe + local routing, escalations deferred. The model
+  // snapshot and the conformal scale are taken once, before the first
+  // probe: every query routes against one model, which cannot be freed
+  // mid-call, under one correction even if an Observe refreshes it.
   const std::shared_ptr<const local::LocalModel> local =
       local_model_snapshot();
-  bool needs_global = false;
-  Prediction out = RouteHierarchical(
-      config_, query, cache_.Predict(query.feature_hash), local.get(),
-      options_.global_model, options_.instance, &needs_global, trace,
-      conformal_scale());
-  if (needs_global) {
-    out.seconds = options_.global_model->PredictSeconds(
-        *query.plan, *options_.instance, query.concurrent_queries);
-    CompleteTrace(trace, out);
+  const double scale = conformal_scale();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const QueryContext& query = queries[i];
+    const auto start = std::chrono::steady_clock::now();
+    bool escalated = false;
+    out[i] = RouteHierarchical(
+        config_, query, cache_.Predict(query.feature_hash), local.get(),
+        options_.global_model, options_.instance, &escalated,
+        traces.empty() ? nullptr : &traces[i], scale);
+    if (escalated) {
+      scratch.escalations.push_back({query.plan, query.concurrent_queries});
+    }
+    scratch.routed[i] = {ElapsedNanos(start), escalated};
   }
-  source_counts_[static_cast<int>(out.source)].fetch_add(
-      1, std::memory_order_relaxed);
-  const uint64_t nanos = ElapsedNanos(start);
-  predict_latency_.Record(static_cast<size_t>(out.source), nanos);
-  if (trace != nullptr) {
-    trace->cache_shard =
-        static_cast<uint32_t>(query.feature_hash % cache_.num_shards());
-    trace->total_nanos = nanos;
+
+  // Phase 2: one level-order global pass over every escalation. Each
+  // escalated query is charged an equal share (the per-query split inside
+  // one GEMM is unknowable).
+  uint64_t global_share = 0;
+  if (!scratch.escalations.empty()) {
+    const size_t count = scratch.escalations.size();
+    scratch.global_seconds.resize(count);
+    const auto global_start = std::chrono::steady_clock::now();
+    options_.global_model->PredictBatch(
+        scratch.escalations, *options_.instance, scratch.global_seconds,
+        count > 1 ? &ThreadPool::Shared() : nullptr);
+    global_share = ElapsedNanos(global_start) / count;
   }
-  return out;
+
+  // Phase 3: attribution, per-stage latency, traces and routing metrics,
+  // in query order.
+  size_t next_escalation = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const RouteScratch::Routed& routed = scratch.routed[i];
+    uint64_t nanos = routed.nanos;
+    if (routed.escalated) {
+      out[i].seconds = scratch.global_seconds[next_escalation++];
+      nanos += global_share;
+    }
+    source_counts_[static_cast<int>(out[i].source)].fetch_add(
+        1, std::memory_order_relaxed);
+    predict_latency_.Record(static_cast<size_t>(out[i].source), nanos);
+    if (traces.empty()) continue;
+    obs::PredictionTrace& trace = traces[i];
+    if (routed.escalated) CompleteTrace(&trace, out[i]);
+    trace.cache_shard =
+        static_cast<uint32_t>(queries[i].feature_hash % cache_.num_shards());
+    trace.total_nanos = nanos;
+    if (routing_metrics_.enabled()) routing_metrics_.Record(trace);
+  }
 }
 
 Prediction StagePredictor::Predict(const QueryContext& query) const {
-  if (!routing_metrics_.enabled()) return PredictImpl(query, nullptr);
-  obs::PredictionTrace trace;
-  const Prediction out = PredictImpl(query, &trace);
-  routing_metrics_.Record(trace);
-  return out;
+  return PredictTraced(query, nullptr);
 }
 
 Prediction StagePredictor::PredictTraced(const QueryContext& query,
                                          obs::PredictionTrace* trace) const {
-  if (trace == nullptr) return Predict(query);
-  const Prediction out = PredictImpl(query, trace);
-  if (routing_metrics_.enabled()) routing_metrics_.Record(*trace);
+  // Routing metrics are recorded from a trace, so a metered predictor
+  // traces every query.
+  obs::PredictionTrace metered;
+  if (trace == nullptr && routing_metrics_.enabled()) trace = &metered;
+  Prediction out;
+  Route({&query, 1}, {&out, 1},
+        trace == nullptr ? std::span<obs::PredictionTrace>()
+                         : std::span<obs::PredictionTrace>(trace, 1));
   return out;
 }
 
-namespace {
-
-// Batches at least this large fan out across the shared thread pool; the
-// per-query routing work (cache shard lookup + flat-forest walk) is too
-// small to amortize task handoff below it.
-constexpr size_t kParallelBatchThreshold = 64;
-
-}  // namespace
-
 std::vector<Prediction> StagePredictor::PredictBatch(
     std::span<const QueryContext> queries) const {
-  // One model snapshot amortized across the batch; cache lookups still go
-  // through the shard locks individually so a batch never starves writers.
-  const std::shared_ptr<const local::LocalModel> local =
-      local_model_snapshot();
   std::vector<Prediction> out(queries.size());
-  if (queries.empty()) return out;
-  const bool traced = routing_metrics_.enabled();
-  std::vector<obs::PredictionTrace> traces(traced ? queries.size() : 0);
-  std::vector<uint64_t> phase1_nanos(queries.size(), 0);
-  // uint8_t, not bool: lanes write neighboring elements concurrently.
-  std::vector<uint8_t> needs_global(queries.size(), 0);
-
-  // One scale load for the whole batch: every lane routes under the same
-  // conformal correction even if an Observe refreshes it mid-batch.
-  const double scale = conformal_scale();
-
-  // Phase 1: cache + local routing. Escalated queries defer their seconds
-  // to ONE batched global pass below instead of running the GCN inline.
-  const auto route_one = [&](size_t i) {
-    const QueryContext& query = queries[i];
-    const auto query_start = std::chrono::steady_clock::now();
-    bool escalate = false;
-    out[i] = RouteHierarchical(
-        config_, query, cache_.Predict(query.feature_hash), local.get(),
-        options_.global_model, options_.instance, &escalate,
-        traced ? &traces[i] : nullptr, scale);
-    needs_global[i] = escalate ? 1 : 0;
-    phase1_nanos[i] = ElapsedNanos(query_start);
-  };
-  if (queries.size() >= kParallelBatchThreshold) {
-    // Safe to fan out: cache_.Predict only touches per-shard locks and
-    // atomic counters, the model snapshot is immutable, and each lane
-    // writes only its own slots, so results match the sequential loop
-    // exactly.
-    ThreadPool::Shared().ParallelFor(queries.size(), route_one);
-  } else {
-    for (size_t i = 0; i < queries.size(); ++i) route_one(i);
-  }
-
-  // Phase 2: one level-order batched global pass over every escalation —
-  // bit-identical to per-query PredictSeconds (GlobalModel's contract).
-  std::vector<size_t> escalated;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (needs_global[i] != 0) escalated.push_back(i);
-  }
-  uint64_t global_share = 0;
-  if (!escalated.empty()) {
-    std::vector<global::GlobalQuery> global_queries;
-    global_queries.reserve(escalated.size());
-    for (size_t i : escalated) {
-      global_queries.push_back({queries[i].plan,
-                                queries[i].concurrent_queries});
-    }
-    std::vector<double> seconds(escalated.size());
-    const auto global_start = std::chrono::steady_clock::now();
-    options_.global_model->PredictBatch(
-        global_queries, *options_.instance, seconds,
-        escalated.size() > 1 ? &ThreadPool::Shared() : nullptr);
-    // Each escalated query carries an equal share of the batched pass (the
-    // per-query split inside one GEMM is unknowable).
-    global_share = ElapsedNanos(global_start) / escalated.size();
-    for (size_t j = 0; j < escalated.size(); ++j) {
-      out[escalated[j]].seconds = seconds[j];
-    }
-  }
-
-  // Counters, latency, and trace emission, in index order.
-  for (size_t i = 0; i < queries.size(); ++i) {
-    source_counts_[static_cast<int>(out[i].source)].fetch_add(
-        1, std::memory_order_relaxed);
-    const uint64_t nanos =
-        phase1_nanos[i] + (needs_global[i] != 0 ? global_share : 0);
-    predict_latency_.Record(static_cast<size_t>(out[i].source), nanos);
-    if (traced) {
-      traces[i].total_nanos = nanos;
-      if (needs_global[i] != 0) CompleteTrace(&traces[i], out[i]);
-      routing_metrics_.Record(traces[i]);
-    }
-  }
+  std::vector<obs::PredictionTrace> traces(
+      routing_metrics_.enabled() ? queries.size() : 0);
+  Route(queries, out, traces);
   return out;
 }
 

@@ -87,6 +87,13 @@ struct StagePredictorOptions {
 // is due and leaves scheduling to the caller (FleetService's fairness-capped
 // workers).
 //
+// Predict, PredictTraced and PredictBatch are one routine over a span of
+// queries (one query for the first two), in three phases: route each query
+// through the cache and the local model with escalation deferred, run ONE
+// GlobalModel::PredictBatch over the escalations, then record attribution,
+// per-stage latency, traces and routing metrics in query order. A query
+// therefore routes, answers and reports the same whichever entry served it.
+//
 // Concurrency contract:
 //  * Predict / PredictBatch / PredictTraced are const, never block on
 //    training, and are safe against each other and against Observe.
@@ -111,22 +118,19 @@ class StagePredictor : public ExecTimePredictor {
   StagePredictor(const StagePredictor&) = delete;
   StagePredictor& operator=(const StagePredictor&) = delete;
 
+  // Allocation-free once this thread's scratch is warm.
   Prediction Predict(const QueryContext& query) const override;
 
-  // Batch prediction with the global-model fan-out batched: routing runs
-  // per query (cache + local model), every escalated query is collected,
-  // and ONE GlobalModel::PredictBatch computes their seconds in a single
-  // level-order pass. Results are bit-for-bit identical to calling Predict
-  // once per query, in order (the base-class contract); only the wall
-  // clock changes. Traced latency for escalated queries attributes an
-  // equal share of the batched global pass to each.
+  // The same routine over the whole span: its escalations share one
+  // global pass (on ThreadPool::Shared() when there are several), and each
+  // is charged an equal share of that pass's latency. Bit-for-bit equal to
+  // calling Predict once per query, in order (the base-class contract).
   std::vector<Prediction> PredictBatch(
       std::span<const QueryContext> queries) const override;
 
   // Predict with the routing decision recorded into `trace` (stage reached,
-  // thresholds crossed, uncertainty, cache shard, total latency in ns);
-  // predictions are bit-for-bit identical to Predict. `trace` may be null,
-  // degrading to Predict.
+  // thresholds crossed, uncertainty, cache shard, total latency in ns).
+  // `trace` may be null, degrading to Predict.
   Prediction PredictTraced(const QueryContext& query,
                            obs::PredictionTrace* trace) const;
 
@@ -219,8 +223,11 @@ class StagePredictor : public ExecTimePredictor {
                  const StagePredictorOptions& options, size_t cache_shards);
 
  private:
-  Prediction PredictImpl(const QueryContext& query,
-                         obs::PredictionTrace* trace) const;
+  // The routine behind every predict entry. `out` has queries.size()
+  // slots; `traces` is empty or has one per query, and must be non-empty
+  // when routing metrics are enabled (they are recorded from the traces).
+  void Route(std::span<const QueryContext> queries, std::span<Prediction> out,
+             std::span<obs::PredictionTrace> traces) const;
   void RegisterMetrics();
   void PublishModel(std::shared_ptr<const local::LocalModel> fresh);
 

@@ -256,6 +256,12 @@ class FleetService {
   Entry* FindEntryLocked(TenantId tenant) const;
   // Returns a pinned warm stack for `tenant`, activating it if cold.
   OpGuard AcquireWarm(TenantId tenant, bool* cold_activated);
+  // The body of every predict entry: runs `predict` on the pinned warm
+  // stack, counts `count` predictions for the tenant, then enforces the
+  // resident-bytes budget.
+  template <typename PredictFn>
+  auto PredictPinned(TenantId tenant, size_t count, bool* cold_activated,
+                     PredictFn predict);
   // Like AcquireWarm but returns an empty guard instead of activating a
   // cold tenant (the retrain worker has no business waking evicted state).
   OpGuard TryAcquireWarm(TenantId tenant);

@@ -270,20 +270,10 @@ double GlobalModel::PredictSecondsFromExample(
 double GlobalModel::PredictSeconds(const plan::Plan& plan,
                                    const fleet::InstanceConfig& instance,
                                    int concurrent_queries) const {
-  STAGE_CHECK(trained_);
-  Scratch& scratch = TlsScratch();
-  scratch.batch.Clear(plan::kNodeFeatureDim);
-  plan::NodeFeaturesInto(plan, &scratch.node_features);
-  scratch.batch.AddTree(
-      scratch.node_features.data(), plan.node_count(),
-      [&plan](int32_t i) -> const std::vector<int32_t>& {
-        return plan.node(i).children;
-      });
-  scratch.system.resize(kSystemFeatureDim);
-  SystemFeaturesInto(instance, plan, concurrent_queries,
-                     scratch.system.data());
-  const float* out = ForwardPrepared(scratch, scratch.system.data(), nullptr);
-  return TargetToSeconds(static_cast<double>(out[0]));
+  const GlobalQuery query{&plan, concurrent_queries};
+  double seconds = 0.0;
+  PredictBatch({&query, 1}, instance, {&seconds, 1});
+  return seconds;
 }
 
 void GlobalModel::PredictBatch(std::span<const GlobalQuery> queries,

@@ -103,8 +103,9 @@ class GlobalModel {
 
   bool trained() const { return trained_; }
 
-  // Predicted exec-time in seconds for a (plan, instance, load) triple.
-  // Allocation-free once this thread's scratch is warm.
+  // Predicted exec-time in seconds for a (plan, instance, load) triple: a
+  // one-query PredictBatch. Allocation-free once this thread's scratch is
+  // warm.
   double PredictSeconds(const plan::Plan& plan,
                         const fleet::InstanceConfig& instance,
                         int concurrent_queries) const;
@@ -112,11 +113,11 @@ class GlobalModel {
   // Prediction from a prepared example (no refeaturization).
   double PredictSecondsFromExample(const GlobalExample& example) const;
 
-  // Batched PredictSeconds: featurizes every query once, then runs ONE
-  // level-order GCN pass over the whole forest and one batched head pass.
-  // out_seconds[i] is bit-for-bit identical to
-  // PredictSeconds(*queries[i].plan, instance, queries[i].concurrent_queries)
-  // for every batch size; `pool` only fans out the GEMMs. Requires
+  // Featurizes every query once, then runs ONE level-order GCN pass over
+  // the whole forest and one batched head pass. out_seconds[i] is
+  // bit-for-bit the same for every batch size and position, so it equals
+  // PredictSeconds(*queries[i].plan, instance, queries[i].concurrent_queries);
+  // `pool` only fans out the GEMMs. Requires
   // out_seconds.size() == queries.size().
   void PredictBatch(std::span<const GlobalQuery> queries,
                     const fleet::InstanceConfig& instance,

@@ -48,16 +48,19 @@ void LocalModel::Train(const TrainingPool& pool) {
   ++trainings_;
 }
 
-LocalModel::Output LocalModel::FinalizeOutput(
-    const gbt::BayesianGbtEnsemble::Prediction& pred,
-    double mae_prediction) const {
+LocalModel::Output LocalModel::Predict(
+    const plan::PlanFeatures& features) const {
+  STAGE_CHECK(trained_);
+  const gbt::BayesianGbtEnsemble::Prediction pred =
+      ensemble_.Predict(features.data());
   Output out;
   out.mean_target = pred.mean;
   if (config_.include_mae_member) {
     // Blend the MAE-trained member's point estimate into the mean; the
     // uncertainty decomposition stays with the NLL ensemble (Eq. 2).
     const double w = config_.mae_member_weight;
-    out.mean_target = (1.0 - w) * pred.mean + w * mae_prediction;
+    out.mean_target =
+        (1.0 - w) * pred.mean + w * mae_member_.PredictScalar(features.data());
   }
   out.model_variance = pred.model_variance;
   out.data_variance = pred.data_variance;
@@ -69,41 +72,6 @@ LocalModel::Output LocalModel::FinalizeOutput(
     out.exec_seconds = std::max(0.0, out.mean_target);
   }
   return out;
-}
-
-LocalModel::Output LocalModel::Predict(
-    const plan::PlanFeatures& features) const {
-  STAGE_CHECK(trained_);
-  const gbt::BayesianGbtEnsemble::Prediction pred =
-      ensemble_.Predict(features.data());
-  const double mae_prediction =
-      config_.include_mae_member ? mae_member_.PredictScalar(features.data())
-                                 : 0.0;
-  return FinalizeOutput(pred, mae_prediction);
-}
-
-void LocalModel::PredictBatch(std::span<const plan::PlanFeatures> rows,
-                              std::span<Output> out, ThreadPool* pool) const {
-  STAGE_CHECK(trained_);
-  STAGE_CHECK(out.size() == rows.size());
-  if (rows.empty()) return;
-  const size_t n = rows.size();
-  // std::array rows are contiguous: stride is exactly the feature dim.
-  const float* features = rows[0].data();
-  std::vector<gbt::BayesianGbtEnsemble::Prediction> preds(n);
-  ensemble_.PredictBatch(features, n, plan::kPlanFeatureDim, preds, pool);
-  std::vector<double> mae_predictions;
-  if (config_.include_mae_member) {
-    // Single-output model: the batch kernel walks the same trees in the
-    // same order as PredictScalar, so the blend input is identical.
-    mae_predictions.resize(n);
-    mae_member_.PredictBatch(features, n, plan::kPlanFeatureDim,
-                             mae_predictions, pool);
-  }
-  for (size_t r = 0; r < n; ++r) {
-    out[r] = FinalizeOutput(
-        preds[r], config_.include_mae_member ? mae_predictions[r] : 0.0);
-  }
 }
 
 namespace {

@@ -4,9 +4,7 @@
 #include <cstddef>
 #include <istream>
 #include <ostream>
-#include <span>
 
-#include "stage/common/thread_pool.h"
 #include "stage/gbt/ensemble.h"
 #include "stage/local/training_pool.h"
 #include "stage/plan/featurizer.h"
@@ -68,13 +66,6 @@ class LocalModel {
   // Requires trained().
   Output Predict(const plan::PlanFeatures& features) const;
 
-  // Batched form over contiguous feature rows; out.size() must equal
-  // rows.size(). Runs the ensemble's blocked FlatForest kernel across the
-  // whole batch (on `pool` when non-null) and produces bit-for-bit the
-  // same outputs as calling Predict per row.
-  void PredictBatch(std::span<const plan::PlanFeatures> rows,
-                    std::span<Output> out, ThreadPool* pool = nullptr) const;
-
   size_t MemoryBytes() const { return ensemble_.MemoryBytes(); }
 
   // Checkpointing of a trained local model (ensemble + target space).
@@ -82,12 +73,6 @@ class LocalModel {
   bool Load(std::istream& in);
 
  private:
-  // Shared tail of Predict/PredictBatch: applies the optional MAE blend and
-  // maps the target-space mean back to seconds. `mae_prediction` is ignored
-  // unless include_mae_member is set.
-  Output FinalizeOutput(const gbt::BayesianGbtEnsemble::Prediction& pred,
-                        double mae_prediction) const;
-
   LocalModelConfig config_;
   gbt::BayesianGbtEnsemble ensemble_;
   gbt::GbdtModel mae_member_;  // Only used when include_mae_member.

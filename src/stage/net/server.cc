@@ -78,8 +78,9 @@ struct Connection {
   bool close_after_write = false;  // Fatal protocol error already queued.
 };
 
-// A finished batched prediction routed back to the worker that owns the
-// connection.
+// A finished prediction for the worker that owns the connection: a batched
+// one arrives through the worker's mailbox, an inline one is completed at
+// once.
 struct Completion {
   uint64_t conn_id = 0;
   uint64_t request_id = 0;
@@ -768,28 +769,18 @@ void Server::Impl::HandlePredict(Worker& w, Connection& conn,
     return;
   }
   if (batcher == nullptr) {
-    // Batching disabled: predict inline on the worker thread.
-    const core::QueryContext context = core::MakeQueryContext(
-        request.plan, request.concurrent_queries,
-        static_cast<uint64_t>(request.tick));
-    const core::Prediction prediction =
-        fleet->Predict(request.tenant, context);
+    // Batching disabled: predict inline on the worker thread and complete
+    // at once, as if enqueued at the request's start.
+    Completion completion;
+    completion.conn_id = conn.id;
+    completion.request_id = request.request_id;
+    completion.prediction = fleet->Predict(
+        request.tenant,
+        core::MakeQueryContext(request.plan, request.concurrent_queries,
+                               static_cast<uint64_t>(request.tick)));
+    completion.enqueue_time = start;
     predictions_inline.fetch_add(1, std::memory_order_relaxed);
-    PredictResponse response;
-    response.request_id = request.request_id;
-    response.seconds = prediction.seconds;
-    response.source = prediction.source;
-    response.uncertainty_log_std = prediction.uncertainty_log_std;
-    if (conn.mode == Connection::Mode::kJson) {
-      AppendJsonPredictResponse(&conn.write_buf, response);
-      json_lines_out.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      w.scratch.clear();
-      AppendPredictResponse(&w.scratch, response);
-      SendMessage(conn, MessageType::kPredictResponse, w.scratch);
-    }
-    frame_latency.Record(Server::kLatencyPredict, NowNanosSince(start));
-    FlushWrite(w, conn);
+    CompleteRequest(w, completion);
     return;
   }
   BatchItem item;

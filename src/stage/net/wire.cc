@@ -138,37 +138,11 @@ bool BuildWirePlan(uint8_t query_type, std::vector<plan::PlanNode> nodes,
   if (query_type >= static_cast<uint8_t>(plan::QueryType::kNumQueryTypes)) {
     return false;
   }
-  const size_t node_count = nodes.size();
-  if (node_count == 0 || node_count > kMaxWirePlanNodes) return false;
-  // Optimizer estimates are the predictor's main input: a NaN, infinite, or
-  // negative one would flow into the features and the cache key and come
-  // back as a silently wrong prediction.
-  const auto usable = [](double value) {
-    return std::isfinite(value) && value >= 0.0;
-  };
-  for (const plan::PlanNode& node : nodes) {
-    if (!usable(node.estimated_cost) || !usable(node.estimated_cardinality) ||
-        !usable(node.tuple_width) || !usable(node.table_rows)) {
-      return false;
-    }
+  // The Plan constructor aborts on an invalid plan, a fatal a network peer
+  // must never be able to trigger, so the one plan predicate runs first.
+  if (nodes.size() > kMaxWirePlanNodes || !plan::IsValidPlan(nodes)) {
+    return false;
   }
-  // The Plan constructor aborts on a malformed tree, so every structural
-  // invariant is enforced here first: children strictly after their parent
-  // (pre-order), a single parent each, node 0 the unparented root.
-  std::vector<int> parent_count(node_count, 0);
-  for (size_t i = 0; i < node_count; ++i) {
-    for (const int32_t child : nodes[i].children) {
-      if (child <= static_cast<int32_t>(i) ||
-          child >= static_cast<int32_t>(node_count)) {
-        return false;
-      }
-      if (++parent_count[child] > 1) return false;
-    }
-  }
-  for (size_t i = 1; i < node_count; ++i) {
-    if (parent_count[i] != 1) return false;
-  }
-  if (parent_count[0] != 0) return false;
   *plan = plan::Plan(static_cast<plan::QueryType>(query_type),
                      std::move(nodes));
   return true;

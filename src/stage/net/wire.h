@@ -105,20 +105,16 @@ struct ErrorReply {
 void AppendPlan(std::string* out, const plan::Plan& plan);
 
 // Parses and validates a wire plan. Validation happens BEFORE the Plan is
-// constructed (the Plan constructor aborts on a malformed tree — a fatal a
-// network peer must never be able to trigger): enums in range, node count
-// within kMaxWirePlanNodes, node numerics finite and >= 0, children
-// strictly pre-order, every non-root node with exactly one parent. Returns
-// false on any violation.
+// constructed (the Plan constructor aborts on an invalid plan — a fatal a
+// network peer must never be able to trigger): enums in range, then
+// BuildWirePlan's checks. Returns false on any violation.
 bool ParsePlan(ByteReader* in, plan::Plan* plan);
 
-// The structural and numeric half of that validation, shared by the binary
-// and JSON decoders: node count in [1, kMaxWirePlanNodes], query_type in
-// range, every node's cost, cardinality, width and table rows finite and
-// >= 0, children strictly after their parent (pre-order), exactly one
-// parent per non-root node, node 0 the unparented root. Callers must
-// already have range-checked the per-node enums. Constructs *plan only
-// when everything holds.
+// The rest of that validation, shared by the binary and JSON decoders:
+// query_type in range, at most kMaxWirePlanNodes nodes, and
+// plan::IsValidPlan (a pre-order tree rooted at node 0 whose estimates are
+// finite and >= 0). Callers must already have range-checked the per-node
+// enums. Constructs *plan only when everything holds.
 bool BuildWirePlan(uint8_t query_type, std::vector<plan::PlanNode> nodes,
                    plan::Plan* plan);
 

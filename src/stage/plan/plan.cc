@@ -1,6 +1,7 @@
 #include "stage/plan/plan.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <vector>
 
@@ -8,9 +9,38 @@
 
 namespace stage::plan {
 
+bool IsValidPlan(std::span<const PlanNode> nodes) {
+  if (nodes.empty()) return false;
+  const auto usable = [](double estimate) {
+    return std::isfinite(estimate) && estimate >= 0.0;
+  };
+  std::vector<int> parent_count(nodes.size(), 0);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const PlanNode& node = nodes[i];
+    if (!usable(node.estimated_cost) || !usable(node.estimated_cardinality) ||
+        !usable(node.tuple_width) || !usable(node.table_rows)) {
+      return false;
+    }
+    for (int32_t child : node.children) {
+      if (child <= static_cast<int32_t>(i) ||
+          child >= static_cast<int32_t>(nodes.size())) {
+        return false;  // Children must come after their parent (pre-order).
+      }
+      if (++parent_count[child] > 1) return false;
+    }
+  }
+  // Every node except the root must have exactly one parent.
+  for (size_t i = 1; i < nodes.size(); ++i) {
+    if (parent_count[i] != 1) return false;
+  }
+  return parent_count[0] == 0;
+}
+
 Plan::Plan(QueryType query_type, std::vector<PlanNode> nodes)
     : query_type_(query_type), nodes_(std::move(nodes)) {
-  STAGE_CHECK_MSG(IsValidTree(), "PlanNode vector does not form a tree");
+  STAGE_CHECK_MSG(IsValidPlan(nodes_),
+                  "PlanNode vector does not form a tree with finite, "
+                  "non-negative estimates");
 }
 
 int Plan::Depth() const {
@@ -34,25 +64,6 @@ double Plan::TotalEstimatedCost() const {
   double total = 0.0;
   for (const PlanNode& node : nodes_) total += node.estimated_cost;
   return total;
-}
-
-bool Plan::IsValidTree() const {
-  if (nodes_.empty()) return false;
-  std::vector<int> parent_count(nodes_.size(), 0);
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    for (int32_t child : nodes_[i].children) {
-      if (child <= static_cast<int32_t>(i) ||
-          child >= static_cast<int32_t>(nodes_.size())) {
-        return false;  // Children must come after their parent (pre-order).
-      }
-      if (++parent_count[child] > 1) return false;
-    }
-  }
-  // Every node except the root must have exactly one parent.
-  for (size_t i = 1; i < nodes_.size(); ++i) {
-    if (parent_count[i] != 1) return false;
-  }
-  return parent_count[0] == 0;
 }
 
 std::vector<int32_t> Plan::BottomUpOrder() const {

@@ -2,6 +2,7 @@
 #define STAGE_PLAN_PLAN_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,10 +39,20 @@ struct PlanNode {
   std::vector<int32_t> children;
 };
 
+// True iff `nodes` form a plan the predictors can read: a tree rooted at
+// node 0 with every child stored after its parent (pre-order) and one
+// parent per non-root node, whose optimizer estimates (cost, cardinality,
+// tuple width, table rows) are all finite and >= 0. A NaN estimate would
+// pass through the featurizer into the features and the cache key. The
+// Plan constructor aborts unless this holds, so decoders of untrusted
+// input check it first.
+bool IsValidPlan(std::span<const PlanNode> nodes);
+
 // A physical execution plan: a tree of PlanNodes rooted at nodes[0].
 class Plan {
  public:
   Plan() = default;
+  // Requires IsValidPlan(nodes).
   Plan(QueryType query_type, std::vector<PlanNode> nodes);
 
   QueryType query_type() const { return query_type_; }
@@ -57,8 +68,8 @@ class Plan {
   // Sum of estimated_cost over all nodes.
   double TotalEstimatedCost() const;
 
-  // True iff nodes form a tree rooted at 0 with pre-order child indices.
-  bool IsValidTree() const;
+  // IsValidPlan(nodes()): false only for the empty default-constructed plan.
+  bool IsValidTree() const { return IsValidPlan(nodes_); }
 
   // Indices in bottom-up order (every node appears after all its children);
   // the order the tree-GCN uses for message passing.

@@ -61,6 +61,23 @@ std::vector<core::QueryContext> MakeContexts(
   return contexts;
 }
 
+// A small global model trained on `instance`'s own trace: routing, not
+// the model's accuracy, is under test.
+global::GlobalModel SmallGlobalModel(const fleet::InstanceTrace& instance) {
+  std::vector<global::GlobalExample> examples;
+  for (const fleet::QueryEvent& event : instance.trace) {
+    examples.push_back(global::MakeGlobalExample(
+        event.plan, instance.config, event.concurrent_queries,
+        event.exec_seconds));
+  }
+  global::GlobalModelConfig config;
+  config.hidden_dim = 16;
+  config.num_layers = 2;
+  config.head_hidden = {16};
+  config.epochs = 2;
+  return global::GlobalModel::Train(examples, config);
+}
+
 // Deterministic fleet config: inline retrains, one cache shard.
 FleetServiceConfig DeterministicFleet() {
   FleetServiceConfig config;
@@ -642,26 +659,12 @@ TEST(TenantStackTest, PredictBatchMatchesLoopedPredict) {
 
 TEST(TenantStackTest, PredictBatchWithEscalationsMatchesLoopedPredict) {
   // Same parity bar, with a trained global model wired in and thresholds
-  // forcing escalation: the batch path runs ONE GlobalModel::PredictBatch
-  // over every escalated query, which must be bit-identical to the inline
-  // per-query global pass Predict takes. >64 queries also exercises the
-  // parallel phase-1 fan-out.
+  // forcing escalation: one PredictBatch runs ONE GlobalModel::PredictBatch
+  // over all of its escalated queries, which must be bit-identical to the
+  // one-query global pass each Predict takes.
   const fleet::InstanceTrace instance = MakeTrace(400);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
-
-  std::vector<global::GlobalExample> examples;
-  for (const fleet::QueryEvent& event : instance.trace) {
-    examples.push_back(global::MakeGlobalExample(
-        event.plan, instance.config, event.concurrent_queries,
-        event.exec_seconds));
-  }
-  global::GlobalModelConfig global_config;
-  global_config.hidden_dim = 16;
-  global_config.num_layers = 2;
-  global_config.head_hidden = {16};
-  global_config.epochs = 2;
-  const global::GlobalModel global_model =
-      global::GlobalModel::Train(examples, global_config);
+  const global::GlobalModel global_model = SmallGlobalModel(instance);
 
   TenantStackConfig config;
   config.predictor = FastStage();
@@ -689,6 +692,66 @@ TEST(TenantStackTest, PredictBatchWithEscalationsMatchesLoopedPredict) {
   EXPECT_TRUE(any_global);
   EXPECT_EQ(stack.total_predictions(), 2 * contexts.size());
   EXPECT_EQ(stack.predict_latency().total_count(), 2 * contexts.size());
+}
+
+// Traced single predicts and one batched predict run the same routine, so
+// two identical 8-shard stacks serving the same queries each way report
+// the same telemetry, and every trace names the cache shard its probe
+// used.
+TEST(TenantStackTest, TracedAndBatchedPredictsReportTheSameTelemetry) {
+  const fleet::InstanceTrace instance = MakeTrace(400);
+  const std::vector<core::QueryContext> contexts = MakeContexts(instance);
+  const global::GlobalModel global_model = SmallGlobalModel(instance);
+
+  TenantStackConfig config;
+  config.predictor = FastStage();
+  // Nothing counts as short, and the local model is sure of most but not
+  // all fresh queries: 322 cache hits, 68 local answers, 10 escalations.
+  config.predictor.short_running_seconds = 0.0;
+  config.predictor.uncertainty_log_std_threshold = 0.3;
+  config.cache_shards = 8;
+  obs::MetricsRegistry traced_registry;
+  obs::MetricsRegistry batched_registry;
+  TenantStack traced(config, {.global_model = &global_model,
+                              .instance = &instance.config,
+                              .metrics = &traced_registry});
+  TenantStack batched(config, {.global_model = &global_model,
+                               .instance = &instance.config,
+                               .metrics = &batched_registry});
+  for (size_t i = 0; i + 100 < contexts.size(); ++i) {
+    traced.Observe(contexts[i], instance.trace[i].exec_seconds);
+    batched.Observe(contexts[i], instance.trace[i].exec_seconds);
+  }
+
+  for (const core::QueryContext& context : contexts) {
+    obs::PredictionTrace trace;
+    traced.PredictTraced(context, &trace);
+    EXPECT_EQ(trace.cache_shard, context.feature_hash % 8);
+  }
+  batched.PredictBatch(contexts);
+
+  // The queries reach every stage of the hierarchy.
+  EXPECT_GT(traced.predictions_from(core::PredictionSource::kCache), 0u);
+  EXPECT_GT(traced.predictions_from(core::PredictionSource::kLocal), 0u);
+  EXPECT_GT(traced.predictions_from(core::PredictionSource::kGlobal), 0u);
+  EXPECT_EQ(traced.SourceCounts(), batched.SourceCounts());
+  for (size_t slot = 0; slot < core::kNumPredictionSources; ++slot) {
+    EXPECT_EQ(traced.predict_latency().slot(slot).count,
+              batched.predict_latency().slot(slot).count)
+        << slot;
+  }
+  const auto escalations = [](obs::MetricsRegistry& registry) {
+    return registry.GetCounter("stage_escalations_total").value();
+  };
+  EXPECT_GT(escalations(traced_registry), 0u);
+  EXPECT_EQ(escalations(traced_registry), escalations(batched_registry));
+  const auto uncertainty_samples = [](obs::MetricsRegistry& registry) {
+    return registry.GetHistogram("stage_local_uncertainty_log_std", {})
+        .count();
+  };
+  EXPECT_GT(uncertainty_samples(traced_registry), 0u);
+  EXPECT_EQ(uncertainty_samples(traced_registry),
+            uncertainty_samples(batched_registry));
 }
 
 TEST(TenantStackTest, AsyncRetrainPublishesModelInBackground) {

@@ -129,44 +129,6 @@ TEST(LocalModelTest, LearnsFeatureDependentTimes) {
   EXPECT_GT(slow_out.exec_seconds, 30.0);
 }
 
-TEST(LocalModelTest, PredictBatchMatchesPerRowPredict) {
-  Rng rng(7);
-  TrainingPool pool(SmallPool(300));
-  for (int i = 0; i < 300; ++i) {
-    pool.Add(MakeFeatures(static_cast<float>(rng.NextDouble() * 4.0)),
-             rng.NextLogNormal(1.0, 0.5));
-  }
-  // Cover both mean paths: plain ensemble and the MAE-member blend.
-  for (const bool with_mae : {false, true}) {
-    LocalModelConfig config = FastLocalConfig();
-    config.include_mae_member = with_mae;
-    LocalModel model(config);
-    model.Train(pool);
-    ASSERT_TRUE(model.trained());
-
-    std::vector<plan::PlanFeatures> rows;
-    rows.reserve(150);
-    for (int i = 0; i < 150; ++i) {
-      rows.push_back(MakeFeatures(static_cast<float>(i) * 0.03f));
-    }
-    std::vector<LocalModel::Output> batch(rows.size());
-    model.PredictBatch(rows, batch);
-    ThreadPool threads(2);
-    std::vector<LocalModel::Output> batch_pooled(rows.size());
-    model.PredictBatch(rows, batch_pooled, &threads);
-    for (size_t r = 0; r < rows.size(); ++r) {
-      const LocalModel::Output single = model.Predict(rows[r]);
-      EXPECT_EQ(single.exec_seconds, batch[r].exec_seconds) << r;
-      EXPECT_EQ(single.mean_target, batch[r].mean_target) << r;
-      EXPECT_EQ(single.model_variance, batch[r].model_variance) << r;
-      EXPECT_EQ(single.data_variance, batch[r].data_variance) << r;
-      EXPECT_EQ(single.log_space, batch[r].log_space) << r;
-      EXPECT_EQ(single.exec_seconds, batch_pooled[r].exec_seconds) << r;
-      EXPECT_EQ(single.mean_target, batch_pooled[r].mean_target) << r;
-    }
-  }
-}
-
 TEST(LocalModelTest, UncertaintyDecomposition) {
   Rng rng(5);
   TrainingPool pool(SmallPool(200));

@@ -89,6 +89,28 @@ plan::Plan MakeWirePlan(double knob) {
   return plan::Plan(plan::QueryType::kSelect, {join, scan_a, scan_b});
 }
 
+// A finite, non-negative estimate no test plan holds by accident.
+constexpr double kEstimateMarker = 12345.6789;
+
+// The predict payload of `request`, whose plan holds kEstimateMarker in
+// exactly one estimate, with that estimate's bytes replaced by `bad`. The
+// Plan constructor refuses a NaN, infinite or negative estimate, so this
+// is how a test sends what a hostile peer can.
+std::string WithMarkedEstimate(const PredictRequest& request, double bad) {
+  std::string payload;
+  AppendPredictRequest(&payload, request);
+  const std::string_view marker(
+      reinterpret_cast<const char*>(&kEstimateMarker), sizeof(double));
+  const size_t at = payload.find(marker);
+  if (at == std::string::npos ||
+      payload.find(marker, at + 1) != std::string::npos) {
+    ADD_FAILURE() << "the plan must hold the marker exactly once";
+    return payload;
+  }
+  std::memcpy(payload.data() + at, &bad, sizeof(bad));
+  return payload;
+}
+
 // ---- Config validation --------------------------------------------------
 
 TEST(ServerConfigTest, ValidateRejectsNonsense) {
@@ -503,10 +525,10 @@ TEST(WireTest, RejectsNonFiniteAndNegativeNumerics) {
       plan::Plan built;
       EXPECT_FALSE(BuildWirePlan(0, nodes, &built)) << field << " " << bad;
 
+      *fields[field] = kEstimateMarker;
       PredictRequest request;
       request.plan = plan::Plan(good.query_type(), nodes);
-      std::string payload;
-      AppendPredictRequest(&payload, request);
+      const std::string payload = WithMarkedEstimate(request, bad);
       PredictRequest parsed;
       EXPECT_FALSE(ParsePredictRequest(payload, &parsed))
           << field << " " << bad;
@@ -1166,14 +1188,19 @@ TEST(ServerTest, NonFiniteNumericsGetMalformedAndPredictionsStayFinite) {
 
   const plan::Plan plan = fx.TracePlan(3);
   std::vector<plan::PlanNode> nodes = plan.nodes();
-  nodes[0].estimated_cost = std::nan("");
+  nodes[0].estimated_cost = kEstimateMarker;
   PredictRequest bad_predict;
   bad_predict.plan = plan::Plan(plan.query_type(), nodes);
-  PredictResponse response;
-  ASSERT_EQ(client->Predict(bad_predict, &response, &error_reply,
-                            &transport_error),
-            Client::RpcStatus::kError)
+  ASSERT_TRUE(client->SendMessage(MessageType::kPredictRequest,
+                                  WithMarkedEstimate(bad_predict, std::nan("")),
+                                  &transport_error))
       << transport_error;
+  MessageType type;
+  std::string payload;
+  ASSERT_TRUE(client->ReceiveMessage(&type, &payload, &transport_error))
+      << transport_error;
+  ASSERT_EQ(type, MessageType::kError);
+  ASSERT_TRUE(ParseErrorReply(payload, &error_reply));
   EXPECT_EQ(error_reply.code, WireError::kMalformed);
 
   ObserveRequest bad_observe;
@@ -1188,6 +1215,7 @@ TEST(ServerTest, NonFiniteNumericsGetMalformedAndPredictionsStayFinite) {
 
   PredictRequest request;
   request.plan = plan;
+  PredictResponse response;
   ASSERT_EQ(client->Predict(request, &response, &error_reply,
                             &transport_error),
             Client::RpcStatus::kOk)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 #include <cmath>
+#include <limits>
 
 
 #include "stage/common/rng.h"
@@ -86,6 +87,30 @@ TEST(PlanTest, InvalidTreeDetected) {
   // an orphan (node 1 with no parent) must be rejected.
   EXPECT_DEATH(Plan(QueryType::kSelect, {PlanNode{}, PlanNode{}}),
                "does not form a tree");
+
+  // Every optimizer estimate must be finite and non-negative: a NaN would
+  // pass through the featurizer into the features and the cache key.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  PlanNode nan_cost;
+  nan_cost.estimated_cost = nan;
+  EXPECT_DEATH(Plan(QueryType::kSelect, {nan_cost}), "non-negative estimates");
+  PlanNode inf_cardinality;
+  inf_cardinality.estimated_cardinality = inf;
+  EXPECT_DEATH(Plan(QueryType::kSelect, {inf_cardinality}),
+               "non-negative estimates");
+  PlanNode negative_width;
+  negative_width.tuple_width = -8.0;
+  EXPECT_DEATH(Plan(QueryType::kSelect, {negative_width}),
+               "non-negative estimates");
+  PlanNode join;
+  join.children = {1};
+  PlanNode nan_rows;
+  nan_rows.op = OperatorType::kSeqScanLocal;
+  nan_rows.s3_format = S3Format::kLocal;
+  nan_rows.table_rows = nan;
+  EXPECT_DEATH(Plan(QueryType::kSelect, {join, nan_rows}),
+               "non-negative estimates");
 }
 
 TEST(FeaturizerTest, VectorIs33Dimensional) {
