@@ -168,9 +168,8 @@ std::string RenderBucketTable(const std::string& caption,
 std::vector<DualRecord> ReplayDual(const fleet::InstanceTrace& instance,
                                    const global::GlobalModel& global_model,
                                    const core::StagePredictorConfig& config) {
-  core::StagePredictorConfig local_only = config;
-  local_only.use_global = false;
-  core::StagePredictor stage(local_only, {.instance = &instance.config});
+  // No global model in the options: the predictor never escalates.
+  core::StagePredictor stage(config, {.instance = &instance.config});
 
   std::vector<DualRecord> records;
   for (const fleet::QueryEvent& event : instance.trace) {

@@ -22,16 +22,6 @@ std::optional<double> ExecTimeCache::Predict(uint64_t key) const {
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
   const Entry& entry = it->second;
-  switch (config_.prediction_mode) {
-    case CachePredictionMode::kMean:
-      return entry.stats.mean();
-    case CachePredictionMode::kMedian:
-      return entry.median.Value();
-    case CachePredictionMode::kLast:
-      return entry.last_exec_time;
-    case CachePredictionMode::kBlend:
-      break;
-  }
   // mu * alpha + t_k * (1 - alpha): the running mean captures robustness to
   // load variance, the last observation captures data freshness (§4.2).
   return entry.stats.mean() * config_.alpha +
@@ -64,7 +54,6 @@ void ExecTimeCache::Observe(uint64_t key, double exec_time, uint64_t tick) {
   }
   Entry& entry = it->second;
   entry.stats.Add(exec_time);
-  entry.median.Add(exec_time);
   entry.last_exec_time = exec_time;
   entry.last_update_tick = tick;
   by_update_time_.emplace(std::make_pair(tick, key), key);
@@ -72,7 +61,9 @@ void ExecTimeCache::Observe(uint64_t key, double exec_time, uint64_t tick) {
 
 namespace {
 constexpr uint32_t kCacheMagic = 0x53434348;  // "SCCH".
-constexpr uint32_t kCacheVersion = 1;
+constexpr uint32_t kCacheVersion = 2;
+// key + Welford (count, mean, M2) + last exec-time + tick.
+constexpr uint64_t kEntryBytes = 6 * sizeof(uint64_t);
 }  // namespace
 
 void ExecTimeCache::Save(std::ostream& out) const {
@@ -87,7 +78,6 @@ void ExecTimeCache::Save(std::ostream& out) const {
     const Entry& entry = it->second;
     WritePod(out, key);
     entry.stats.Save(out);
-    entry.median.Save(out);
     WritePod(out, entry.last_exec_time);
     WritePod(out, entry.last_update_tick);
   }
@@ -98,10 +88,9 @@ bool ExecTimeCache::Load(std::istream& in) {
   uint64_t count = 0;
   if (!ReadPod(in, &count)) return false;
   if (count > config_.capacity) return false;  // Config mismatch.
-  // Each entry needs at least key + last_exec_time + tick on the wire;
-  // bound the loop by the remaining stream so a corrupt count fails fast.
+  // Bound the loop by the remaining stream so a corrupt count fails fast.
   const std::optional<uint64_t> remaining = RemainingBytes(in);
-  if (remaining && count > *remaining / (3 * sizeof(uint64_t))) return false;
+  if (remaining && count > *remaining / kEntryBytes) return false;
   std::unordered_map<uint64_t, Entry> entries;
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> by_update_time;
   entries.reserve(count);
@@ -109,11 +98,14 @@ bool ExecTimeCache::Load(std::istream& in) {
     uint64_t key = 0;
     Entry entry;
     if (!ReadPod(in, &key) || !entry.stats.Load(in) ||
-        !entry.median.Load(in) || !ReadPod(in, &entry.last_exec_time) ||
+        !ReadPod(in, &entry.last_exec_time) ||
         !ReadPod(in, &entry.last_update_tick)) {
       return false;
     }
-    if (!std::isfinite(entry.last_exec_time) || entry.last_exec_time < 0.0) {
+    // Exec times are >= 0, so the mean and last of a real history are too;
+    // anything else would be served as a negative prediction on a hit.
+    if (!std::isfinite(entry.last_exec_time) || entry.last_exec_time < 0.0 ||
+        entry.stats.mean() < 0.0) {
       return false;
     }
     if (!entries.emplace(key, entry).second) return false;  // Duplicate key.

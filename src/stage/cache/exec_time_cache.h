@@ -8,43 +8,33 @@
 #include <optional>
 #include <unordered_map>
 
-#include "stage/common/p2_quantile.h"
 #include "stage/common/stats.h"
 
 namespace stage::cache {
-
-// How a cache entry's observation history is summarized into a prediction
-// (§4.2 notes the design freedom of computing "any summary statistic").
-enum class CachePredictionMode : uint8_t {
-  kBlend = 0,  // alpha * running_mean + (1 - alpha) * last (paper default).
-  kMean,       // Running mean only.
-  kMedian,     // Streaming median (P-square sketch): robust to spikes.
-  kLast,       // Most recent observation only (max freshness).
-};
 
 struct ExecTimeCacheConfig {
   // Maximum number of unique queries kept (the paper uses 2,000; §5.1).
   size_t capacity = 2000;
   // Prediction blend: alpha * running_mean + (1 - alpha) * last_observed.
-  // alpha = 0.8 "works well for the Redshift fleet" (§4.2).
+  // alpha = 0.8 "works well for the Redshift fleet" (§4.2); 1 predicts the
+  // running mean only, 0 the last observation only.
   double alpha = 0.8;
-  CachePredictionMode prediction_mode = CachePredictionMode::kBlend;
 };
 
 // Stage 1 of the Stage predictor (§4.2): a memo of recently executed
 // queries. Keys are 64-bit hashes of the 33-dim flattened plan vector
-// (Optimization 1); values are Welford running mean/variance plus the most
-// recent exec-time (Optimization 2), so each entry stores O(1) values
-// instead of the full latency history. Eviction removes the entry whose
+// (Optimization 1); each entry holds three O(1) values instead of the
+// latency history (Optimization 2): a Welford running mean/variance, the
+// most recent exec-time and the tick of that update. A hit predicts
+// alpha * mean + (1 - alpha) * last. Eviction removes the entry whose
 // latest observation is oldest ("least updated", not least *used*).
 class ExecTimeCache {
  public:
   explicit ExecTimeCache(const ExecTimeCacheConfig& config);
 
-  // Cached per-query statistics.
+  // Cached per-query statistics: 40 bytes on x86-64.
   struct Entry {
     Welford stats;
-    P2Quantile median;  // Streaming median sketch (kMedian mode).
     double last_exec_time = 0.0;
     uint64_t last_update_tick = 0;
   };
@@ -80,13 +70,16 @@ class ExecTimeCache {
   // Approximate resident size (Fig. 9 accounting).
   size_t MemoryBytes() const;
 
-  // Checkpointing. Save writes every entry in eviction order (deterministic
-  // across runs and hash-map layouts); Load replaces the entry set
+  // Checkpointing. Save writes a 16-byte header, then 48 bytes per entry in
+  // eviction order (deterministic across runs and hash-map layouts); Load
+  // accepts only this version of the stream, replaces the entry set
   // transactionally and rebuilds the eviction index, so a restored cache
   // predicts and evicts bit-for-bit like the original. Telemetry counters
   // (hits/misses/evictions) are deliberately not persisted and restart at
   // zero. Load returns false — leaving the cache untouched — on a
-  // malformed stream or when the snapshot exceeds the configured capacity.
+  // malformed stream, an entry no real history can produce (a negative or
+  // non-finite mean or last exec-time), or when the snapshot exceeds the
+  // configured capacity.
   void Save(std::ostream& out) const;
   bool Load(std::istream& in);
 

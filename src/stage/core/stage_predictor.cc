@@ -129,7 +129,7 @@ Prediction RouteHierarchical(const StagePredictorConfig& config,
     return out;
   }
 
-  const bool global_available = config.use_global && global_model != nullptr &&
+  const bool global_available = global_model != nullptr &&
                                 global_model->trained() &&
                                 instance != nullptr && query.plan != nullptr;
   if (trace != nullptr) trace->global_available = global_available;

@@ -42,9 +42,6 @@ struct StagePredictorConfig {
   double short_running_seconds = 5.0;
   double uncertainty_log_std_threshold = 1.0;
 
-  // Ablation switch: never consult the global model even if provided.
-  bool use_global = true;
-
   // §4.8 calibration: when set, an online conformal recalibrator rescales
   // the local ensemble's log_std before the confidence check above (and in
   // the reported uncertainty), driven by normalized residuals observed on

@@ -141,46 +141,20 @@ TEST_P(CacheBlendPropertyTest, PredictionBetweenMeanAndLast) {
 INSTANTIATE_TEST_SUITE_P(Alphas, CacheBlendPropertyTest,
                          ::testing::Values(0.0, 0.2, 0.5, 0.8, 1.0));
 
+// The blend's extremes: alpha = 1 serves the running mean and alpha = 0 the
+// last observation, both bit for bit.
 TEST(ExecTimeCacheTest, PredictionModes) {
-  ExecTimeCacheConfig config = SmallConfig(4, 0.8);
-  // Feed 1, 2, 9: mean 4, median 2, last 9, blend 0.8*4 + 0.2*9 = 5.0.
-  const auto feed = [](ExecTimeCache& cache) {
+  // Feed 1, 2, 9: mean 4, last 9, blend 0.8*4 + 0.2*9 = 5.0.
+  const auto predict = [](double alpha) {
+    ExecTimeCache cache(SmallConfig(4, alpha));
     cache.Observe(1, 1.0, 1);
     cache.Observe(1, 2.0, 2);
     cache.Observe(1, 9.0, 3);
+    return *cache.Predict(1);
   };
-  config.prediction_mode = CachePredictionMode::kBlend;
-  ExecTimeCache blend(config);
-  feed(blend);
-  EXPECT_DOUBLE_EQ(*blend.Predict(1), 5.0);
-
-  config.prediction_mode = CachePredictionMode::kMean;
-  ExecTimeCache mean(config);
-  feed(mean);
-  EXPECT_DOUBLE_EQ(*mean.Predict(1), 4.0);
-
-  config.prediction_mode = CachePredictionMode::kMedian;
-  ExecTimeCache median(config);
-  feed(median);
-  EXPECT_DOUBLE_EQ(*median.Predict(1), 2.0);
-
-  config.prediction_mode = CachePredictionMode::kLast;
-  ExecTimeCache last(config);
-  feed(last);
-  EXPECT_DOUBLE_EQ(*last.Predict(1), 9.0);
-}
-
-TEST(ExecTimeCacheTest, MedianModeRobustToSpikes) {
-  ExecTimeCacheConfig config = SmallConfig(4);
-  config.prediction_mode = CachePredictionMode::kMedian;
-  ExecTimeCache cache(config);
-  Rng rng(7);
-  for (int i = 0; i < 500; ++i) {
-    const double v =
-        rng.NextBernoulli(0.05) ? 500.0 : rng.NextUniform(0.9, 1.1);
-    cache.Observe(42, v, i);
-  }
-  EXPECT_NEAR(*cache.Predict(42), 1.0, 0.1);
+  EXPECT_DOUBLE_EQ(predict(0.8), 5.0);
+  EXPECT_EQ(predict(1.0), 4.0);
+  EXPECT_EQ(predict(0.0), 9.0);
 }
 
 TEST(ShardedCacheTest, SingleShardMatchesBareCache) {

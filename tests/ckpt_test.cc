@@ -7,10 +7,12 @@
 // truncations and bit flips must make loads return false, never crash,
 // never allocate unboundedly, never yield a trained model.
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -24,6 +26,7 @@
 #include "stage/ckpt/snapshot_file.h"
 #include "stage/common/crc32.h"
 #include "stage/common/rng.h"
+#include "stage/common/serialize.h"
 #include "stage/core/stage_predictor.h"
 #include "stage/cache/sharded_cache.h"
 #include "stage/fleet/fleet.h"
@@ -88,6 +91,11 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 
 bool FileExists(const std::string& path) {
   return std::ifstream(path, std::ios::binary).good();
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 plan::PlanFeatures MakeFeatures(float seed) {
@@ -343,29 +351,6 @@ TEST(ExecTimeCacheCheckpointTest, RestoredCacheContinuesBitForBit) {
   EXPECT_EQ(restored.size(), original.size());
 }
 
-TEST(ExecTimeCacheCheckpointTest, MedianModeRoundTrips) {
-  cache::ExecTimeCacheConfig config;
-  config.capacity = 8;
-  config.prediction_mode = cache::CachePredictionMode::kMedian;
-  cache::ExecTimeCache original(config);
-  Rng rng(9);
-  for (uint64_t tick = 0; tick < 60; ++tick) {
-    original.Observe(rng.NextBelow(6), rng.NextLogNormal(0.0, 1.0), tick);
-  }
-  std::stringstream buffer;
-  original.Save(buffer);
-  cache::ExecTimeCache restored(config);
-  ASSERT_TRUE(restored.Load(buffer));
-  for (uint64_t key = 0; key < 6; ++key) {
-    const auto a = original.Predict(key);
-    const auto b = restored.Predict(key);
-    ASSERT_EQ(a.has_value(), b.has_value()) << key;
-    if (a) {
-      EXPECT_DOUBLE_EQ(*a, *b) << key;
-    }
-  }
-}
-
 TEST(ExecTimeCacheCheckpointTest, LoadRejectsOverCapacitySnapshot) {
   cache::ExecTimeCacheConfig big;
   big.capacity = 16;
@@ -379,6 +364,83 @@ TEST(ExecTimeCacheCheckpointTest, LoadRejectsOverCapacitySnapshot) {
   cache::ExecTimeCache restored(small);
   EXPECT_FALSE(restored.Load(buffer));
   EXPECT_EQ(restored.size(), 0u);  // Failed Load leaves the cache untouched.
+}
+
+// The cache stream is a 16-byte header (magic, version, entry count) and
+// exactly 48 bytes per entry: key, Welford count/mean/M2, last exec-time
+// and tick. Growing ExecTimeCache::Entry has to be a deliberate version
+// change.
+TEST(ExecTimeCacheCheckpointTest, StreamIsHeaderPlusFortyEightBytesPerEntry) {
+  cache::ExecTimeCacheConfig config;
+  config.capacity = 8;
+  cache::ExecTimeCache cache(config);
+  for (uint64_t entries = 0; entries <= config.capacity; ++entries) {
+    ASSERT_EQ(cache.size(), entries);
+    std::stringstream buffer;
+    cache.Save(buffer);
+    EXPECT_EQ(buffer.str().size(), 16 + 48 * entries) << entries;
+    cache.Observe(entries, 1.0 + static_cast<double>(entries), entries);
+  }
+}
+
+constexpr uint32_t kCacheMagic = 0x53434348;  // "SCCH".
+
+// A well-formed version-1 stream: one entry whose Welford state is followed
+// by a 176-byte median sketch, as that version wrote it.
+std::string VersionOneCacheStream() {
+  std::stringstream out;
+  WriteHeader(out, kCacheMagic, 1);
+  WritePod<uint64_t>(out, 1);  // Entry count.
+  WritePod<uint64_t>(out, 7);  // Key.
+  Welford stats;
+  stats.Add(1.0);
+  stats.Save(out);
+  WritePod(out, 0.5);          // Sketch quantile.
+  WritePod<uint64_t>(out, 1);  // Sketch count.
+  for (int i = 0; i < 20; ++i) WritePod(out, i == 0 ? 1.0 : 0.0);
+  WritePod(out, 1.0);          // Last exec-time.
+  WritePod<uint64_t>(out, 1);  // Tick.
+  return out.str();
+}
+
+TEST(ExecTimeCacheCheckpointTest, LoadRejectsVersionOneStream) {
+  cache::ExecTimeCacheConfig config;
+  config.capacity = 8;
+  cache::ExecTimeCache cache(config);
+  cache.Observe(3, 2.0, 1);
+  std::istringstream in(VersionOneCacheStream());
+  EXPECT_FALSE(cache.Load(in));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(cache.Contains(3));
+  EXPECT_FALSE(cache.Contains(7));
+}
+
+// Offset of the first entry's Welford mean in a cache stream: magic and
+// version (8), entry count (8), key (8), Welford count (8).
+constexpr size_t kFirstEntryMeanOffset = 32;
+
+void OverwriteDouble(std::string* bytes, size_t offset, double value) {
+  ASSERT_LE(offset + sizeof(value), bytes->size());
+  std::memcpy(bytes->data() + offset, &value, sizeof(value));
+}
+
+// Exec times are >= 0, so no real history has a negative running mean. A
+// one-entry cache (one observation of 1.0 s) whose mean reads -5.0 would
+// serve 0.8 * -5.0 + 0.2 * 1.0 = -3.8 s on a hit, so it must not load.
+TEST(ExecTimeCacheCheckpointTest, LoadRejectsNegativeMean) {
+  cache::ExecTimeCacheConfig config;
+  config.capacity = 8;
+  cache::ExecTimeCache original(config);
+  original.Observe(7, 1.0, 1);
+  std::stringstream buffer;
+  original.Save(buffer);
+  std::string bytes = buffer.str();
+  OverwriteDouble(&bytes, kFirstEntryMeanOffset, -5.0);
+
+  cache::ExecTimeCache restored(config);
+  std::istringstream in(bytes);
+  EXPECT_FALSE(restored.Load(in));
+  EXPECT_EQ(restored.size(), 0u);
 }
 
 TEST(TrainingPoolCheckpointTest, RestoredPoolBuildsIdenticalDataset) {
@@ -508,6 +570,40 @@ TEST(StagePredictorCheckpointTest, WarmRestartContinuesReplayBitForBit) {
   }
   EXPECT_EQ(resumed.exec_time_cache().size(),
             reference.exec_time_cache().size());
+}
+
+// The negative-mean cache entry above, reached through a predictor state
+// stream: LoadState fails and commits nothing.
+TEST(StagePredictorCheckpointTest, NegativeCacheMeanLeavesStackUntouched) {
+  const fleet::InstanceTrace instance = MakeTrace(40);
+  const std::vector<core::QueryContext> contexts = MakeContexts(instance);
+  size_t other = 1;
+  while (contexts[other].feature_hash == contexts[0].feature_hash) ++other;
+
+  core::StagePredictor source(FastStage(), {.instance = &instance.config});
+  source.Observe(contexts[0], 1.0);
+  std::stringstream saved;
+  ASSERT_TRUE(source.SaveState(saved));
+  std::string bytes = saved.str();
+  std::string magic(sizeof(kCacheMagic), '\0');
+  std::memcpy(magic.data(), &kCacheMagic, sizeof(kCacheMagic));
+  const size_t cache_at = bytes.find(magic);
+  ASSERT_NE(cache_at, std::string::npos);
+  OverwriteDouble(&bytes, cache_at + kFirstEntryMeanOffset, -5.0);
+
+  core::StagePredictor target(FastStage(), {.instance = &instance.config});
+  target.Observe(contexts[other], 2.0);
+  const core::Prediction before = target.Predict(contexts[other]);
+  std::istringstream in(bytes);
+  std::string error;
+  EXPECT_FALSE(target.LoadState(in, &error));
+  EXPECT_NE(error.find("cache"), std::string::npos) << error;
+  EXPECT_EQ(target.exec_time_cache().size(), 1u);
+  const core::Prediction after = target.Predict(contexts[other]);
+  EXPECT_EQ(after.source, core::PredictionSource::kCache);
+  EXPECT_EQ(after.seconds, before.seconds);
+  EXPECT_NE(target.Predict(contexts[0]).source,
+            core::PredictionSource::kCache);
 }
 
 TEST(ServiceCheckpointTest, WarmRestartContinuesReplayBitForBit) {
@@ -671,6 +767,15 @@ std::string EnvelopeBytes(SnapshotKind kind, const std::string& payload) {
   return buffer.str();
 }
 
+// A window small enough that the every-64-byte truncation sweep stays quick.
+calib::ConformalConfig SmallConformal() {
+  calib::ConformalConfig config;
+  config.window_capacity = 64;
+  config.min_window = 16;
+  config.refresh_interval = 4;
+  return config;
+}
+
 // One canonical published snapshot file per SnapshotKind, built from real
 // (small) trained state so corrupted loads exercise every payload parser.
 std::vector<KindFile> AllKindFiles() {
@@ -702,6 +807,20 @@ std::vector<KindFile> AllKindFiles() {
     files.push_back(
         {SnapshotKind::kTrainingPool,
          EnvelopeBytes(SnapshotKind::kTrainingPool, payload.str())});
+  }
+
+  {
+    calib::ConformalRecalibrator recalibrator(SmallConformal());
+    Rng rng(43);
+    for (size_t i = 0; i < 2 * SmallConformal().window_capacity; ++i) {
+      recalibrator.Observe(std::abs(rng.NextGaussian()));
+    }
+    EXPECT_EQ(recalibrator.window_size(), SmallConformal().window_capacity);
+    const std::string path = TempPath("corruption_recalibrator_source.snap");
+    EXPECT_TRUE(SaveRecalibratorSnapshot(recalibrator, path));
+    files.push_back(
+        {SnapshotKind::kConformalRecalibrator, ReadFileBytes(path)});
+    std::remove(path.c_str());
   }
 
   const fleet::InstanceTrace instance = MakeTrace(160);
@@ -773,6 +892,15 @@ bool TryLoadKind(SnapshotKind kind, const std::string& bytes,
         EXPECT_EQ(service.exec_time_cache().size(), 0u);
         EXPECT_EQ(service.pool_size(), 0u);
         EXPECT_EQ(service.local_model_snapshot(), nullptr);
+      }
+      return ok;
+    }
+    case SnapshotKind::kConformalRecalibrator: {
+      calib::ConformalRecalibrator recalibrator(SmallConformal());
+      const bool ok = LoadRecalibratorSnapshot(&recalibrator, path);
+      if (!ok) {
+        EXPECT_EQ(recalibrator.window_size(), 0u);
+        EXPECT_EQ(recalibrator.scale(), 1.0);
       }
       return ok;
     }

@@ -9,7 +9,6 @@
 
 #include "stage/common/flags.h"
 #include "stage/common/thread_pool.h"
-#include "stage/common/p2_quantile.h"
 #include "stage/common/serialize.h"
 #include "stage/common/rng.h"
 #include "stage/common/stats.h"
@@ -214,74 +213,6 @@ TEST(NormalQuantileTest, RoundTripsEmpiricalGaussian) {
   EXPECT_NEAR(static_cast<double>(below) / n, 0.8413, 0.01);
 }
 
-TEST(P2QuantileTest, ExactForSmallSamples) {
-  P2Quantile sketch(0.5);
-  sketch.Add(5.0);
-  EXPECT_DOUBLE_EQ(sketch.Value(), 5.0);
-  sketch.Add(1.0);
-  EXPECT_DOUBLE_EQ(sketch.Value(), 3.0);  // Median of {1, 5}.
-  sketch.Add(3.0);
-  EXPECT_DOUBLE_EQ(sketch.Value(), 3.0);
-}
-
-TEST(P2QuantileTest, EmptyReturnsZero) {
-  P2Quantile sketch(0.5);
-  EXPECT_DOUBLE_EQ(sketch.Value(), 0.0);
-  EXPECT_EQ(sketch.count(), 0u);
-}
-
-// Property sweep: the sketch tracks the true quantile across
-// distributions and target quantiles.
-struct P2Case {
-  double q;
-  int distribution;  // 0=uniform, 1=gaussian, 2=lognormal.
-};
-class P2QuantilePropertyTest
-    : public ::testing::TestWithParam<std::tuple<double, int>> {};
-
-TEST_P(P2QuantilePropertyTest, TracksTrueQuantile) {
-  const double q = std::get<0>(GetParam());
-  const int distribution = std::get<1>(GetParam());
-  Rng rng(77 + distribution);
-  P2Quantile sketch(q);
-  std::vector<double> values;
-  for (int i = 0; i < 20000; ++i) {
-    double v;
-    switch (distribution) {
-      case 0: v = rng.NextUniform(-3.0, 7.0); break;
-      case 1: v = rng.NextGaussian(2.0, 3.0); break;
-      default: v = rng.NextLogNormal(0.0, 1.0); break;
-    }
-    sketch.Add(v);
-    values.push_back(v);
-  }
-  const double exact = Quantile(values, q);
-  const double spread = Quantile(values, 0.95) - Quantile(values, 0.05);
-  EXPECT_NEAR(sketch.Value(), exact, spread * 0.05)
-      << "q=" << q << " dist=" << distribution;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, P2QuantilePropertyTest,
-    ::testing::Combine(::testing::Values(0.1, 0.5, 0.9),
-                       ::testing::Values(0, 1, 2)));
-
-TEST(P2QuantileTest, MedianRobustToSpikes) {
-  // 5% huge outliers: the median sketch should stay near the bulk while
-  // the mean is dragged up.
-  Rng rng(99);
-  P2Quantile sketch(0.5);
-  Welford mean;
-  for (int i = 0; i < 10000; ++i) {
-    const double v =
-        rng.NextBernoulli(0.05) ? 1000.0 : rng.NextUniform(0.9, 1.1);
-    sketch.Add(v);
-    mean.Add(v);
-  }
-  EXPECT_NEAR(sketch.Value(), 1.0, 0.05);
-  EXPECT_GT(mean.mean(), 10.0);
-}
-
 TEST(FlagsTest, ParsesPositionalAndKeyValue) {
   const char* argv[] = {"prog", "replay", "--instances=4", "--csv",
                         "--utilization=0.5"};
@@ -400,50 +331,6 @@ TEST(WelfordTest, LoadRejectsTruncatedOrMalformedState) {
   EXPECT_FALSE(target.Load(truncated));
   std::istringstream empty("");
   EXPECT_FALSE(target.Load(empty));
-}
-
-TEST(P2QuantileTest, SaveLoadContinuesBitForBit) {
-  P2Quantile original(0.5);
-  Rng rng(17);
-  for (int i = 0; i < 200; ++i) original.Add(rng.NextLogNormal(0.0, 1.0));
-
-  std::stringstream buffer;
-  original.Save(buffer);
-  P2Quantile restored(0.5);
-  ASSERT_TRUE(restored.Load(buffer));
-  EXPECT_EQ(restored.count(), original.count());
-  EXPECT_DOUBLE_EQ(restored.Value(), original.Value());
-
-  for (int i = 0; i < 100; ++i) {
-    const double value = rng.NextLogNormal(0.0, 1.0);
-    original.Add(value);
-    restored.Add(value);
-    EXPECT_DOUBLE_EQ(restored.Value(), original.Value());
-  }
-}
-
-TEST(P2QuantileTest, SaveLoadRoundTripsSmallSampleState) {
-  // Fewer than 5 observations: the sketch is still in its exact phase.
-  P2Quantile original(0.9);
-  original.Add(3.0);
-  original.Add(1.0);
-  std::stringstream buffer;
-  original.Save(buffer);
-  P2Quantile restored(0.5);  // Quantile comes from the stream, not the ctor.
-  ASSERT_TRUE(restored.Load(buffer));
-  EXPECT_EQ(restored.count(), 2u);
-  EXPECT_DOUBLE_EQ(restored.Value(), original.Value());
-}
-
-TEST(P2QuantileTest, LoadRejectsTruncatedState) {
-  P2Quantile original(0.5);
-  for (int i = 0; i < 20; ++i) original.Add(i);
-  std::stringstream buffer;
-  original.Save(buffer);
-  const std::string bytes = buffer.str();
-  P2Quantile target(0.5);
-  std::istringstream truncated(bytes.substr(0, bytes.size() - 8));
-  EXPECT_FALSE(target.Load(truncated));
 }
 
 TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {

@@ -252,9 +252,8 @@ TEST(StagePredictorTest, PredictBatchBitEqualsLoopedPredict) {
   EXPECT_EQ(predictor.total_predictions(), 2 * queries.size());
 }
 
-TEST(StagePredictorTest, UseGlobalFalseDisablesEscalation) {
+TEST(StagePredictorTest, WithoutGlobalModelNeverEscalates) {
   StagePredictorConfig config = FastStage();
-  config.use_global = false;
   config.short_running_seconds = 0.0;
   config.uncertainty_log_std_threshold = 0.0;
   StagePredictor predictor(config);

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Full verification gate: Release build + ASan + TSan, ctest on each, plus
-# a disassembly check that the nn kernels contain no fused multiply-add,
-# an explicit run of the checkpoint corruption fault-injection suite under
-# ASan (truncations and bit flips must fail loads cleanly — no crash, no
-# OOM, no half-trained model), the pinned golden routing replay, a
-# structural check of the stage_sim stats Prometheus exposition, and short
-# runs of the serving benchmark (perfbench/) whose output checks must pass.
+# a disassembly check that the nn kernels contain no fused multiply-add and
+# start on 64-byte boundaries, an explicit run of the checkpoint corruption
+# fault-injection suite under ASan (truncations and bit flips must fail
+# loads cleanly — no crash, no OOM, no half-trained model), the pinned
+# golden routing replay, a structural check of the stage_sim stats
+# Prometheus exposition, and short runs of the serving benchmark
+# (perfbench/) whose output checks must pass.
 # Run from anywhere; builds live next to the source tree as
 # build-check-{release,asan,tsan,perfbench}.
 #
@@ -47,6 +48,18 @@ if [[ -n "${fused}" ]]; then
   exit 1
 fi
 echo "=== stage_nn is FMA-free ==="
+
+# stage_nn is built with -falign-functions=64 so unrelated code size cannot
+# shift the kernels' placement (and speed). Fail unless every object's .text
+# is aligned to exactly 64 bytes (2**6): a lost flag shows as 2**4.
+echo "=== [release] stage_nn functions are 64-byte aligned ==="
+text_sections="$(objdump -h "${nn_archive}" | awk '$2 == ".text" {print $NF}')"
+if [[ -z "${text_sections}" ]] || grep -qv '^2\*\*6$' <<< "${text_sections}"; then
+  echo "stage_nn .text alignments (want 2**6 each):" >&2
+  objdump -h "${nn_archive}" | awk '$2 == ".text"' >&2
+  exit 1
+fi
+echo "=== stage_nn .text is 64-byte aligned ==="
 
 echo "=== [release] GBT hot-path bench smoke (STAGE_BENCH_FAST=1) ==="
 (cd "${repo_root}/build-check-release/bench" && \
