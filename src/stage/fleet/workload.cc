@@ -42,8 +42,6 @@ std::vector<QueryEvent> WorkloadGenerator::GenerateTrace() {
                          std::pow(static_cast<double>(t + 1), config_.zipf_s));
   }
 
-  const int64_t span_ms =
-      static_cast<int64_t>(config_.days) * 24 * 3600 * 1000;
   std::vector<QueryEvent> trace;
   trace.reserve(config_.num_queries);
 
@@ -60,7 +58,8 @@ std::vector<QueryEvent> WorkloadGenerator::GenerateTrace() {
     }
     event.arrival_ms =
         day * 24 * 3600 * 1000 + static_cast<int64_t>(hour * 3600.0 * 1000.0);
-    STAGE_DCHECK(event.arrival_ms < span_ms);
+    STAGE_DCHECK(event.arrival_ms <
+                 static_cast<int64_t>(config_.days) * 24 * 3600 * 1000);
 
     // Data drift: stale stats vs. grown tables.
     const double row_scale =

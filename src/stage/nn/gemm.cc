@@ -21,16 +21,41 @@ constexpr size_t kMinChunkFloats = 4096;
 // value never affects results (see gemm.h).
 constexpr int kRowBlock = 64;
 
-// The forward leaf kernels. Each writes columns [0, cols) of one panel's
-// slice of y rows [0, rows), from that panel and `bias16` (the panel's
-// kPanelWidth bias values, zero-padded), splitting the rows into groups
-// that share every panel-row load. Every output element is the scalar chain
+// The forward kernels. Each computes one row block of y = x * W^T + bias
+// over every panel, for up to kRowBlock rows. Every output element is the
+// scalar chain
 //   acc = bias[o]; for k ascending: acc = acc + x[k] * W[o][k]
 // with the product rounded before the add, so all kernels match
 // Linear::Forward bit for bit. Padded columns are computed and discarded.
+using BlockKernel = void (*)(int rows, int out_dim, int in_dim,
+                             const float* x, const float* panels,
+                             const float* bias, float* y);
+
+// The portable and AVX2 leaves write columns [0, cols) of one panel's
+// slice of y rows [0, rows), from that panel and `bias16` (the panel's
+// kPanelWidth bias values, zero-padded), splitting the rows into groups
+// that share every panel-row load.
 using PanelKernel = void (*)(int rows, int in_dim, const float* x,
                              const float* panel, const float* bias16,
                              int cols, float* y, int out_dim);
+
+// Runs a per-panel leaf panel-outer over a row block: the block's row
+// groups all pass over one panel (L1-resident after the first group)
+// before the next panel is touched.
+template <PanelKernel kLeaf>
+void PanelOuterBlock(int rows, int out_dim, int in_dim, const float* x,
+                     const float* panels, const float* bias, float* y) {
+  const int num_panels = (out_dim + kPanelWidth - 1) / kPanelWidth;
+  const size_t panel_floats = static_cast<size_t>(in_dim) * kPanelWidth;
+  for (int p = 0; p < num_panels; ++p) {
+    const int o0 = p * kPanelWidth;
+    const int cols = std::min(kPanelWidth, out_dim - o0);
+    float bias16[kPanelWidth] = {};
+    if (bias != nullptr) std::copy(bias + o0, bias + o0 + cols, bias16);
+    kLeaf(rows, in_dim, x, panels + p * panel_floats, bias16, cols, y + o0,
+          out_dim);
+  }
+}
 
 // Portable kernel: one row at a time, its kPanelWidth accumulators in a
 // local array the compiler vectorizes with the baseline ISA.
@@ -121,62 +146,129 @@ __attribute__((target("avx2"))) void PanelRowsAvx2(int rows, int in_dim,
   }
 }
 
-// AVX-512F: R (<= 8) rows x 16 columns, one ZMM accumulator per row; the
-// tail panel's padded columns are masked off at the store.
-template <int R>
-__attribute__((target("avx512f"))) void RowGroupAvx512(
-    int in_dim, const float* x, const float* panel, const float* bias16,
-    __mmask16 store_mask, float* y, int out_dim) {
-  const __m512 b = _mm512_loadu_ps(bias16);
-  __m512 acc[R];
+// AVX-512F: an R-row x P-panel register tile, R * P ZMM accumulators. Each
+// k step loads P panel rows and broadcasts R inputs, and all R * P chains
+// are independent. The bias comes straight from `bias` (zeros when null);
+// `last_mask` covers the tile's last panel, masking its load of the bias
+// and its store, so a tile ending at the GEMM's padded tail panel neither
+// reads bias past out_dim nor writes past it.
+template <int R, int P>
+__attribute__((target("avx512f"))) void TileAvx512(
+    int in_dim, const float* x, const float* panel, size_t panel_floats,
+    const float* bias, __mmask16 last_mask, float* y, int out_dim) {
+  __m512 acc[R][P];
 #pragma GCC unroll 8
-  for (int r = 0; r < R; ++r) acc[r] = b;
+  for (int j = 0; j < P; ++j) {
+    const __mmask16 mask = j == P - 1 ? last_mask : 0xFFFF;
+    const __m512 b = bias != nullptr
+                         ? _mm512_maskz_loadu_ps(mask, bias + j * kPanelWidth)
+                         : _mm512_setzero_ps();
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) acc[r][j] = b;
+  }
   const float* wk = panel;
   for (int k = 0; k < in_dim; ++k, wk += kPanelWidth) {
-    const __m512 w = _mm512_loadu_ps(wk);
+    __m512 w[P];
+#pragma GCC unroll 8
+    for (int j = 0; j < P; ++j) w[j] = _mm512_loadu_ps(wk + j * panel_floats);
 #pragma GCC unroll 8
     for (int r = 0; r < R; ++r) {
       const __m512 f =
           _mm512_set1_ps(x[static_cast<size_t>(r) * in_dim + k]);
-      acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(f, w));
+#pragma GCC unroll 8
+      for (int j = 0; j < P; ++j) {
+        acc[r][j] = _mm512_add_ps(acc[r][j], _mm512_mul_ps(f, w[j]));
+      }
     }
   }
 #pragma GCC unroll 8
   for (int r = 0; r < R; ++r) {
-    _mm512_mask_storeu_ps(y + static_cast<size_t>(r) * out_dim, store_mask,
-                          acc[r]);
+    float* yr = y + static_cast<size_t>(r) * out_dim;
+#pragma GCC unroll 8
+    for (int j = 0; j < P; ++j) {
+      if (j == P - 1) {
+        _mm512_mask_storeu_ps(yr + j * kPanelWidth, last_mask, acc[r][j]);
+      } else {
+        _mm512_storeu_ps(yr + j * kPanelWidth, acc[r][j]);
+      }
+    }
   }
 }
 
-__attribute__((target("avx512f"))) void PanelRowsAvx512(int rows, int in_dim,
-                                                        const float* x,
-                                                        const float* panel,
-                                                        const float* bias16,
-                                                        int cols, float* y,
-                                                        int out_dim) {
-  static constexpr decltype(&RowGroupAvx512<1>) kGroups[] = {
-      nullptr,           &RowGroupAvx512<1>, &RowGroupAvx512<2>,
-      &RowGroupAvx512<3>, &RowGroupAvx512<4>, &RowGroupAvx512<5>,
-      &RowGroupAvx512<6>, &RowGroupAvx512<7>, &RowGroupAvx512<8>};
-  const __mmask16 mask = static_cast<__mmask16>((1u << cols) - 1u);
-  for (int r = 0; r < rows; r += 8) {
-    kGroups[std::min(8, rows - r)](
-        in_dim, x + static_cast<size_t>(r) * in_dim, panel, bias16, mask,
-        y + static_cast<size_t>(r) * out_dim, out_dim);
+// Panels per tile for an R-row tile (index R = 1..8): enough that the tile
+// keeps at least 8 independent accumulator chains.
+constexpr int kTilePanels[] = {0, 8, 4, 3, 2, 2, 2, 2, 1};
+
+using TileFn = decltype(&TileAvx512<1, 1>);
+
+// kTiles[R][P] is the R-row x P-panel tile for P = 1..kTilePanels[R].
+constexpr TileFn kTiles[][9] = {
+    {},
+    {nullptr, &TileAvx512<1, 1>, &TileAvx512<1, 2>, &TileAvx512<1, 3>,
+     &TileAvx512<1, 4>, &TileAvx512<1, 5>, &TileAvx512<1, 6>,
+     &TileAvx512<1, 7>, &TileAvx512<1, 8>},
+    {nullptr, &TileAvx512<2, 1>, &TileAvx512<2, 2>, &TileAvx512<2, 3>,
+     &TileAvx512<2, 4>},
+    {nullptr, &TileAvx512<3, 1>, &TileAvx512<3, 2>, &TileAvx512<3, 3>},
+    {nullptr, &TileAvx512<4, 1>, &TileAvx512<4, 2>},
+    {nullptr, &TileAvx512<5, 1>, &TileAvx512<5, 2>},
+    {nullptr, &TileAvx512<6, 1>, &TileAvx512<6, 2>},
+    {nullptr, &TileAvx512<7, 1>, &TileAvx512<7, 2>},
+    {nullptr, &TileAvx512<8, 1>},
+};
+
+// AVX-512F row block: full 8-row groups run 8 x 1 tiles panel-outer, so
+// each panel is read from memory once and then from L1 by every group. The
+// rows % 8 tail, which is every row of a block under 8 rows, runs one
+// R x kTilePanels[R] tile per panel group, across the panels the full
+// groups have just read.
+__attribute__((target("avx512f"))) void TiledBlockAvx512(
+    int rows, int out_dim, int in_dim, const float* x, const float* panels,
+    const float* bias, float* y) {
+  const int num_panels = (out_dim + kPanelWidth - 1) / kPanelWidth;
+  const size_t panel_floats = static_cast<size_t>(in_dim) * kPanelWidth;
+  const __mmask16 last_panel_mask = static_cast<__mmask16>(
+      (1u << (out_dim - (num_panels - 1) * kPanelWidth)) - 1u);
+  const int tail = rows % 8;
+  const int full_rows = rows - tail;
+  const int group = tail > 0 ? kTilePanels[tail] : 1;
+  for (int p0 = 0; p0 < num_panels; p0 += group) {
+    const int np = std::min(group, num_panels - p0);
+    for (int p = p0; p < p0 + np; ++p) {
+      const __mmask16 mask = p == num_panels - 1 ? last_panel_mask : 0xFFFF;
+      for (int r = 0; r < full_rows; r += 8) {
+        TileAvx512<8, 1>(in_dim, x + static_cast<size_t>(r) * in_dim,
+                         panels + p * panel_floats, panel_floats,
+                         bias != nullptr ? bias + p * kPanelWidth : nullptr,
+                         mask,
+                         y + static_cast<size_t>(r) * out_dim +
+                             p * kPanelWidth,
+                         out_dim);
+      }
+    }
+    if (tail > 0) {
+      kTiles[tail][np](
+          in_dim, x + static_cast<size_t>(full_rows) * in_dim,
+          panels + p0 * panel_floats, panel_floats,
+          bias != nullptr ? bias + p0 * kPanelWidth : nullptr,
+          p0 + np == num_panels ? last_panel_mask : 0xFFFF,
+          y + static_cast<size_t>(full_rows) * out_dim + p0 * kPanelWidth,
+          out_dim);
+    }
   }
 }
 #endif  // defined(__x86_64__)
 
-PanelKernel KernelFor(internal::GemmKernel kernel) {
+BlockKernel KernelFor(internal::GemmKernel kernel) {
   switch (kernel) {
 #if defined(__x86_64__)
     case internal::GemmKernel::kAvx512:
-      return &PanelRowsAvx512;
+      return &TiledBlockAvx512;
     case internal::GemmKernel::kAvx2:
-      return &PanelRowsAvx2;
+      return &PanelOuterBlock<&PanelRowsAvx2>;
 #endif
     default:
-      return &PanelRowsPortable;
+      return &PanelOuterBlock<&PanelRowsPortable>;
   }
 }
 
@@ -230,29 +322,16 @@ void ForEachRowBlock(int rows, ThreadPool* pool, Fn&& fn) {
   }
 }
 
-// GemmBias on a given leaf kernel: row blocks fan out on the pool, and
-// inside a block the loop is panel-outer, so the block's row groups all
-// pass over one panel (L1-resident after the first group) before the next
-// panel is touched.
-void GemmBiasPanels(PanelKernel leaf, int rows, int out_dim, int in_dim,
+// GemmBias on a given kernel: row blocks fan out on the pool.
+void GemmBiasBlocks(BlockKernel kernel, int rows, int out_dim, int in_dim,
                     const float* x, const float* panels, const float* bias,
                     float* y, ThreadPool* pool) {
   STAGE_DCHECK(rows >= 0 && out_dim > 0 && in_dim > 0);
-  const int num_panels = (out_dim + kPanelWidth - 1) / kPanelWidth;
-  const size_t panel_floats = static_cast<size_t>(in_dim) * kPanelWidth;
   ForEachRowBlock(rows, pool, [&](int block) {
     const int row0 = block * kRowBlock;
-    const int block_rows = std::min(kRowBlock, rows - row0);
-    const float* xb = x + static_cast<size_t>(row0) * in_dim;
-    float* yb = y + static_cast<size_t>(row0) * out_dim;
-    for (int p = 0; p < num_panels; ++p) {
-      const int o0 = p * kPanelWidth;
-      const int cols = std::min(kPanelWidth, out_dim - o0);
-      float bias16[kPanelWidth] = {};
-      if (bias != nullptr) std::copy(bias + o0, bias + o0 + cols, bias16);
-      leaf(block_rows, in_dim, xb, panels + p * panel_floats, bias16, cols,
-           yb + o0, out_dim);
-    }
+    kernel(std::min(kRowBlock, rows - row0), out_dim, in_dim,
+           x + static_cast<size_t>(row0) * in_dim, panels, bias,
+           y + static_cast<size_t>(row0) * out_dim);
   });
 }
 
@@ -345,7 +424,7 @@ void GemmBiasWithKernel(GemmKernel kernel, int rows, int out_dim, int in_dim,
                         const float* x, const float* panels,
                         const float* bias, float* y, ThreadPool* pool) {
   STAGE_CHECK(GemmKernelSupported(kernel));
-  GemmBiasPanels(KernelFor(kernel), rows, out_dim, in_dim, x, panels, bias, y,
+  GemmBiasBlocks(KernelFor(kernel), rows, out_dim, in_dim, x, panels, bias, y,
                  pool);
 }
 
@@ -354,8 +433,9 @@ void GemmBiasWithKernel(GemmKernel kernel, int rows, int out_dim, int in_dim,
 void GemmBias(int rows, int out_dim, int in_dim, const float* x,
               const float* panels, const float* bias, float* y,
               ThreadPool* pool) {
-  static const PanelKernel leaf = KernelFor(internal::SelectedGemmKernel());
-  GemmBiasPanels(leaf, rows, out_dim, in_dim, x, panels, bias, y, pool);
+  static const BlockKernel kernel =
+      KernelFor(internal::SelectedGemmKernel());
+  GemmBiasBlocks(kernel, rows, out_dim, in_dim, x, panels, bias, y, pool);
 }
 
 void GemmGradInput(int rows, int out_dim, int in_dim, const float* dy,

@@ -98,20 +98,30 @@ using PanelVector = std::vector<float, CacheLineAllocator<float>>;
 // the pool fan-out unit) each panel is read from memory once and then
 // reused from L1 by every row group, so a call reads the weights once per
 // row block, and a call of up to 64 rows (one plan's nodes, or a small
-// batch of plans) reads them once. A row group keeps kPanelWidth
-// accumulators per row in SIMD registers, broadcasts x[k] and adds
-// x[k] * panel row k, so each output element still starts at the bias and
-// sums its products in ascending k, with a separate multiply and add per
-// term (stage_nn is compiled with -ffp-contract=off, and tools/check.sh
-// fails on any fused multiply-add in the library).
+// batch of plans) reads them once. A row group keeps each row's
+// accumulators in SIMD registers, broadcasts x[k] and adds x[k] * panel
+// row k, so each output element still starts at the bias and sums its
+// products in ascending k, with a separate multiply and add per term
+// (stage_nn is compiled with -ffp-contract=off, and tools/check.sh fails
+// on any fused multiply-add in the library).
 //
 // The leaf kernel is chosen once per process from the CPU's features:
-// AVX-512F (row groups of up to 8 rows, one ZMM accumulator per row,
-// masked tail columns), else AVX2 (up to 4 rows, two YMM accumulators per
-// row), else a portable per-row loop. No option selects it, and all three
-// produce the same bytes (nn_test checks each against Linear::Forward
-// over a table of shapes). Row blocks fan out on `pool` when provided;
-// blocks own disjoint output rows, so the pool never changes the bytes.
+// AVX-512F (register tiles, below), else AVX2 (up to 4 rows, two YMM
+// accumulators per row), else a portable per-row loop. No option selects
+// it, and all three produce the same bytes (nn_test checks each against
+// Linear::Forward over a table of shapes). Row blocks fan out on `pool`
+// when provided; blocks own disjoint output rows, so the pool never
+// changes the bytes.
+//
+// The AVX-512F kernel computes an R-row x P-panel register tile at a time:
+// R * P ZMM accumulators, P panel-row loads and R broadcasts per k step,
+// every chain independent. A block's full 8-row groups run 8 x 1 tiles
+// panel-outer as above. Its rows % 8 tail, which is every row of a block
+// under 8 rows (a pruned GCN layer often has 1-4), takes P = 8, 4, 3 or 2
+// panels for R = 1, 2, 3 or 4..7, so the tile keeps at least 8 chains in
+// flight instead of R; one chain per row would leave it bound by the add
+// latency. A tile ending at the padded last panel masks its bias load and
+// its store.
 void GemmBias(int rows, int out_dim, int in_dim, const float* x,
               const float* panels, const float* bias, float* y,
               ThreadPool* pool = nullptr);

@@ -14,7 +14,7 @@ namespace stage::nn::internal {
 enum class GemmKernel {
   kPortable,  // Per-row loop in baseline ISA code; runs everywhere.
   kAvx2,      // Row groups of up to 4 rows in YMM registers.
-  kAvx512,    // Row groups of up to 8 rows in ZMM registers, masked tail.
+  kAvx512,    // R-row x P-panel register tiles in ZMM registers.
 };
 
 // The kernel GemmBias runs on this machine.

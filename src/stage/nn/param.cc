@@ -1,6 +1,7 @@
 #include "stage/nn/param.h"
 
 #include <cmath>
+#include <utility>
 
 #include "stage/common/macros.h"
 #include "stage/common/serialize.h"
@@ -44,7 +45,14 @@ void Param::Step(const AdamConfig& config, double grad_divisor) {
 void Param::Save(std::ostream& out) const { WriteVector(out, value_); }
 
 bool Param::Load(std::istream& in) {
-  if (!ReadVector(in, &value_)) return false;
+  std::vector<float> value;
+  if (!ReadVector(in, &value)) return false;
+  // A NaN or infinite weight would make every forward through it
+  // non-finite, which the serving path turns into a silent 0 s prediction.
+  for (const float v : value) {
+    if (!std::isfinite(v)) return false;
+  }
+  value_ = std::move(value);
   grad_.assign(value_.size(), 0.0f);
   m_.assign(value_.size(), 0.0f);
   v_.assign(value_.size(), 0.0f);

@@ -35,7 +35,8 @@ class Param {
   void Step(const AdamConfig& config, double grad_divisor);
 
   // Checkpointing: values only (optimizer moments reset on load, which is
-  // sufficient for inference and a fresh fine-tune).
+  // sufficient for inference and a fresh fine-tune). Load fails, leaving
+  // this Param untouched, on a short stream or a non-finite value.
   void Save(std::ostream& out) const;
   bool Load(std::istream& in);
 

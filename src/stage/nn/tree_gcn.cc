@@ -50,52 +50,63 @@ const float* TreeGcn::ForwardBatch(const TreeBatch& batch, Workspace* ws,
   STAGE_CHECK(batch.feature_dim() == config_.input_dim);
   const int num_layers = config_.num_layers;
   const int h = config_.hidden_dim;
-  const int n = batch.num_nodes();
   const bool masked = train && config_.dropout > 0.0f;
   if (masked) STAGE_CHECK(rng != nullptr);
 
+  // Only the root rows leave the GCN, so layer l matters only at the nodes
+  // within depth L-1-l of their root, and layer 0 reads features down to
+  // depth L. An eval pass lays those nodes out level-major, where each
+  // layer's set is a slot prefix. A training pass keeps the batch's
+  // tree-major order and computes every slot (tree_batch.h says why).
+  if (!train) ws->levels.AssignLevelMajor(batch, num_layers);
+  const TreeBatch& slots = train ? batch : ws->levels;
+  const int n = slots.num_nodes();
+
   ws->arena.Reset();
   ws->num_nodes = n;
+  ws->train = train;
   ws->acts.assign(num_layers + 1, nullptr);
   ws->aggs.assign(num_layers, nullptr);
   ws->masks.assign(num_layers, nullptr);
-  // The batch's gathered feature matrix IS layer 0 — read-only alias, no
-  // copy. (The arena must not be reset between a batch build and Backward,
-  // which Forward's structure guarantees.)
-  ws->acts[0] = const_cast<float*>(batch.features());
+  // The slots' feature matrix IS layer 0 — read-only alias, no copy. (The
+  // arena must not be reset between a batch build and Backward, which
+  // Forward's structure guarantees.)
+  ws->acts[0] = const_cast<float*>(slots.features());
 
   for (int l = 0; l < num_layers; ++l) {
     const int in_dim = LayerInDim(l);
     const float* in = ws->acts[l];
+    // The slots whose layer-l output a root reads.
+    const int rows = train ? n : slots.SlotsWithinDepth(num_layers - 1 - l);
     // Child aggregation: one streaming sweep. Each node's children occupy a
     // contiguous slot range (tree_batch.h), appended in original child-list
     // order, so every node's sum matches the naive walk term for term.
     float* agg =
-        ws->arena.AllocZeroed(static_cast<size_t>(n) * in_dim);
+        ws->arena.AllocZeroed(static_cast<size_t>(rows) * in_dim);
     ws->aggs[l] = agg;
-    for (int s = 0; s < n; ++s) {
-      const int32_t count = batch.child_count(s);
+    for (int s = 0; s < rows; ++s) {
+      const int32_t count = slots.child_count(s);
       if (count == 0) continue;
       const float inv = 1.0f / static_cast<float>(count);
       float* row = agg + static_cast<size_t>(s) * in_dim;
       const float* cf =
-          in + static_cast<size_t>(batch.child_start(s)) * in_dim;
+          in + static_cast<size_t>(slots.child_start(s)) * in_dim;
       for (int32_t c = 0; c < count; ++c, cf += in_dim) {
         for (int j = 0; j < in_dim; ++j) row[j] += cf[j];
       }
       for (int j = 0; j < in_dim; ++j) row[j] *= inv;
     }
 
-    // One GEMM per transform over every node of every tree: out = self(in),
-    // then out += child(agg) — the same z[j] + child_part[j] order as the
-    // naive walk.
-    float* out = ws->arena.Alloc(static_cast<size_t>(n) * h);
-    float* child_out = ws->arena.Alloc(static_cast<size_t>(n) * h);
+    // One GEMM per transform over those slots of every tree: out =
+    // self(in), then out += child(agg) — the same z[j] + child_part[j]
+    // order as the naive walk.
+    float* out = ws->arena.Alloc(static_cast<size_t>(rows) * h);
+    float* child_out = ws->arena.Alloc(static_cast<size_t>(rows) * h);
     ws->acts[l + 1] = out;
-    self_[l].ForwardBatch(in, n, out, pool);
-    child_[l].ForwardBatch(agg, n, child_out, pool);
+    self_[l].ForwardBatch(in, rows, out, pool);
+    child_[l].ForwardBatch(agg, rows, child_out, pool);
 
-    const size_t count = static_cast<size_t>(n) * h;
+    const size_t count = static_cast<size_t>(rows) * h;
     if (masked) {
       const float scale = 1.0f / (1.0f - config_.dropout);
       float* mask = ws->arena.Alloc(count);
@@ -118,12 +129,12 @@ const float* TreeGcn::ForwardBatch(const TreeBatch& batch, Workspace* ws,
   }
 
   // Gather each tree's root row.
-  const int num_trees = batch.num_trees();
+  const int num_trees = slots.num_trees();
   float* roots = ws->arena.Alloc(static_cast<size_t>(num_trees) * h);
   ws->roots = roots;
   const float* top = ws->acts[num_layers];
   for (int t = 0; t < num_trees; ++t) {
-    const float* src = top + static_cast<size_t>(batch.root_slot(t)) * h;
+    const float* src = top + static_cast<size_t>(slots.root_slot(t)) * h;
     std::copy(src, src + h, roots + static_cast<size_t>(t) * h);
   }
   return roots;
@@ -134,6 +145,7 @@ void TreeGcn::BackwardBatch(const float* droots, const TreeBatch& batch,
   const int num_layers = config_.num_layers;
   const int h = config_.hidden_dim;
   const int n = ws.num_nodes;
+  STAGE_CHECK_MSG(ws.train, "backward needs a training forward");
   STAGE_CHECK(batch.num_nodes() == n);
   STAGE_CHECK(static_cast<int>(ws.acts.size()) == num_layers + 1);
 

@@ -18,12 +18,16 @@ namespace stage::nn {
 // linear maps, followed by ReLU (and dropout in training). After L layers
 // the root's representation summarizes the whole plan.
 //
-// Execution is level-order batched (see tree_batch.h): because layer l+1
+// Execution is batched over slots (see tree_batch.h): because layer l+1
 // activations depend only on layer-l activations, every layer runs as one
 // child-aggregation sweep plus exactly two GEMMs (self and child
-// transforms) over ALL nodes of ALL trees in the batch — instead of
-// 2 * num_nodes matrix-vector products. Results are bit-for-bit identical
-// to the naive per-node walk (the kernels keep each element's naive
+// transforms) over a slot range of ALL trees in the batch — instead of
+// 2 * num_nodes matrix-vector products. A training pass computes every
+// slot in the batch's tree-major order. An eval pass computes only the
+// roots' receptive field: only the root rows leave the GCN, so layer l
+// runs over just the nodes within depth L-1-l of their root, one slot
+// prefix of the level-major layout. Results are bit-for-bit identical to
+// the naive per-node walk (the kernels keep each element's naive
 // accumulation order; aggregation sums children in their original order).
 class TreeGcn {
  public:
@@ -39,20 +43,28 @@ class TreeGcn {
   // zero heap allocations once warmed up to the largest batch seen.
   struct Workspace {
     Arena arena;
-    // acts[l]: layer-l activations, row-major [num_nodes x dim_l] in batch
-    // slot order, where dim_0 = input_dim and dim_{l>0} = hidden_dim.
-    // acts[0] aliases the batch's feature matrix (never written).
+    // acts[l]: layer-l activations, row-major [rows x dim_l] in slot
+    // order, where dim_0 = input_dim and dim_{l>0} = hidden_dim. A
+    // training pass has every slot of the batch; an eval pass only the
+    // level-major slots layer l-1 computed. acts[0] aliases the slots'
+    // feature matrix (never written).
     std::vector<float*> acts;
-    // aggs[l]: mean-of-children inputs to layer l, [num_nodes x dim_l].
+    // aggs[l]: mean-of-children inputs to layer l, [rows x dim_l].
     std::vector<float*> aggs;
     // masks[l]: dropout multipliers for layer l outputs (nullptr in eval).
     std::vector<float*> masks;
     // Root representations, [num_trees x hidden_dim].
     float* roots = nullptr;
     int num_nodes = 0;
+    // Whether the last forward was a training pass; backward needs one,
+    // since an eval pass neither keeps tree-major order nor computes every
+    // slot.
+    bool train = false;
 
     // Single-tree convenience batch used by Forward/Backward.
     TreeBatch single;
+    // The eval pass's level-major copy of its batch.
+    TreeBatch levels;
 
     // Heap floats retained across calls; stops growing once warm.
     size_t CapacityFloats() const { return arena.CapacityFloats(); }
@@ -73,24 +85,28 @@ class TreeGcn {
                        Workspace* ws, bool train = false,
                        Rng* rng = nullptr) const;
 
-  // Level-order batched forward over a whole forest. Returns the root
-  // representations, row-major [batch.num_trees() x hidden_dim], inside
-  // `ws`. Each tree's root row is bit-for-bit identical to Forward on that
-  // tree alone. Dropout masks are drawn serially on the calling thread in
-  // slot-major order, so results are independent of `pool` (which only
-  // fans out the GEMMs).
+  // Batched forward over a whole forest (a tree-major TreeBatch). Returns
+  // the root representations, row-major [batch.num_trees() x hidden_dim],
+  // inside `ws`. Each tree's root row is bit-for-bit identical to Forward
+  // on that tree alone and to the naive per-node walk. An eval pass
+  // (`train` false) lays the batch out level-major in `ws` and computes
+  // only the rows the roots read. A training pass computes every slot in
+  // the batch's own order; its dropout masks are drawn serially on the
+  // calling thread in slot-major order, so results are independent of
+  // `pool` (which only fans out the GEMMs).
   const float* ForwardBatch(const TreeBatch& batch, Workspace* ws,
                             bool train = false, Rng* rng = nullptr,
                             ThreadPool* pool = nullptr) const;
 
   // Accumulates parameter gradients given dL/d(root representation).
+  // `ws` must hold a training forward (Forward with `train` true).
   void Backward(const float* droot,
                 const std::vector<std::vector<int32_t>>& children,
                 Workspace& ws);
 
   // Batched backward: `droots` is [batch.num_trees() x hidden_dim] for the
-  // batch of the matching ForwardBatch. Gradient bytes are identical for
-  // any pool width, including none.
+  // batch of the matching training ForwardBatch. Gradient bytes are
+  // identical for any pool width, including none.
   void BackwardBatch(const float* droots, const TreeBatch& batch,
                      Workspace& ws, ThreadPool* pool = nullptr);
 

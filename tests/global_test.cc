@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -328,6 +330,58 @@ TEST(GlobalModelTest, LoadRejectsHeadWithMoreThanOneOutput) {
   GlobalModel model;
   EXPECT_FALSE(model.Load(in));
   EXPECT_FALSE(model.trained());
+}
+
+TEST(GlobalModelTest, LoadRejectsNonFiniteWeights) {
+  fleet::FleetGenerator generator(SmallFleet());
+  const auto fleet = generator.GenerateFleet();
+  std::vector<GlobalExample> examples;
+  for (const auto& event : fleet[0].trace) {
+    examples.push_back(MakeGlobalExample(event.plan, fleet[0].config,
+                                         event.concurrent_queries,
+                                         event.exec_seconds));
+  }
+  std::stringstream buffer;
+  GlobalModel::Train(examples, FastConfig()).Save(buffer);
+  const std::string bytes = buffer.str();
+
+  GlobalModel model;
+  std::istringstream good(bytes);
+  ASSERT_TRUE(model.Load(good));
+  const auto& event = fleet[1].trace[0];
+  const double clean = model.PredictSeconds(event.plan, fleet[1].config,
+                                            event.concurrent_queries);
+  ASSERT_GT(clean, 0.0);
+
+  // The stream is the header, then the GCN: four 4-byte config fields and
+  // self layer 0 (int32 in, int32 out, a uint64 count, then its weights).
+  // The head comes last, and its output layer's one bias float ends the
+  // stream. Either value used to load, and a NaN anywhere made every
+  // prediction exactly 0 s.
+  std::stringstream header;
+  WriteHeader(header, 0x53474d4c /* "SGML" */, /*version=*/1);
+  const size_t first_gcn_weight = header.str().size() + 4 * 4 + 2 * 4 + 8;
+  const struct {
+    size_t offset;
+    float value;
+  } poisons[] = {{bytes.size() - sizeof(float), std::nanf("")},
+                 {first_gcn_weight, std::numeric_limits<float>::infinity()}};
+  for (const auto& poison : poisons) {
+    std::string patched = bytes;
+    std::memcpy(patched.data() + poison.offset, &poison.value,
+                sizeof(float));
+    std::istringstream in(patched);
+    EXPECT_FALSE(model.Load(in))
+        << poison.value << " at byte " << poison.offset;
+    // The failed load leaves the loaded model serving as before.
+    EXPECT_EQ(model.PredictSeconds(event.plan, fleet[1].config,
+                                   event.concurrent_queries),
+              clean);
+    std::istringstream fresh_in(patched);
+    GlobalModel fresh;
+    EXPECT_FALSE(fresh.Load(fresh_in));
+    EXPECT_FALSE(fresh.trained());
+  }
 }
 
 }  // namespace

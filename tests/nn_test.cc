@@ -278,6 +278,10 @@ Linear LoadedLinear(int in_dim, int out_dim, const std::vector<float>& w,
 // whether or not this machine selects it, against Linear::Forward over
 // widths with and without a full 16-column panel, ragged tails, and row
 // counts on both sides of every row-group (4, 8) and row-block (64) edge.
+// The AVX-512 kernel's R-row x P-panel tiles (P = 8, 4, 3 or 2 for a 1-,
+// 2-, 3- or 4..7-row tail) end short wherever the panel count is not a
+// multiple of P: the widths' panel counts (1, 2, 3, 4, 5, 6, 7, 9, 13, 16)
+// leave every such remainder, with and without a padded last panel.
 class GemmKernelTest : public testing::TestWithParam<internal::GemmKernel> {};
 
 TEST_P(GemmKernelTest, BitEqualsLinearForwardOverShapeTable) {
@@ -291,7 +295,8 @@ TEST_P(GemmKernelTest, BitEqualsLinearForwardOverShapeTable) {
   const float sentinel = -12345.0f;
   Rng rng(31);
   ThreadPool pool(3);
-  for (const int out_dim : {1, 11, 16, 48, 130, 256}) {
+  for (const int out_dim :
+       {1, 11, 16, 20, 48, 60, 80, 90, 112, 130, 200, 256}) {
     for (const int in_dim : {19, 99, 276}) {
       std::vector<float> w(static_cast<size_t>(out_dim) * in_dim);
       std::vector<float> b(static_cast<size_t>(out_dim));
@@ -583,9 +588,11 @@ TEST(TreeGcnTest, GradientsMatchFiniteDifferences) {
   std::vector<float> feats(4 * 3);
   for (float& f : feats) f = static_cast<float>(rng.NextUniform(-1, 1));
 
-  // Loss = 0.5 * ||root||^2 so droot = root.
+  // Loss = 0.5 * ||root||^2 so droot = root. Backward needs a training
+  // forward; with dropout 0 it computes what an eval forward does.
   TreeGcn::Workspace ws;
-  const float* root = gcn.Forward(feats.data(), 4, children, &ws);
+  const float* root =
+      gcn.Forward(feats.data(), 4, children, &ws, /*train=*/true);
   std::vector<float> droot(root, root + 5);
   gcn.ZeroGrad();
   gcn.Backward(droot.data(), children, ws);
@@ -640,8 +647,8 @@ TEST(TreeGcnTest, OverfitsTinyRegressionSet) {
       TreeGcn::Workspace gws;
       Mlp::Workspace hws;
       const int n = static_cast<int>(example.children.size());
-      const float* root =
-          gcn.Forward(example.feats.data(), n, example.children, &gws);
+      const float* root = gcn.Forward(example.feats.data(), n,
+                                      example.children, &gws, /*train=*/true);
       const float* out = head.Forward(root, &hws);
       const float dout = out[0] - static_cast<float>(example.target);
       std::vector<float> droot(16, 0.0f);
@@ -787,6 +794,87 @@ TEST(TreeGcnTest, ForwardBatchBitEqualsPerTreeForward) {
   EXPECT_TRUE(BitEqual(expected.data(), pooled, expected.size()));
 }
 
+// The eval pass computes only the rows a root reads, laid out level-major
+// across the whole forest; the naive walk computes every node of one tree
+// at a time. A prune that drops a row some root reads, or a layout that
+// mixes up whose children are whose, shows here as a differing root.
+TEST(TreeGcnTest, EvalForwardBatchBitEqualsNaiveWalkOverForest) {
+  Rng rng(43);
+  TreeGcn::Config config;
+  config.input_dim = 6;
+  config.hidden_dim = 40;  // Three panels, the last one padded.
+  config.num_layers = 3;
+  config.dropout = 0.2f;  // Eval ignores it.
+  TreeGcn gcn;
+  gcn.Init(config, rng);
+  std::stringstream snapshot;
+  gcn.Save(snapshot);
+  ParsedTreeGcn naive;
+  ASSERT_TRUE(naive.Parse(snapshot));
+
+  std::vector<std::vector<std::vector<int32_t>>> shapes;
+  shapes.push_back(Chain(12));  // Deeper than num_layers.
+  shapes.push_back({{}});       // Single node.
+  shapes.push_back(Star(9));
+  shapes.push_back(Chain(3));  // Deepest node at num_layers - 1.
+  shapes.push_back(Chain(4));  // Deepest node at num_layers.
+  for (const int n : {2, 5, 13, 40, 90}) shapes.push_back(RandomTree(n, rng));
+  shapes.push_back(Star(30));
+
+  TreeBatch batch;
+  batch.Clear(6);
+  std::vector<float> expected;
+  for (const auto& children : shapes) {
+    const int n = static_cast<int>(children.size());
+    std::vector<float> feats(static_cast<size_t>(n) * 6);
+    FillUniform(&feats, rng, -1.5, 1.5);
+    batch.AddTree(feats.data(), n, children);
+    const std::vector<float> root = naive.Forward(feats.data(), children);
+    expected.insert(expected.end(), root.begin(), root.end());
+  }
+
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    TreeGcn::Workspace ws;
+    const float* roots = gcn.ForwardBatch(batch, &ws, false, nullptr, p);
+    EXPECT_TRUE(BitEqual(expected.data(), roots, expected.size()))
+        << (p != nullptr ? "pooled" : "serial");
+  }
+}
+
+TEST(TreeBatchTest, LevelMajorKeepsEachParentsChildrenInOrder) {
+  // Tree A: 0 -> {1, 2}, 2 -> {3}, 3 -> {4}. Tree B: 0 -> {1}.
+  const std::vector<std::vector<int32_t>> a = {{1, 2}, {}, {3}, {4}, {}};
+  const std::vector<std::vector<int32_t>> b = {{1}, {}};
+  const std::vector<float> fa = {10, 11, 12, 13, 14};
+  const std::vector<float> fb = {20, 21};
+  TreeBatch trees;
+  trees.Clear(1);
+  trees.AddTree(fa.data(), 5, a);
+  trees.AddTree(fb.data(), 2, b);
+
+  TreeBatch levels;
+  levels.AssignLevelMajor(trees, /*max_depth=*/2);
+  // Depth 0: A0 B0; depth 1: A1 A2 B1; depth 2: A3. A4 is dropped, so A3
+  // keeps no children.
+  ASSERT_EQ(levels.num_nodes(), 6);
+  const float want[] = {10, 20, 11, 12, 21, 13};
+  for (int s = 0; s < 6; ++s) EXPECT_EQ(levels.features()[s], want[s]);
+  EXPECT_EQ(levels.root_slot(0), 0);
+  EXPECT_EQ(levels.root_slot(1), 1);
+  EXPECT_EQ(levels.child_start(0), 2);
+  EXPECT_EQ(levels.child_count(0), 2);
+  EXPECT_EQ(levels.child_start(1), 4);
+  EXPECT_EQ(levels.child_count(1), 1);
+  EXPECT_EQ(levels.child_start(3), 5);
+  EXPECT_EQ(levels.child_count(3), 1);
+  EXPECT_EQ(levels.child_count(5), 0);
+  EXPECT_EQ(levels.SlotsWithinDepth(0), 2);
+  EXPECT_EQ(levels.SlotsWithinDepth(1), 5);
+  EXPECT_EQ(levels.SlotsWithinDepth(2), 6);
+  EXPECT_EQ(levels.SlotsWithinDepth(7), 6);
+}
+
 TEST(TreeGcnTest, BackwardBatchBitEqualAcrossPoolWidths) {
   Rng rng(35);
   TreeGcn::Config config;
@@ -823,7 +911,7 @@ TEST(TreeGcnTest, BackwardBatchBitEqualAcrossPoolWidths) {
     ThreadPool pool(width == 0 ? 1 : width);
     ThreadPool* pool_ptr = width == 0 ? nullptr : &pool;
     TreeGcn::Workspace ws;
-    gcn.ForwardBatch(batch, &ws, false, nullptr, pool_ptr);
+    gcn.ForwardBatch(batch, &ws, /*train=*/true, nullptr, pool_ptr);
     gcn.ZeroGrad();
     gcn.BackwardBatch(droots.data(), batch, ws, pool_ptr);
     gcn.Step(adam, batch.num_trees());
@@ -835,6 +923,25 @@ TEST(TreeGcnTest, BackwardBatchBitEqualAcrossPoolWidths) {
       EXPECT_EQ(expected_bytes, bytes.str()) << "pool width " << width;
     }
   }
+}
+
+TEST(TreeGcnDeathTest, BackwardAfterEvalForwardDies) {
+  Rng rng(45);
+  TreeGcn::Config config;
+  config.input_dim = 2;
+  config.hidden_dim = 4;
+  config.num_layers = 2;
+  config.dropout = 0.0f;
+  TreeGcn gcn;
+  gcn.Init(config, rng);
+  const std::vector<std::vector<int32_t>> children = {{1}, {}};
+  const std::vector<float> feats = {0.5f, -0.5f, 1.0f, 2.0f};
+  const std::vector<float> droot(4, 1.0f);
+  // An eval forward keeps only the rows its roots read, in level-major
+  // order, which is not what backward walks.
+  TreeGcn::Workspace ws;
+  gcn.Forward(feats.data(), 2, children, &ws);
+  EXPECT_DEATH(gcn.Backward(droot.data(), children, ws), "training forward");
 }
 
 TEST(TreeGcnTest, RepeatedForwardIsAllocationFreeOnceWarm) {
