@@ -1,26 +1,21 @@
-// Network serving bench: quantifies the micro-batching aggregator against
-// the batching-disabled baseline (batching = false, every predict inline
-// on its worker thread) over real loopback sockets.
+// Network serving bench: the prediction server's qps and client-observed
+// latency over real loopback sockets, every predict served on the worker
+// thread that read it.
 //
 // The workload is built so every prediction escalates to the global model
 // (tenants registered with an unreachable min_train_size, never observed,
-// trained GlobalModel attached): the per-request cost is then dominated by
-// tree-GCN inference, which is exactly what FleetService::PredictBatch
-// amortizes through the level-batched GEMM path — so the win measured here
-// is algorithmic (batched inference + coalesced writes), not parallelism,
-// and survives single-core CI runners.
+// trained paper-shaped GlobalModel attached): the per-request cost is then
+// dominated by tree-GCN inference.
 //
 // The load generator keeps `connections` pipelined sockets saturated from
-// one poll() loop against one baseline server and one batched server. The
-// acceptance gate (ROADMAP item 3): with >= 16 concurrent connections,
-// batching must deliver >= 2x the qps of the batching-disabled baseline at
-// equal or better p99. Emits machine-readable BENCH_net_serve.json.
+// one poll() loop. The run must be loss-free and every answer must come
+// from the global model, or the bench exits 1. Emits machine-readable
+// BENCH_net_serve.json (qps, p50, p99); it carries no gate.
 //
 // STAGE_BENCH_FAST=1 shrinks the workload for CI smoke runs.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,7 +34,7 @@ struct BenchConfig {
   int num_tenants = 4;
   int plan_pool = 256;
   int train_queries = 400;       // Global-model training examples.
-  int connections = 16;          // The gate requires >= 16.
+  int connections = 16;
   int pipeline = 8;
   int64_t requests_per_connection = 400;
 };
@@ -55,22 +50,13 @@ BenchConfig MakeBenchConfig() {
   return config;
 }
 
-struct RoundResult {
-  net::LoadgenResult loadgen;
-  net::ServerStats stats;
-  double mean_batch = 0.0;
-};
-
-// One server lifetime + one loadgen run, batched or inline.
-bool RunRound(fleet_serve::FleetService* fleet,
-              const std::vector<plan::Plan>& plans,
-              const BenchConfig& bench, bool batching, RoundResult* result) {
-  const char* const name = batching ? "batched" : "baseline";
+// One server lifetime + one loadgen run; false when the run lost requests
+// or broke the all-global workload contract.
+bool RunServer(fleet_serve::FleetService* fleet,
+               const std::vector<plan::Plan>& plans, const BenchConfig& bench,
+               net::LoadgenResult* result) {
   net::ServerConfig server_config;
   server_config.num_workers = 2;
-  server_config.batching = batching;
-  server_config.max_batch = 64;
-  server_config.queue_bound = 4096;
   server_config.max_connections = 1024;
   net::Server server(fleet, server_config);
 
@@ -82,40 +68,31 @@ bool RunRound(fleet_serve::FleetService* fleet,
   loadgen_config.tenants = bench.num_tenants;
 
   std::string error;
-  if (!net::RunLoadgen(loadgen_config, plans, &result->loadgen, &error)) {
-    std::fprintf(stderr, "loadgen failed on the %s server: %s\n", name,
-                 error.c_str());
+  if (!net::RunLoadgen(loadgen_config, plans, result, &error)) {
+    std::fprintf(stderr, "loadgen failed: %s\n", error.c_str());
     return false;
   }
   server.Shutdown();
-  result->stats = server.Stats();
-  const obs::Histogram::Snapshot hist = server.batch_size_histogram();
-  result->mean_batch =
-      hist.count == 0 ? 0.0 : hist.sum / static_cast<double>(hist.count);
 
   const uint64_t expected =
       static_cast<uint64_t>(bench.connections) *
       static_cast<uint64_t>(bench.requests_per_connection);
-  if (result->loadgen.completed != expected ||
-      result->loadgen.errors != 0) {
+  if (result->completed != expected || result->errors != 0) {
     std::fprintf(stderr,
-                 "%s: %llu/%llu completed, %llu errors — the bench "
-                 "requires a loss-free run\n",
-                 name,
-                 static_cast<unsigned long long>(result->loadgen.completed),
+                 "%llu/%llu completed, %llu errors — the bench requires a "
+                 "loss-free run\n",
+                 static_cast<unsigned long long>(result->completed),
                  static_cast<unsigned long long>(expected),
-                 static_cast<unsigned long long>(result->loadgen.errors));
+                 static_cast<unsigned long long>(result->errors));
     return false;
   }
-  // The workload contract: everything escalates to the global model, so
-  // the batched round exercises the batched-GEMM path and nothing else.
-  const uint64_t global_served = result->loadgen.source_counts[
+  // The workload contract: everything escalates to the global model.
+  const uint64_t global_served = result->source_counts[
       static_cast<size_t>(core::PredictionSource::kGlobal)];
   if (global_served != expected) {
     std::fprintf(stderr,
-                 "%s: only %llu/%llu predictions came from the "
-                 "global model — workload contract broken\n",
-                 name,
+                 "only %llu/%llu predictions came from the global model — "
+                 "workload contract broken\n",
                  static_cast<unsigned long long>(global_served),
                  static_cast<unsigned long long>(expected));
     return false;
@@ -129,7 +106,7 @@ int main() {
   const BenchConfig bench = MakeBenchConfig();
 
   // Train the global model on a disjoint training fleet (paper-shaped
-  // network: the inference cost is what the batcher amortizes, so keep the
+  // network: inference is the per-request cost under test, so keep the
   // production layer sizes even in fast mode — only the training corpus
   // shrinks).
   fleet::FleetConfig train_config;
@@ -147,11 +124,8 @@ int main() {
   }
   global::GlobalModelConfig model_config;
   // Closer to the paper's 512x8 server-class network than the CPU-training
-  // default (48x3): per-request cost must be inference-dominated for the
-  // batching comparison to measure what production would see. At this
-  // width the level GEMMs of a lone plan (a handful of rows each) cannot
-  // keep the row-tiled kernel fed, which is precisely the gap the
-  // micro-batcher exists to close.
+  // default (48x3): per-request cost must be inference-dominated to measure
+  // what production would see.
   model_config.hidden_dim = 256;
   model_config.num_layers = 6;
   model_config.head_hidden = {256, 128};
@@ -188,62 +162,26 @@ int main() {
               static_cast<long long>(bench.requests_per_connection),
               bench.pipeline, bench.num_tenants, plans.size());
 
-  // Baseline first: batching disabled, every predict inline.
-  RoundResult baseline;
-  if (!RunRound(&fleet, plans, bench, false, &baseline)) return 1;
-  std::printf("baseline (no batching): %.0f qps, p50 %.2fms, p99 %.2fms\n",
-              baseline.loadgen.qps, baseline.loadgen.p50_ms,
-              baseline.loadgen.p99_ms);
-
-  RoundResult batched;
-  if (!RunRound(&fleet, plans, bench, true, &batched)) return 1;
-  const uint64_t full_flushes =
-      batched.stats.batch_flushes[static_cast<size_t>(net::FlushReason::kFull)];
-  const uint64_t partial_flushes = batched.stats.batch_flushes[
-      static_cast<size_t>(net::FlushReason::kTimeout)];
-  std::printf("batched: %.0f qps, p50 %.2fms, p99 %.2fms, mean batch %.1f, "
-              "%llu full / %llu partial flushes\n",
-              batched.loadgen.qps, batched.loadgen.p50_ms,
-              batched.loadgen.p99_ms, batched.mean_batch,
-              static_cast<unsigned long long>(full_flushes),
-              static_cast<unsigned long long>(partial_flushes));
-
-  // Gate: >= 2x baseline qps at <= baseline p99.
-  const double speedup = batched.loadgen.qps / baseline.loadgen.qps;
-  const bool speedup_ok = speedup >= 2.0;
-  const bool p99_ok = batched.loadgen.p99_ms <= baseline.loadgen.p99_ms;
-  std::printf("batched vs baseline: %.2fx qps, p99 %.2fms vs %.2fms -> %s\n",
-              speedup, batched.loadgen.p99_ms, baseline.loadgen.p99_ms,
-              speedup_ok && p99_ok ? "PASS" : "FAIL");
+  net::LoadgenResult result;
+  if (!RunServer(&fleet, plans, bench, &result)) return 1;
+  std::printf("server: %.0f qps, p50 %.2fms, p99 %.2fms\n", result.qps,
+              result.p50_ms, result.p99_ms);
 
   std::FILE* json = std::fopen("BENCH_net_serve.json", "w");
   if (json == nullptr) {
     std::fprintf(stderr, "cannot open BENCH_net_serve.json for write\n");
     return 1;
   }
-  // Readers key on the gate names, so best_window_us stays; batching has
-  // no window, so it is always 0.
   std::fprintf(
       json,
       "{\n"
       "  \"config\": {\"fast\": %s, \"connections\": %d, \"pipeline\": %d, "
       "\"requests_per_connection\": %lld, \"tenants\": %d},\n"
-      "  \"baseline\": {\"qps\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f},\n"
-      "  \"batched\": {\"qps\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-      "\"mean_batch\": %.2f, \"full_flushes\": %llu, "
-      "\"partial_flushes\": %llu},\n"
-      "  \"gates\": {\"best_window_us\": 0, \"qps_speedup\": %.3f, "
-      "\"speedup_ge_2x\": %s, \"p99_no_worse\": %s, \"pass\": %s}\n"
+      "  \"server\": {\"qps\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f}\n"
       "}\n",
       bench.fast ? "true" : "false", bench.connections, bench.pipeline,
       static_cast<long long>(bench.requests_per_connection),
-      bench.num_tenants, baseline.loadgen.qps, baseline.loadgen.p50_ms,
-      baseline.loadgen.p99_ms, batched.loadgen.qps, batched.loadgen.p50_ms,
-      batched.loadgen.p99_ms, batched.mean_batch,
-      static_cast<unsigned long long>(full_flushes),
-      static_cast<unsigned long long>(partial_flushes), speedup,
-      speedup_ok ? "true" : "false", p99_ok ? "true" : "false",
-      speedup_ok && p99_ok ? "true" : "false");
+      bench.num_tenants, result.qps, result.p50_ms, result.p99_ms);
   std::fclose(json);
   std::printf("wrote BENCH_net_serve.json\n");
   return 0;

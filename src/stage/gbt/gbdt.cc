@@ -491,13 +491,16 @@ bool GbdtModel::Load(std::istream& in) {
       base_scores.size() != static_cast<size_t>(num_outputs)) {
     return false;
   }
+  for (const double score : base_scores) {
+    if (!std::isfinite(score)) return false;
+  }
   uint64_t num_rounds = 0;
   if (!ReadPod(in, &num_rounds) || num_rounds > (1u << 24)) return false;
   std::vector<std::vector<RegressionTree>> trees(num_rounds);
   for (auto& round : trees) {
     round.resize(num_outputs);
     for (auto& tree : round) {
-      if (!tree.Load(in)) return false;
+      if (!tree.Load(in, num_features)) return false;
     }
   }
   num_features_ = num_features;

@@ -52,9 +52,13 @@ class RegressionTree {
   // Rough memory footprint in bytes (Fig. 9 accounting).
   size_t MemoryBytes() const { return nodes_.size() * sizeof(Node); }
 
-  // Binary checkpointing (see stage/common/serialize.h).
+  // Binary checkpointing (see stage/common/serialize.h). Load rejects a
+  // tree the trainer cannot build: a split feature outside
+  // [0, num_features), a non-finite threshold or leaf value, or a child
+  // that is not placed after its split or is claimed by two splits. A
+  // failed Load leaves the tree untouched.
   void Save(std::ostream& out) const;
-  bool Load(std::istream& in);
+  bool Load(std::istream& in, int32_t num_features);
 
  private:
   std::vector<Node> nodes_;

@@ -112,6 +112,14 @@ bool LocalModel::Load(std::istream& in) {
   if (!ensemble.Load(in)) return false;
   gbt::GbdtModel mae_member;
   if (include_mae != 0 && !mae_member.Load(in)) return false;
+  // Every predict hands each member one plan-feature row, so a member
+  // trained on any other width would read past it (or ignore part of it).
+  for (const gbt::GbdtModel& member : ensemble.members()) {
+    if (member.num_features() != plan::kPlanFeatureDim) return false;
+  }
+  if (include_mae != 0 && mae_member.num_features() != plan::kPlanFeatureDim) {
+    return false;
+  }
   ensemble_ = std::move(ensemble);
   mae_member_ = std::move(mae_member);
   config_.log_target = log_target != 0;

@@ -17,8 +17,8 @@ namespace stage::net {
 // until it has sent `requests_per_connection`. Tenant ids round-robin over
 // [0, tenants) by connection, so with connections >= tenants every tenant
 // stays busy. Single-threaded by design — one poll() loop drives all
-// sockets, so client-side cost stays flat while the server's batching is
-// what's under test.
+// sockets, so client-side cost stays flat while the server is what's
+// under test.
 struct LoadgenConfig {
   std::string host = "127.0.0.1";
   int port = 0;
@@ -41,8 +41,8 @@ struct LoadgenResult {
   double mean_ms = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
-  // Which predictor stage served the responses (sanity: a batched-GEMM
-  // workload should be dominated by kGlobal).
+  // Which predictor stage served the responses (sanity: an all-escalating
+  // workload should be served entirely by kGlobal).
   std::array<uint64_t, core::kNumPredictionSources> source_counts{};
 };
 

@@ -30,10 +30,6 @@ std::string ServerConfig::Validate() const {
   if (num_workers < 1 || num_workers > 256) {
     return "num_workers must be in [1, 256]";
   }
-  if (max_batch < 1) return "max_batch must be >= 1";
-  if (queue_bound < max_batch) {
-    return "queue_bound must be >= max_batch (a full batch must fit)";
-  }
   if (max_connections < 1) return "max_connections must be >= 1";
   if (max_frame_payload_bytes < 1 ||
       max_frame_payload_bytes > static_cast<int64_t>(kMaxWirePayloadBytes)) {
@@ -78,16 +74,6 @@ struct Connection {
   bool close_after_write = false;  // Fatal protocol error already queued.
 };
 
-// A finished prediction for the worker that owns the connection: a batched
-// one arrives through the worker's mailbox, an inline one is completed at
-// once.
-struct Completion {
-  uint64_t conn_id = 0;
-  uint64_t request_id = 0;
-  core::Prediction prediction;
-  Clock::time_point enqueue_time{};
-};
-
 }  // namespace
 
 struct Server::Impl {
@@ -102,7 +88,6 @@ struct Server::Impl {
   std::thread listener_thread;
 
   struct Worker {
-    int index = 0;
     int epoll_fd = -1;
     int event_fd = -1;
     std::thread thread;
@@ -110,7 +95,6 @@ struct Server::Impl {
     // Mailbox: cross-thread input, signaled via event_fd.
     std::mutex mutex;
     std::vector<int> pending_fds;
-    std::vector<Completion> pending_completions;
     bool stop_requested = false;
 
     // Worker-thread-private state.
@@ -118,8 +102,6 @@ struct Server::Impl {
     std::string scratch;  // Reused payload-encoding buffer.
   };
   std::vector<std::unique_ptr<Worker>> workers;
-
-  std::unique_ptr<MicroBatcher> batcher;  // Null when batching is disabled.
 
   std::atomic<bool> stopping{false};
   std::mutex shutdown_mutex;
@@ -138,12 +120,9 @@ struct Server::Impl {
   std::atomic<uint64_t> frames_out{0};
   std::atomic<uint64_t> json_lines_in{0};
   std::atomic<uint64_t> json_lines_out{0};
-  std::atomic<uint64_t> predictions_batched{0};
-  std::atomic<uint64_t> predictions_inline{0};
+  std::atomic<uint64_t> predictions{0};
   std::atomic<uint64_t> observes{0};
   std::atomic<uint64_t> errors_by_code[6] = {};
-  obs::Histogram batch_size_hist{
-      std::vector<double>{1, 2, 4, 8, 16, 32, 64, 128, 256}};
   metrics::LatencyRecorder frame_latency{2};
 
   // ---- Setup ----
@@ -173,16 +152,12 @@ struct Server::Impl {
                  WireError code, std::string_view message);
   void SendMessage(Connection& conn, MessageType type,
                    std::string_view payload);
-  void CompleteRequest(Worker& w, const Completion& completion);
   // Flushes as much of conn.write_buf as the socket accepts; arms or
   // disarms EPOLLOUT to match. Closes the connection on write errors or a
   // drained buffer with close_after_write/peer_closed set.
   void FlushWrite(Worker& w, Connection& conn);
   void UpdateEpollInterest(Worker& w, Connection& conn, bool want_write);
   void FinishWorkerShutdown(Worker& w);
-
-  // ---- Batcher thread ----
-  void OnBatchFlush(std::vector<BatchItem> batch, FlushReason reason);
 
   void CountError(WireError code) {
     errors_by_code[static_cast<size_t>(code)].fetch_add(
@@ -224,31 +199,15 @@ ServerStats Server::Stats() const {
   stats.frames_out = impl.frames_out.load(std::memory_order_relaxed);
   stats.json_lines_in = impl.json_lines_in.load(std::memory_order_relaxed);
   stats.json_lines_out = impl.json_lines_out.load(std::memory_order_relaxed);
-  stats.predictions_batched =
-      impl.predictions_batched.load(std::memory_order_relaxed);
-  stats.predictions_inline =
-      impl.predictions_inline.load(std::memory_order_relaxed);
+  stats.predictions = impl.predictions.load(std::memory_order_relaxed);
   stats.observes = impl.observes.load(std::memory_order_relaxed);
   for (size_t i = 0; i < stats.errors_by_code.size(); ++i) {
     stats.errors_by_code[i] =
         impl.errors_by_code[i].load(std::memory_order_relaxed);
   }
-  if (impl.batcher != nullptr) {
-    for (int r = 0; r < kNumFlushReasons; ++r) {
-      stats.batch_flushes[r] =
-          impl.batcher->flushes(static_cast<FlushReason>(r));
-    }
-    stats.batch_submitted = impl.batcher->submitted();
-    stats.batch_rejected = impl.batcher->rejected();
-    stats.batch_queue_depth = impl.batcher->queue_depth();
-  }
   stats.connections_active =
       impl.connections_active.load(std::memory_order_relaxed);
   return stats;
-}
-
-obs::Histogram::Snapshot Server::batch_size_histogram() const {
-  return impl_->batch_size_hist.TakeSnapshot();
 }
 
 const metrics::LatencyRecorder& Server::frame_latency() const {
@@ -258,21 +217,9 @@ const metrics::LatencyRecorder& Server::frame_latency() const {
 void Server::Impl::Start() {
   OpenListener();
 
-  if (config.batching) {
-    MicroBatcherConfig batcher_config;
-    batcher_config.max_batch = static_cast<size_t>(config.max_batch);
-    batcher_config.queue_bound = static_cast<size_t>(config.queue_bound);
-    batcher = std::make_unique<MicroBatcher>(
-        batcher_config, [this](std::vector<BatchItem> batch,
-                               FlushReason reason) {
-          OnBatchFlush(std::move(batch), reason);
-        });
-  }
-
   workers.reserve(static_cast<size_t>(config.num_workers));
   for (int i = 0; i < config.num_workers; ++i) {
     auto worker = std::make_unique<Worker>();
-    worker->index = i;
     worker->epoll_fd = epoll_create1(EPOLL_CLOEXEC);
     STAGE_CHECK(worker->epoll_fd >= 0);
     worker->event_fd = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
@@ -344,8 +291,7 @@ void Server::Impl::RegisterMetrics() {
   counter("frames_out_total", &frames_out);
   counter("json_lines_in_total", &json_lines_in);
   counter("json_lines_out_total", &json_lines_out);
-  counter("predictions_total{mode=\"batched\"}", &predictions_batched);
-  counter("predictions_total{mode=\"inline\"}", &predictions_inline);
+  counter("predictions_total", &predictions);
   counter("observes_total", &observes);
   for (uint32_t code = 1; code <= 5; ++code) {
     counter("errors_total{code=\"" +
@@ -357,9 +303,6 @@ void Server::Impl::RegisterMetrics() {
     return static_cast<double>(
         connections_active.load(std::memory_order_relaxed));
   });
-  registry->RegisterHistogramCallback(owner, p + "batch_size", [this] {
-    return batch_size_hist.TakeSnapshot();
-  });
   registry->RegisterHistogramCallback(
       owner, p + "frame_latency_nanos{op=\"predict\"}", [this] {
         return frame_latency.histogram_snapshot(Server::kLatencyPredict);
@@ -368,22 +311,6 @@ void Server::Impl::RegisterMetrics() {
       owner, p + "frame_latency_nanos{op=\"observe\"}", [this] {
         return frame_latency.histogram_snapshot(Server::kLatencyObserve);
       });
-  if (batcher != nullptr) {
-    MicroBatcher* b = batcher.get();
-    for (int r = 0; r < kNumFlushReasons; ++r) {
-      registry->RegisterCounterCallback(
-          owner,
-          p + "batch_flushes_total{reason=\"" +
-              std::string(FlushReasonName(static_cast<FlushReason>(r))) +
-              "\"}",
-          [b, r] { return b->flushes(static_cast<FlushReason>(r)); });
-    }
-    registry->RegisterCounterCallback(owner, p + "batch_rejected_total",
-                                      [b] { return b->rejected(); });
-    registry->RegisterGaugeCallback(owner, p + "batch_queue_depth", [b] {
-      return static_cast<double>(b->queue_depth());
-    });
-  }
 }
 
 // ---- Shutdown ------------------------------------------------------------
@@ -396,10 +323,9 @@ void Server::Shutdown() {
     impl.shutdown_done = true;
   }
   // 1. Stop the intake: workers start refusing new work with
-  //    kShuttingDown, the batcher refuses new items, and only then does the
-  //    listener close, so a refused connect proves the intake is shut.
+  //    kShuttingDown, and only then does the listener close, so a refused
+  //    connect proves the intake is shut.
   impl.stopping.store(true, std::memory_order_release);
-  if (impl.batcher != nullptr) impl.batcher->Stop();
   uint64_t one = 1;
   (void)!write(impl.listener_event_fd, &one, sizeof(one));
   impl.listener_thread.join();
@@ -407,14 +333,9 @@ void Server::Shutdown() {
   close(impl.listener_epoll_fd);
   close(impl.listener_event_fd);
 
-  // 2. Drain the aggregator: every accepted request is flushed through
-  //    PredictBatch and its completion lands in a worker mailbox before
-  //    Drain returns.
-  if (impl.batcher != nullptr) impl.batcher->Drain();
-
-  // 3. Stop the workers. Each drains its mailbox (delivering the step-2
-  //    completions), then writes a shutdown frame to every open connection
-  //    and closes it.
+  // 2. Stop the workers. Each finishes the request it is serving, answers
+  //    kShuttingDown to whatever it reads before it wakes to the stop, then
+  //    writes a shutdown frame to every open connection and closes it.
   for (auto& worker : impl.workers) {
     {
       std::lock_guard<std::mutex> lock(worker->mutex);
@@ -520,18 +441,11 @@ void Server::Impl::WorkerLoop(Worker& w) {
 
 bool Server::Impl::DrainMailbox(Worker& w) {
   std::vector<int> fds;
-  std::vector<Completion> completions;
   bool stop = false;
   {
     std::lock_guard<std::mutex> lock(w.mutex);
     fds.swap(w.pending_fds);
-    completions.swap(w.pending_completions);
     stop = w.stop_requested;
-  }
-  // Completions first: on a stop request they are the drained in-flight
-  // batches and must reach their connections before the shutdown frames.
-  for (const Completion& completion : completions) {
-    CompleteRequest(w, completion);
   }
   for (const int fd : fds) {
     if (stop) {
@@ -760,50 +674,33 @@ void Server::Impl::HandlePredict(Worker& w, Connection& conn,
               "server is draining");
     return;
   }
-  // Admission control here, not in the batcher: FleetService treats an
-  // unknown tenant as a caller bug (fatal), and tenants are never
-  // unregistered, so a positive check stays true at flush time.
+  // FleetService treats an unknown tenant as a caller bug (fatal), so the
+  // wire checks first.
   if (!fleet->IsRegistered(request.tenant)) {
     SendError(w, conn, request.request_id, WireError::kUnknownTenant,
               "tenant is not registered");
     return;
   }
-  if (batcher == nullptr) {
-    // Batching disabled: predict inline on the worker thread and complete
-    // at once, as if enqueued at the request's start.
-    Completion completion;
-    completion.conn_id = conn.id;
-    completion.request_id = request.request_id;
-    completion.prediction = fleet->Predict(
-        request.tenant,
-        core::MakeQueryContext(request.plan, request.concurrent_queries,
-                               static_cast<uint64_t>(request.tick)));
-    completion.enqueue_time = start;
-    predictions_inline.fetch_add(1, std::memory_order_relaxed);
-    CompleteRequest(w, completion);
-    return;
+  const core::Prediction prediction = fleet->Predict(
+      request.tenant,
+      core::MakeQueryContext(request.plan, request.concurrent_queries,
+                             static_cast<uint64_t>(request.tick)));
+  predictions.fetch_add(1, std::memory_order_relaxed);
+  PredictResponse response;
+  response.request_id = request.request_id;
+  response.seconds = prediction.seconds;
+  response.source = prediction.source;
+  response.uncertainty_log_std = prediction.uncertainty_log_std;
+  if (conn.mode == Connection::Mode::kJson) {
+    AppendJsonPredictResponse(&conn.write_buf, response);
+    json_lines_out.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    w.scratch.clear();
+    AppendPredictResponse(&w.scratch, response);
+    SendMessage(conn, MessageType::kPredictResponse, w.scratch);
   }
-  BatchItem item;
-  item.conn_id = conn.id;
-  item.worker = w.index;
-  item.request_id = request.request_id;
-  item.tenant = request.tenant;
-  item.plan = std::make_unique<plan::Plan>(std::move(request.plan));
-  item.context = core::MakeQueryContext(*item.plan,
-                                        request.concurrent_queries,
-                                        static_cast<uint64_t>(request.tick));
-  switch (batcher->Submit(std::move(item))) {
-    case SubmitResult::kAccepted:
-      return;  // The response arrives via the completion mailbox.
-    case SubmitResult::kOverloaded:
-      SendError(w, conn, request.request_id, WireError::kOverloaded,
-                "batch queue is full; retry");
-      return;
-    case SubmitResult::kStopped:
-      SendError(w, conn, request.request_id, WireError::kShuttingDown,
-                "server is draining");
-      return;
-  }
+  frame_latency.Record(Server::kLatencyPredict, NowNanosSince(start));
+  FlushWrite(w, conn);
 }
 
 void Server::Impl::HandleObserve(Worker& w, Connection& conn,
@@ -819,9 +716,8 @@ void Server::Impl::HandleObserve(Worker& w, Connection& conn,
               "tenant is not registered");
     return;
   }
-  // Observations apply inline on the worker thread (only predictions
-  // batch), so an acked observation is already in the tenant's cache and
-  // training pool — the ack is never ahead of the state change.
+  // The ack is written only after Observe returns, so an acked
+  // observation is already in the tenant's cache and training pool.
   const core::QueryContext context = core::MakeQueryContext(
       request.plan, request.concurrent_queries,
       static_cast<uint64_t>(request.tick));
@@ -864,28 +760,6 @@ void Server::Impl::SendMessage(Connection& conn, MessageType type,
                                std::string_view payload) {
   AppendMessage(&conn.write_buf, type, payload);
   frames_out.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Server::Impl::CompleteRequest(Worker& w, const Completion& completion) {
-  const auto it = w.conns.find(completion.conn_id);
-  if (it == w.conns.end()) return;  // Connection closed while in flight.
-  Connection& conn = it->second;
-  PredictResponse response;
-  response.request_id = completion.request_id;
-  response.seconds = completion.prediction.seconds;
-  response.source = completion.prediction.source;
-  response.uncertainty_log_std = completion.prediction.uncertainty_log_std;
-  if (conn.mode == Connection::Mode::kJson) {
-    AppendJsonPredictResponse(&conn.write_buf, response);
-    json_lines_out.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    w.scratch.clear();
-    AppendPredictResponse(&w.scratch, response);
-    SendMessage(conn, MessageType::kPredictResponse, w.scratch);
-  }
-  frame_latency.Record(Server::kLatencyPredict,
-                       NowNanosSince(completion.enqueue_time));
-  FlushWrite(w, conn);
 }
 
 void Server::Impl::FlushWrite(Worker& w, Connection& conn) {
@@ -931,8 +805,8 @@ void Server::Impl::UpdateEpollInterest(Worker& w, Connection& conn,
 }
 
 void Server::Impl::FinishWorkerShutdown(Worker& w) {
-  // Completions were already delivered (DrainMailbox runs them before
-  // reporting the stop); what remains is telling every peer goodbye.
+  // Every request read so far has been answered; what remains is telling
+  // every peer goodbye.
   std::vector<uint64_t> ids;
   ids.reserve(w.conns.size());
   for (const auto& [id, conn] : w.conns) ids.push_back(id);
@@ -968,53 +842,6 @@ void Server::Impl::FinishWorkerShutdown(Worker& w) {
       break;  // Peer gone or deadline hit; close regardless.
     }
     CloseConnection(w, conn);
-  }
-}
-
-// ---- Batcher thread ------------------------------------------------------
-
-void Server::Impl::OnBatchFlush(std::vector<BatchItem> batch,
-                                FlushReason reason) {
-  (void)reason;
-  batch_size_hist.Record(static_cast<double>(batch.size()));
-  // Group by tenant, preserving submit order within each group, then push
-  // each group through the batched read path (one registry acquisition +
-  // one batched-GEMM global pass per tenant instead of per request).
-  std::unordered_map<fleet_serve::TenantId, std::vector<size_t>> groups;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    groups[batch[i].tenant].push_back(i);
-  }
-  std::vector<std::vector<Completion>> per_worker(workers.size());
-  std::vector<core::QueryContext> contexts;
-  for (const auto& [tenant, indices] : groups) {
-    contexts.clear();
-    contexts.reserve(indices.size());
-    for (const size_t i : indices) contexts.push_back(batch[i].context);
-    const std::vector<core::Prediction> predictions =
-        fleet->PredictBatch(tenant, contexts);
-    for (size_t k = 0; k < indices.size(); ++k) {
-      const BatchItem& item = batch[indices[k]];
-      Completion completion;
-      completion.conn_id = item.conn_id;
-      completion.request_id = item.request_id;
-      completion.prediction = predictions[k];
-      completion.enqueue_time = item.enqueue_time;
-      per_worker[static_cast<size_t>(item.worker)].push_back(completion);
-    }
-  }
-  predictions_batched.fetch_add(batch.size(), std::memory_order_relaxed);
-  for (size_t i = 0; i < workers.size(); ++i) {
-    if (per_worker[i].empty()) continue;
-    Worker& w = *workers[i];
-    {
-      std::lock_guard<std::mutex> lock(w.mutex);
-      w.pending_completions.insert(
-          w.pending_completions.end(),
-          std::make_move_iterator(per_worker[i].begin()),
-          std::make_move_iterator(per_worker[i].end()));
-    }
-    uint64_t wake = 1;
-    (void)!write(w.event_fd, &wake, sizeof(wake));
   }
 }
 

@@ -8,7 +8,6 @@
 
 #include "stage/fleet_serve/fleet_service.h"
 #include "stage/metrics/latency_recorder.h"
-#include "stage/net/batcher.h"
 #include "stage/net/wire.h"
 #include "stage/obs/metrics.h"
 
@@ -24,15 +23,8 @@ struct ServerConfig {
   int port = 0;
 
   // Event-loop worker threads (each owns an epoll instance and a shard of
-  // the connections).
+  // the connections, and serves every request it reads).
   int num_workers = 2;
-
-  // Routes predicts through the MicroBatcher, which flushes whatever is
-  // queued whenever its consumer is free (see MicroBatcher). false predicts
-  // inline on the worker thread instead (the bench baseline).
-  bool batching = true;
-  int64_t max_batch = 64;     // Largest flush; also the GEMM batch size.
-  int64_t queue_bound = 1024;  // Aggregator backpressure bound.
 
   int64_t max_connections = 256;
 
@@ -53,6 +45,10 @@ struct ServerOptions {
   std::string metrics_prefix = "stage_net_";
 };
 
+// Indexes ServerStats::batch_flushes; only perfbench/net_common.cc uses it.
+enum class FlushReason { kFull = 0, kTimeout };
+inline constexpr int kNumFlushReasons = 2;
+
 // Sampled aggregate counters (tests, CLI dumps). All monotone except the
 // gauges at the bottom.
 struct ServerStats {
@@ -62,35 +58,30 @@ struct ServerStats {
   uint64_t frames_out = 0;            // Binary frames written.
   uint64_t json_lines_in = 0;
   uint64_t json_lines_out = 0;
-  uint64_t predictions_batched = 0;
-  uint64_t predictions_inline = 0;
+  uint64_t predictions = 0;
   uint64_t observes = 0;
   // Indexed by WireError value (slot 0 unused).
   std::array<uint64_t, 6> errors_by_code{};
+  // Always 0; perfbench/net_common.cc is the only reader.
   std::array<uint64_t, kNumFlushReasons> batch_flushes{};
-  uint64_t batch_submitted = 0;
-  uint64_t batch_rejected = 0;
   // Gauges.
   uint64_t connections_active = 0;
-  uint64_t batch_queue_depth = 0;
-  // Always 0: batching waits on no window. Kept for existing readers.
+  // Always 0; perfbench/net_common.cc is the only reader.
   uint64_t effective_window_us = 0;
 };
 
-// The epoll-based async prediction server (ROADMAP item 3): FleetService
-// behind a socket. Self-owned — no framework; plain epoll, eventfd, and
-// nonblocking sockets.
+// The epoll-based async prediction server: FleetService behind a socket.
+// Self-owned — no framework; plain epoll, eventfd, and nonblocking
+// sockets.
 //
 // Thread model:
 //   * one listener thread: accepts, round-robins connections to workers;
 //   * num_workers worker threads: each runs an edge-triggered epoll loop
 //     over its shard of connections plus an eventfd-signaled mailbox of
-//     {new connections, batch completions, stop}. Workers own all
-//     connection state — no connection is ever touched by two threads;
-//   * one MicroBatcher thread (absent when batching is false): flushes
-//     aggregated predict requests through FleetService::PredictBatch and
-//     routes completions back to the owning workers' mailboxes. While it
-//     computes one flush, the next one collects in its queue.
+//     {new connections, stop}. Workers own all connection state — no
+//     connection is ever touched by two threads — and serve every request
+//     where they read it: FleetService::Predict or Observe, then the reply,
+//     in request order.
 //
 // Protocol: length-prefixed binary frames (wire.h) or line-delimited JSON
 // (auto-detected from the first byte, '{' = JSON). Predictions served over
@@ -98,11 +89,16 @@ struct ServerStats {
 // FleetService::Predict — the server rebuilds the QueryContext from the
 // decoded plan with the same deterministic featurizer.
 //
-// Graceful shutdown (Shutdown / destructor): stop accepting (workers and
-// batcher refuse new work before the listener closes), drain the batcher
-// (every accepted request gets its response), then each worker delivers
-// remaining completions, writes a shutdown frame to every open connection,
-// and closes it.
+// Backpressure is TCP's: a worker reads a connection only as fast as it
+// answers it, so there is no server-side queue to bound (kOverloaded is
+// never sent), and a peer that stops reading its replies is closed once
+// 16 MiB of them are stuck in its write buffer.
+//
+// Graceful shutdown (Shutdown / destructor): stop the intake (every later
+// request is answered kShuttingDown) and close the listener; then each
+// worker finishes the request it is serving, answers whatever it still
+// reads with kShuttingDown, writes a shutdown frame to every open
+// connection, and closes it.
 class Server {
  public:
   // Binds and starts serving immediately. Aborts via STAGE_CHECK on an
@@ -122,10 +118,10 @@ class Server {
 
   ServerStats Stats() const;
 
-  // Batch-size distribution (one Record per flush).
-  obs::Histogram::Snapshot batch_size_histogram() const;
+  // Always empty; perfbench/net_common.cc is the only reader.
+  obs::Histogram::Snapshot batch_size_histogram() const { return {}; }
 
-  // Per-frame serving latency, decode to response/completion. Slots:
+  // Per-frame serving latency, decode to response. Slots:
   static constexpr size_t kLatencyPredict = 0;
   static constexpr size_t kLatencyObserve = 1;
   const metrics::LatencyRecorder& frame_latency() const;

@@ -37,7 +37,8 @@ enum class MessageType : uint32_t {
   kObserveAck = 4,
   kError = 5,
   // Server -> client, sent to every open connection during graceful
-  // shutdown after all in-flight work has drained. Carries no payload.
+  // shutdown once the request in flight has been answered. Carries no
+  // payload.
   kShutdown = 6,
 };
 
@@ -45,7 +46,8 @@ std::string_view MessageTypeName(MessageType type);
 
 enum class WireError : uint32_t {
   kMalformed = 1,      // Frame decoded but the payload did not parse.
-  kOverloaded = 2,     // Batch queue full; retry later (backpressure).
+  kOverloaded = 2,     // Retry later. Reserved: the server's backpressure
+                       // is TCP flow control, so it never sends this.
   kUnknownTenant = 3,  // Tenant id not registered with the fleet.
   kShuttingDown = 4,   // Server is draining; no new work accepted.
   kBadFrame = 5,       // Envelope-level corruption; connection closes.

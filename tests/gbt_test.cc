@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -706,6 +708,117 @@ TEST(SerializationTest, GbdtRejectsTruncatedStream) {
   std::stringstream truncated(full.substr(0, full.size() / 2));
   GbdtModel restored;
   EXPECT_FALSE(restored.Load(truncated));
+}
+
+// ---- CRC-valid but malformed streams ------------------------------------
+// Each case edits one field of a saved single-output model. A load must
+// fail and leave the model it was loading into as it was.
+
+// A saved model and where its fields sit. The stream is the header (magic,
+// version), num_features, num_outputs, base_scores (count, then values),
+// num_rounds, then each tree's node vector (count, then nodes).
+struct SavedModel {
+  std::string bytes;
+  size_t base_score = 0;   // base_scores[0].
+  size_t nodes = 0;        // The first tree's node 0.
+  uint64_t num_nodes = 0;  // Nodes in the first tree.
+
+  size_t Field(size_t node, size_t offset) const {
+    return nodes + node * sizeof(RegressionTree::Node) + offset;
+  }
+  template <typename T>
+  T Get(size_t at) const {
+    T value;
+    std::memcpy(&value, bytes.data() + at, sizeof(T));
+    return value;
+  }
+  template <typename T>
+  SavedModel With(size_t at, T value) const {
+    SavedModel edited = *this;
+    std::memcpy(edited.bytes.data() + at, &value, sizeof(T));
+    return edited;
+  }
+};
+
+SavedModel SaveModel() {
+  const Dataset data = LinearDataset(300, 23);
+  GbdtConfig config;
+  config.num_rounds = 5;
+  const auto loss = MakeSquaredLoss();
+  std::stringstream buffer;
+  GbdtModel::Train(data, *loss, config).Save(buffer);
+  SavedModel saved;
+  saved.bytes = buffer.str();
+  saved.base_score = 8 + 4 + 4 + 8;
+  saved.nodes = saved.base_score + 8 + 8 + 8;
+  saved.num_nodes = saved.Get<uint64_t>(saved.nodes - 8);
+  return saved;
+}
+
+constexpr size_t kFeature = offsetof(RegressionTree::Node, feature);
+constexpr size_t kThreshold = offsetof(RegressionTree::Node, threshold);
+constexpr size_t kLeft = offsetof(RegressionTree::Node, left);
+constexpr size_t kRight = offsetof(RegressionTree::Node, right);
+constexpr size_t kValue = offsetof(RegressionTree::Node, value);
+
+void ExpectRejected(const SavedModel& saved) {
+  GbdtConfig config;
+  config.num_rounds = 10;
+  const GbdtModel target =
+      GbdtModel::Train(LinearDataset(100, 5), *MakeSquaredLoss(), config);
+  GbdtModel loaded = target;
+  std::stringstream in(saved.bytes);
+  ASSERT_FALSE(loaded.Load(in));
+  const float row[3] = {0.25f, -0.5f, 0.75f};
+  EXPECT_EQ(loaded.PredictScalar(row), target.PredictScalar(row));
+  EXPECT_EQ(loaded.rounds_used(), target.rounds_used());
+}
+
+TEST(SerializationTest, GbdtRejectsSplitFeatureOutsideTheRow) {
+  const SavedModel saved = SaveModel();
+  ASSERT_GE(saved.Get<int32_t>(saved.Field(0, kLeft)), 0);  // Root splits.
+  std::stringstream sane(saved.bytes);
+  GbdtModel model;
+  ASSERT_TRUE(model.Load(sane));
+  // Feature 3 is one past a 3-feature row; 2^20 reads megabytes past it.
+  ExpectRejected(saved.With<int32_t>(saved.Field(0, kFeature), 3));
+  ExpectRejected(saved.With<int32_t>(saved.Field(0, kFeature), 1 << 20));
+}
+
+// A root whose left child is itself loops FlatForest::Compile forever, as
+// does any child placed before its split that closes a cycle.
+TEST(SerializationTest, GbdtRejectsChildNotPlacedAfterItsSplit) {
+  const SavedModel saved = SaveModel();
+  ASSERT_GE(saved.Get<int32_t>(saved.Field(0, kLeft)), 0);
+  ExpectRejected(saved.With<int32_t>(saved.Field(0, kLeft), 0));
+  const int32_t right = saved.Get<int32_t>(saved.Field(0, kRight));
+  ASSERT_GE(saved.Get<int32_t>(saved.Field(right, kLeft)), 0)
+      << "the root's right child must split too";
+  ExpectRejected(saved.With<int32_t>(saved.Field(right, kRight), 0));
+}
+
+// Two references to one node turn the tree into a DAG, which Compile would
+// unfold node by node (exponentially, in a chain of them).
+TEST(SerializationTest, GbdtRejectsNodeThatIsTheChildOfTwoSplits) {
+  const SavedModel saved = SaveModel();
+  const int32_t left = saved.Get<int32_t>(saved.Field(0, kLeft));
+  ASSERT_GE(left, 0);
+  ExpectRejected(saved.With<int32_t>(saved.Field(0, kRight), left));
+}
+
+TEST(SerializationTest, GbdtRejectsNonFiniteLeafThresholdOrBaseScore) {
+  const SavedModel saved = SaveModel();
+  size_t leaf = 0;
+  while (leaf < saved.num_nodes &&
+         saved.Get<int32_t>(saved.Field(leaf, kLeft)) >= 0) {
+    ++leaf;
+  }
+  ASSERT_LT(leaf, saved.num_nodes);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  ExpectRejected(saved.With<double>(saved.Field(leaf, kValue), nan));
+  ExpectRejected(saved.With<float>(saved.Field(0, kThreshold), inf));
+  ExpectRejected(saved.With<double>(saved.base_score, nan));
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "stage/common/rng.h"
+#include "stage/gbt/dataset.h"
+#include "stage/gbt/ensemble.h"
 #include "stage/local/local_model.h"
 #include "stage/local/training_pool.h"
 
@@ -333,6 +335,42 @@ TEST(LocalModelTest, LoadsVersion1StreamsWithMaeDisabled) {
     EXPECT_DOUBLE_EQ(a.exec_seconds, b.exec_seconds);
     EXPECT_DOUBLE_EQ(a.total_variance(), b.total_variance());
   }
+}
+
+// Every predict hands the members one kPlanFeatureDim row, so a stream
+// whose ensemble was trained on another width is rejected, and the model
+// it was loading into keeps serving its own predictions.
+TEST(LocalModelTest, LoadRejectsMembersOfAnotherFeatureWidth) {
+  Rng rng(41);
+  TrainingPool pool(SmallPool(200));
+  for (int i = 0; i < 200; ++i) {
+    pool.Add(MakeFeatures(static_cast<float>(rng.NextDouble() * 2)),
+             rng.NextLogNormal(0.3, 0.5));
+  }
+  LocalModel model(FastLocalConfig());  // include_mae_member off.
+  model.Train(pool);
+  std::stringstream buffer;
+  model.Save(buffer);
+
+  gbt::Dataset narrow(3);
+  for (int i = 0; i < 100; ++i) {
+    const float x = static_cast<float>(rng.NextDouble());
+    narrow.AddRow({x, 1.0f - x, 0.5f}, x);
+  }
+  gbt::EnsembleConfig config;
+  config.num_members = 2;
+  config.member.num_rounds = 5;
+  std::stringstream ensemble;
+  gbt::BayesianGbtEnsemble::Train(narrow, config).Save(ensemble);
+  // The header, log_target, include_mae and the blend weight, then the
+  // narrow ensemble in place of the trained one.
+  std::istringstream in(buffer.str().substr(0, 18) + ensemble.str());
+
+  const auto features = MakeFeatures(0.7f);
+  const double before = model.Predict(features).exec_seconds;
+  ASSERT_FALSE(model.Load(in));
+  EXPECT_TRUE(model.trained());
+  EXPECT_EQ(model.Predict(features).exec_seconds, before);
 }
 
 }  // namespace

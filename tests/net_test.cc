@@ -1,29 +1,25 @@
 // Tests for the stage::net network edge: config validation (including
 // death tests for the STAGE_CHECK-on-construction contract), the JSON
 // writer/parser pair, wire round-trips (and the ground-truth fields that
-// must NOT survive a round-trip), hostile-plan rejection, the
-// MicroBatcher's natural batching (full/partial/drain flushes formed by
-// items queued while the consumer is held inside a flush, deterministic
-// overload via a blocked flush callback), and the server itself: socket
-// predictions bit-for-bit identical to in-process FleetService::Predict
-// across binary-batched, binary-inline, and JSON modes; observes applied
-// over the socket match an in-process twin; error replies for unknown
-// tenants / malformed payloads / corrupt frames / over-long JSON lines;
-// graceful-shutdown drain (every queued request answered, then a shutdown
-// frame, then EOF); metrics exposition; and a multi-connection stress run
-// for the TSan lane (NetStressTest.*).
+// must NOT survive a round-trip), hostile-plan rejection, and the server
+// itself: socket predictions bit-for-bit identical to in-process
+// FleetService::Predict in binary and JSON modes; pipelined requests
+// answered in request order; observes applied over the socket match an
+// in-process twin; error replies for unknown tenants / malformed payloads
+// / corrupt frames / over-long JSON lines; graceful shutdown (the request
+// in flight answered, later ones refused, then a shutdown frame, then
+// EOF); metrics exposition; and a multi-connection stress run for the
+// TSan lane (NetStressTest.*).
 #include <poll.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cmath>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <future>
 #include <limits>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,7 +31,6 @@
 #include "stage/fleet/fleet.h"
 #include "stage/fleet_serve/fleet_service.h"
 #include "stage/global/global_model.h"
-#include "stage/net/batcher.h"
 #include "stage/net/client.h"
 #include "stage/net/json.h"
 #include "stage/net/loadgen.h"
@@ -127,14 +122,6 @@ TEST(ServerConfigTest, ValidateRejectsNonsense) {
   EXPECT_FALSE(config.Validate().empty());
   config.num_workers = 2;
 
-  config.max_batch = 0;
-  EXPECT_FALSE(config.Validate().empty());
-  config.max_batch = 64;
-
-  config.queue_bound = 32;  // A full batch must fit.
-  EXPECT_FALSE(config.Validate().empty());
-  config.queue_bound = 1024;
-
   config.max_connections = 0;
   EXPECT_FALSE(config.Validate().empty());
   config.max_connections = 256;
@@ -149,20 +136,6 @@ TEST(ServerConfigTest, ValidateRejectsNonsense) {
   config.max_json_line_bytes = 1;
   EXPECT_FALSE(config.Validate().empty());
   config.max_json_line_bytes = 1 << 20;
-  EXPECT_TRUE(config.Validate().empty());
-}
-
-TEST(MicroBatcherConfigTest, ValidateRejectsNonsense) {
-  MicroBatcherConfig config;
-  EXPECT_TRUE(config.Validate().empty());
-
-  config.max_batch = 0;
-  EXPECT_FALSE(config.Validate().empty());
-  config.max_batch = 64;
-
-  config.queue_bound = 63;  // < max_batch: a full batch could never queue.
-  EXPECT_FALSE(config.Validate().empty());
-  config.queue_bound = 64;
   EXPECT_TRUE(config.Validate().empty());
 }
 
@@ -204,13 +177,6 @@ TEST(LoadgenConfigTest, ValidateRejectsNonsense) {
 }
 
 using NetDeathTest = ::testing::Test;
-
-TEST(NetDeathTest, MicroBatcherAbortsOnInvalidConfig) {
-  MicroBatcherConfig config;
-  config.max_batch = 0;
-  EXPECT_DEATH(MicroBatcher(config, [](std::vector<BatchItem>, FlushReason) {}),
-               "max_batch");
-}
 
 TEST(NetDeathTest, ServerAbortsOnInvalidConfig) {
   EXPECT_DEATH(
@@ -631,177 +597,6 @@ TEST(WireJsonTest, RejectsBadLines) {
           R"("width":8,"s3":1,"rows":10}]}})");
 }
 
-// ---- MicroBatcher -------------------------------------------------------
-
-// Collects flushes (reason and request ids, in order) from the batcher
-// thread for the test to wait on. Fn(/*hold_first=*/true) adds the promise
-// seam of BoundedQueueRejectsWhenFlushIsStuck: the first flush parks the
-// consumer until Release, so a test can queue items behind a busy consumer
-// deterministically.
-struct FlushLog {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::vector<std::pair<FlushReason, std::vector<uint64_t>>> flushes;
-  size_t items = 0;
-  std::promise<void> entered;
-  std::promise<void> release;
-
-  MicroBatcher::FlushFn Fn(bool hold_first = false) {
-    std::shared_future<void> released = release.get_future().share();
-    return [this, hold_first, released](std::vector<BatchItem> batch,
-                                        FlushReason reason) {
-      bool first = false;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        std::vector<uint64_t> ids;
-        for (const BatchItem& item : batch) ids.push_back(item.request_id);
-        flushes.emplace_back(reason, std::move(ids));
-        items += batch.size();
-        first = flushes.size() == 1;
-      }
-      cv.notify_all();
-      if (hold_first && first) {
-        entered.set_value();
-        released.wait();  // Hold the batcher thread hostage.
-      }
-    };
-  }
-  void WaitUntilHeld() {
-    ASSERT_EQ(entered.get_future().wait_for(std::chrono::seconds(10)),
-              std::future_status::ready);
-  }
-  void Release() { release.set_value(); }
-  void WaitForItems(size_t n) {
-    std::unique_lock<std::mutex> lock(mutex);
-    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
-                            [&] { return items >= n; }));
-  }
-};
-
-BatchItem MakeItem(uint64_t request_id) {
-  BatchItem item;
-  item.request_id = request_id;
-  return item;
-}
-
-using Ids = std::vector<uint64_t>;
-
-// max_batch + 1 items queue behind a held flush: the next flush is full,
-// the one after carries the remainder, both in submit order.
-TEST(MicroBatcherTest, FullBatchFlushesImmediately) {
-  FlushLog log;
-  MicroBatcherConfig config;
-  config.max_batch = 3;
-  config.queue_bound = 16;
-  MicroBatcher batcher(config, log.Fn(/*hold_first=*/true));
-  EXPECT_EQ(batcher.Submit(MakeItem(0)), SubmitResult::kAccepted);
-  log.WaitUntilHeld();
-  for (uint64_t i = 1; i <= 4; ++i) {
-    EXPECT_EQ(batcher.Submit(MakeItem(i)), SubmitResult::kAccepted);
-  }
-  log.Release();
-  log.WaitForItems(5);
-  std::lock_guard<std::mutex> lock(log.mutex);
-  ASSERT_EQ(log.flushes.size(), 3u);
-  EXPECT_EQ(log.flushes[1].first, FlushReason::kFull);
-  EXPECT_EQ(log.flushes[1].second, (Ids{1, 2, 3}));
-  EXPECT_EQ(log.flushes[2].first, FlushReason::kTimeout);
-  EXPECT_EQ(log.flushes[2].second, (Ids{4}));
-  EXPECT_EQ(batcher.flushes(FlushReason::kFull), 1u);
-}
-
-// A lone item on an idle batcher flushes at once, with no timer; the items
-// that queue while that flush runs leave together as the next, partial,
-// batch.
-TEST(MicroBatcherTest, ItemsQueuedDuringAFlushFormThePartialNextBatch) {
-  FlushLog log;
-  MicroBatcherConfig config;
-  config.max_batch = 8;
-  config.queue_bound = 16;
-  MicroBatcher batcher(config, log.Fn(/*hold_first=*/true));
-  EXPECT_EQ(batcher.Submit(MakeItem(0)), SubmitResult::kAccepted);
-  log.WaitUntilHeld();
-  for (uint64_t i = 1; i <= 3; ++i) {
-    EXPECT_EQ(batcher.Submit(MakeItem(i)), SubmitResult::kAccepted);
-  }
-  EXPECT_EQ(batcher.queue_depth(), 3u);
-  log.Release();
-  log.WaitForItems(4);
-  std::lock_guard<std::mutex> lock(log.mutex);
-  ASSERT_EQ(log.flushes.size(), 2u);
-  EXPECT_EQ(log.flushes[0].first, FlushReason::kTimeout);
-  EXPECT_EQ(log.flushes[0].second, (Ids{0}));
-  EXPECT_EQ(log.flushes[1].first, FlushReason::kTimeout);
-  EXPECT_EQ(log.flushes[1].second, (Ids{1, 2, 3}));
-  EXPECT_EQ(batcher.flushes(FlushReason::kTimeout), 2u);
-}
-
-// Items queued behind a held flush when Stop lands leave as one kDrain
-// batch; nothing is accepted after Stop.
-TEST(MicroBatcherTest, DrainFlushesRemainderAndStopsAccepting) {
-  FlushLog log;
-  MicroBatcherConfig config;
-  config.max_batch = 64;
-  config.queue_bound = 64;
-  MicroBatcher batcher(config, log.Fn(/*hold_first=*/true));
-  EXPECT_EQ(batcher.Submit(MakeItem(0)), SubmitResult::kAccepted);
-  log.WaitUntilHeld();
-  EXPECT_EQ(batcher.Submit(MakeItem(1)), SubmitResult::kAccepted);
-  EXPECT_EQ(batcher.Submit(MakeItem(2)), SubmitResult::kAccepted);
-  batcher.Stop();
-  EXPECT_EQ(batcher.Submit(MakeItem(3)), SubmitResult::kStopped);
-  log.Release();
-  batcher.Drain();
-  {
-    std::lock_guard<std::mutex> lock(log.mutex);
-    ASSERT_EQ(log.flushes.size(), 2u);
-    EXPECT_EQ(log.flushes[0].second, (Ids{0}));
-    EXPECT_EQ(log.flushes[1].first, FlushReason::kDrain);
-    EXPECT_EQ(log.flushes[1].second, (Ids{1, 2}));
-  }
-  EXPECT_EQ(batcher.Submit(MakeItem(4)), SubmitResult::kStopped);
-  batcher.Drain();  // Idempotent.
-}
-
-// Deterministic overload: block the flush callback so the queue cannot
-// drain, then fill it past the bound.
-TEST(MicroBatcherTest, BoundedQueueRejectsWhenFlushIsStuck) {
-  std::promise<void> entered_promise;
-  std::future<void> entered = entered_promise.get_future();
-  std::promise<void> release_promise;
-  std::shared_future<void> release = release_promise.get_future().share();
-  std::atomic<size_t> flushed_items{0};
-  std::atomic<int> calls{0};
-
-  MicroBatcherConfig config;
-  config.max_batch = 1;
-  config.queue_bound = 2;
-  MicroBatcher batcher(
-      config, [&](std::vector<BatchItem> batch, FlushReason) {
-        if (calls.fetch_add(1) == 0) {
-          entered_promise.set_value();
-          release.wait();  // Hold the batcher thread hostage.
-        }
-        flushed_items.fetch_add(batch.size());
-      });
-
-  ASSERT_EQ(batcher.Submit(MakeItem(1)), SubmitResult::kAccepted);
-  ASSERT_EQ(entered.wait_for(std::chrono::seconds(10)),
-            std::future_status::ready);
-  // The batcher thread is inside the callback; these queue up.
-  EXPECT_EQ(batcher.Submit(MakeItem(2)), SubmitResult::kAccepted);
-  EXPECT_EQ(batcher.Submit(MakeItem(3)), SubmitResult::kAccepted);
-  EXPECT_EQ(batcher.queue_depth(), 2u);
-  // Queue is at the bound: deterministic rejection.
-  EXPECT_EQ(batcher.Submit(MakeItem(4)), SubmitResult::kOverloaded);
-  EXPECT_EQ(batcher.rejected(), 1u);
-
-  release_promise.set_value();
-  batcher.Drain();
-  EXPECT_EQ(flushed_items.load(), 3u);  // Every accepted item was flushed.
-  EXPECT_EQ(batcher.submitted(), 3u);
-}
-
 // ---- Server integration -------------------------------------------------
 
 // Two identical fleets (one served over the socket, one driven in-process)
@@ -869,11 +664,12 @@ class ServerFixture {
   std::unique_ptr<Server> server_;
 };
 
-TEST(ServerTest, BatchedPredictionsMatchInProcessBitForBit) {
+// One request in flight at a time: each predict is served inline on the
+// worker that read it, and the reply equals the in-process twin's.
+TEST(ServerTest, InlinePredictionsMatchInProcessBitForBit) {
   ServerFixture fx;
   ServerConfig config;
   config.num_workers = 2;
-  config.batching = true;
   fx.Start(config);
   auto client = fx.Connect();
   ASSERT_NE(client, nullptr);
@@ -905,43 +701,149 @@ TEST(ServerTest, BatchedPredictionsMatchInProcessBitForBit) {
   EXPECT_EQ(stats.connections_accepted, 1u);
   EXPECT_EQ(stats.frames_in, 40u);
   EXPECT_EQ(stats.frames_out, 40u);
-  EXPECT_EQ(stats.predictions_batched, 40u);
-  EXPECT_EQ(stats.predictions_inline, 0u);
+  EXPECT_EQ(stats.predictions, 40u);
   EXPECT_EQ(fx.server_->frame_latency().slot(Server::kLatencyPredict).count,
             40u);
 }
 
-TEST(ServerTest, InlinePredictionsMatchInProcessBitForBit) {
+// Client-side batches: two connections, one per tenant, each write their
+// whole batch of predicts at once before reading a reply. The listener
+// hands the connections to the two workers round-robin, so the batches are
+// served concurrently, each on its own worker; every reply still equals the
+// in-process twin's, because a tenant's predicts arrive on one connection
+// in order.
+TEST(ServerTest, BatchedPredictionsMatchInProcessBitForBit) {
+  ServerFixture fx;
+  ServerConfig config;
+  config.num_workers = 2;
+  fx.Start(config);
+  constexpr uint64_t kTenants = 2;
+  constexpr uint64_t kPerBatch = 24;
+  std::vector<std::unique_ptr<Client>> clients;
+  for (uint64_t tenant = 0; tenant < kTenants; ++tenant) {
+    clients.push_back(fx.Connect());
+    ASSERT_NE(clients.back(), nullptr);
+  }
+  const auto request_for = [&](uint64_t tenant, uint64_t k) {
+    PredictRequest request;
+    request.request_id = tenant * kPerBatch + k;
+    request.tenant = tenant;
+    request.concurrent_queries = static_cast<int32_t>(k % 5);
+    request.tick = k;
+    request.plan = fx.TracePlan(tenant * kPerBatch + k);
+    return request;
+  };
+
+  std::string error;
+  for (uint64_t tenant = 0; tenant < kTenants; ++tenant) {
+    std::string batch;
+    std::string payload;
+    for (uint64_t k = 0; k < kPerBatch; ++k) {
+      payload.clear();
+      AppendPredictRequest(&payload, request_for(tenant, k));
+      AppendMessage(&batch, MessageType::kPredictRequest, payload);
+    }
+    ASSERT_TRUE(clients[tenant]->SendRaw(batch, &error)) << error;
+  }
+
+  for (uint64_t tenant = 0; tenant < kTenants; ++tenant) {
+    for (uint64_t k = 0; k < kPerBatch; ++k) {
+      MessageType type;
+      std::string reply;
+      ASSERT_TRUE(clients[tenant]->ReceiveMessage(&type, &reply, &error))
+          << error << " tenant " << tenant << " after " << k;
+      ASSERT_EQ(type, MessageType::kPredictResponse) << tenant << "/" << k;
+      PredictResponse response;
+      ASSERT_TRUE(ParsePredictResponse(reply, &response));
+      const PredictRequest request = request_for(tenant, k);
+      EXPECT_EQ(response.request_id, request.request_id);
+      const core::Prediction want =
+          fx.TwinPredict(tenant, request.plan, request.concurrent_queries, k);
+      EXPECT_EQ(response.seconds, want.seconds)  // Bit-for-bit.
+          << tenant << "/" << k;
+      EXPECT_EQ(response.source, want.source) << tenant << "/" << k;
+      EXPECT_EQ(response.uncertainty_log_std, want.uncertainty_log_std)
+          << tenant << "/" << k;
+    }
+  }
+  const ServerStats stats = fx.server_->Stats();
+  EXPECT_EQ(stats.connections_accepted, kTenants);
+  EXPECT_EQ(stats.frames_in, kTenants * kPerBatch);
+  EXPECT_EQ(stats.frames_out, kTenants * kPerBatch);
+  EXPECT_EQ(stats.predictions, kTenants * kPerBatch);
+}
+
+// One write carries predicts for two tenants with observes mixed in. The
+// worker serves them in the order it reads them, so the replies come back
+// in request order, and every prediction equals an in-process twin fed the
+// same requests in the same order (the observes turn later predicts of
+// their plans into cache hits).
+TEST(ServerTest, PipelinedPredictsAreAnsweredInRequestOrder) {
   ServerFixture fx;
   ServerConfig config;
   config.num_workers = 1;
-  config.batching = false;  // Batching disabled: the bench baseline.
   fx.Start(config);
   auto client = fx.Connect();
   ASSERT_NE(client, nullptr);
 
-  for (uint64_t i = 0; i < 20; ++i) {
-    PredictRequest request;
-    request.request_id = i;
-    request.tenant = i % 2;
-    request.tick = i;
-    request.plan = fx.TracePlan(i);
-    PredictResponse response;
-    ErrorReply error_reply;
-    std::string transport_error;
-    ASSERT_EQ(client->Predict(request, &response, &error_reply,
-                              &transport_error),
-              Client::RpcStatus::kOk)
-        << transport_error;
-    const core::Prediction want =
-        fx.TwinPredict(request.tenant, request.plan, 0, i);
-    EXPECT_EQ(response.seconds, want.seconds) << i;
-    EXPECT_EQ(response.source, want.source) << i;
+  constexpr uint64_t kRequests = 72;
+  const auto is_observe = [](uint64_t k) { return k % 8 == 3; };
+  std::string bulk;
+  std::string payload;
+  for (uint64_t k = 0; k < kRequests; ++k) {
+    payload.clear();
+    if (is_observe(k)) {
+      ObserveRequest request;
+      request.request_id = k;
+      request.tenant = k % 2;
+      request.tick = k;
+      request.exec_seconds = 1.0 + static_cast<double>(k) / 8.0;
+      request.plan = fx.TracePlan(k + 2);  // Predicted two requests later.
+      AppendObserveRequest(&payload, request);
+      AppendMessage(&bulk, MessageType::kObserveRequest, payload);
+    } else {
+      PredictRequest request;
+      request.request_id = k;
+      request.tenant = k % 2;
+      request.concurrent_queries = static_cast<int32_t>(k % 5);
+      request.tick = k;
+      request.plan = fx.TracePlan(k);
+      AppendPredictRequest(&payload, request);
+      AppendMessage(&bulk, MessageType::kPredictRequest, payload);
+    }
   }
+  std::string error;
+  ASSERT_TRUE(client->SendRaw(bulk, &error)) << error;
+
+  bool saw_cache_hit = false;
+  for (uint64_t k = 0; k < kRequests; ++k) {
+    MessageType type;
+    std::string reply;
+    ASSERT_TRUE(client->ReceiveMessage(&type, &reply, &error))
+        << error << " after " << k;
+    if (is_observe(k)) {
+      ASSERT_EQ(type, MessageType::kObserveAck) << k;
+      ObserveAck ack;
+      ASSERT_TRUE(ParseObserveAck(reply, &ack));
+      EXPECT_EQ(ack.request_id, k);
+      fx.twin_->Observe(k % 2,
+                        core::MakeQueryContext(fx.TracePlan(k + 2), 0, k),
+                        1.0 + static_cast<double>(k) / 8.0);
+      continue;
+    }
+    ASSERT_EQ(type, MessageType::kPredictResponse) << k;
+    PredictResponse response;
+    ASSERT_TRUE(ParsePredictResponse(reply, &response));
+    EXPECT_EQ(response.request_id, k);
+    const core::Prediction want = fx.TwinPredict(
+        k % 2, fx.TracePlan(k), static_cast<int32_t>(k % 5), k);
+    EXPECT_EQ(response.seconds, want.seconds) << k;  // Bit-for-bit.
+    EXPECT_EQ(response.source, want.source) << k;
+    saw_cache_hit |= response.source == core::PredictionSource::kCache;
+  }
+  EXPECT_TRUE(saw_cache_hit);
   const ServerStats stats = fx.server_->Stats();
-  EXPECT_EQ(stats.predictions_inline, 20u);
-  EXPECT_EQ(stats.predictions_batched, 0u);
-  EXPECT_EQ(stats.effective_window_us, 0u);
+  EXPECT_EQ(stats.predictions + stats.observes, kRequests);
 }
 
 TEST(ServerTest, ObservesOverTheSocketMatchInProcessState) {
@@ -1249,68 +1151,14 @@ TEST(ServerTest, CorruptFrameGetsBadFrameReplyThenClose) {
   EXPECT_FALSE(client->ReceiveMessage(&type, &payload, &send_error));
 }
 
-TEST(ServerTest, OverloadRepliesMatchBatcherRejections) {
-  ServerFixture fx;
-  ServerConfig config;
-  config.num_workers = 1;
-  config.max_batch = 4;
-  config.queue_bound = 4;
-  fx.Start(config);
-  auto client = fx.Connect();
-  ASSERT_NE(client, nullptr);
-
-  // Blast pipelined predicts at a tiny queue. Whether any individual
-  // request lands kOverloaded depends on scheduling, but conservation must
-  // hold: every request gets exactly one reply, and every batcher
-  // rejection surfaced as exactly one kOverloaded error frame.
-  constexpr int kRequests = 400;
-  std::string bulk;
-  std::string payload;
-  for (int i = 0; i < kRequests; ++i) {
-    PredictRequest request;
-    request.request_id = static_cast<uint64_t>(i);
-    request.tenant = 0;
-    request.tick = static_cast<uint64_t>(i);
-    request.plan = fx.TracePlan(static_cast<size_t>(i));
-    payload.clear();
-    AppendPredictRequest(&payload, request);
-    AppendMessage(&bulk, MessageType::kPredictRequest, payload);
-  }
-  std::string send_error;
-  ASSERT_TRUE(client->SendRaw(bulk, &send_error)) << send_error;
-
-  int responses = 0;
-  int overloaded = 0;
-  for (int i = 0; i < kRequests; ++i) {
-    MessageType type;
-    std::string reply;
-    ASSERT_TRUE(client->ReceiveMessage(&type, &reply, &send_error))
-        << send_error << " after " << i;
-    if (type == MessageType::kPredictResponse) {
-      ++responses;
-    } else {
-      ASSERT_EQ(type, MessageType::kError);
-      ErrorReply error_reply;
-      ASSERT_TRUE(ParseErrorReply(reply, &error_reply));
-      EXPECT_EQ(error_reply.code, WireError::kOverloaded);
-      ++overloaded;
-    }
-  }
-  EXPECT_EQ(responses + overloaded, kRequests);
-  const ServerStats stats = fx.server_->Stats();
-  EXPECT_EQ(stats.batch_rejected,
-            stats.errors_by_code[static_cast<size_t>(WireError::kOverloaded)]);
-  EXPECT_EQ(stats.batch_submitted, static_cast<uint64_t>(responses));
-  EXPECT_EQ(stats.predictions_batched, static_cast<uint64_t>(responses));
-}
-
 TEST(ServerTest, GracefulShutdownDrainsQueuedRequests) {
   // Request 0 goes to a cold tenant whose stack registers its metrics on
   // `registry` during activation. The test holds the registry's lock inside
-  // a blocked RenderText callback, so the batcher consumer parks in that
-  // activation with request 0 and everything after it stays queued until
-  // Shutdown drains it. The parked tenant is configured exactly like
-  // tenant 0, so its answer matches the twin's tenant 0 bit-for-bit.
+  // a blocked RenderText callback, so the worker parks in that activation
+  // with request 0 while requests 1-4 queue behind it on the same
+  // connection. Shutdown lets the worker finish request 0 and refuses the
+  // rest. The parked tenant is configured exactly like tenant 0, so its
+  // answer matches the twin's tenant 0 bit-for-bit.
   obs::MetricsRegistry registry;
   ServerFixture fx;
   constexpr fleet_serve::TenantId kParked = 2;
@@ -1318,7 +1166,6 @@ TEST(ServerTest, GracefulShutdownDrainsQueuedRequests) {
                                        &fx.instances_[0].config, &registry});
   ServerConfig config;
   config.num_workers = 1;
-  config.max_batch = 64;
   fx.Start(config);
   auto client = fx.Connect();
   ASSERT_NE(client, nullptr);
@@ -1336,19 +1183,11 @@ TEST(ServerTest, GracefulShutdownDrainsQueuedRequests) {
   ASSERT_EQ(rendering.wait_for(std::chrono::seconds(10)),
             std::future_status::ready);
 
-  constexpr uint64_t kQueued = 5;
+  constexpr uint64_t kRequests = 5;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  // Polls the server's stats until `done` holds; false at the deadline.
-  const auto wait_for = [&](const auto& done) {
-    while (!done(fx.server_->Stats())) {
-      if (std::chrono::steady_clock::now() > deadline) return false;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return true;
-  };
   std::string payload;
-  for (uint64_t i = 0; i < kQueued; ++i) {
+  for (uint64_t i = 0; i < kRequests; ++i) {
     PredictRequest request;
     request.request_id = i;
     request.tenant = i == 0 ? kParked : 0;
@@ -1360,23 +1199,18 @@ TEST(ServerTest, GracefulShutdownDrainsQueuedRequests) {
     ASSERT_TRUE(client->SendMessage(MessageType::kPredictRequest, payload,
                                     &send_error))
         << send_error;
-    // Request 0 must leave the queue (the consumer takes it and parks)
-    // before the others arrive, or they would share its flush.
-    if (i == 0) {
-      ASSERT_TRUE(wait_for([](const ServerStats& stats) {
-        return stats.batch_submitted == 1 && stats.batch_queue_depth == 0;
-      }));
+    // Request 0 must be read (the worker takes it and parks) before the
+    // others arrive, so they wait in the socket behind it.
+    while (i == 0 && fx.server_->Stats().frames_in < 1) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
-  // Wait until the other four are queued behind it (none answered yet).
-  ASSERT_TRUE(wait_for([&](const ServerStats& stats) {
-    return stats.batch_submitted == kQueued;
-  }));
 
-  // Shutdown blocks until the parked flush finishes, so it runs on its own
-  // thread. The listener closes only after the batcher has stopped
-  // accepting, so once a connect is refused the queued requests can only
-  // leave as the drain flush, and the consumer may be released.
+  // Shutdown blocks until the worker finishes request 0, so it runs on its
+  // own thread. The listener closes only after the intake has stopped, so
+  // once a connect is refused requests 1-4 can only be refused, and the
+  // worker may be released.
   std::thread shutdown([&] { fx.server_->Shutdown(); });
   while (Client::Connect("127.0.0.1", fx.server_->port(), nullptr) !=
          nullptr) {
@@ -1388,32 +1222,33 @@ TEST(ServerTest, GracefulShutdownDrainsQueuedRequests) {
   shutdown.join();
   registry.UnregisterAll(&release);
 
-  // Every queued request is answered (bit-for-bit), then the shutdown
-  // frame, then EOF — no lost observations, no dangling clients.
-  for (uint64_t i = 0; i < kQueued; ++i) {
-    MessageType type;
-    std::string reply;
-    std::string error;
-    ASSERT_TRUE(client->ReceiveMessage(&type, &reply, &error)) << error;
-    ASSERT_EQ(type, MessageType::kPredictResponse) << i;
-    PredictResponse response;
-    ASSERT_TRUE(ParsePredictResponse(reply, &response));
-    const core::Prediction want =
-        fx.TwinPredict(0, fx.TracePlan(response.request_id), 0,
-                       response.request_id);
-    EXPECT_EQ(response.seconds, want.seconds);
-  }
+  // Request 0 is answered (bit-for-bit), each later request gets a
+  // shutting_down error, then the shutdown frame, then EOF.
   MessageType type;
   std::string reply;
   std::string error;
+  ASSERT_TRUE(client->ReceiveMessage(&type, &reply, &error)) << error;
+  ASSERT_EQ(type, MessageType::kPredictResponse);
+  PredictResponse response;
+  ASSERT_TRUE(ParsePredictResponse(reply, &response));
+  EXPECT_EQ(response.request_id, 0u);
+  EXPECT_EQ(response.seconds, fx.TwinPredict(0, fx.TracePlan(0), 0, 0).seconds);
+  for (uint64_t i = 1; i < kRequests; ++i) {
+    ASSERT_TRUE(client->ReceiveMessage(&type, &reply, &error)) << error;
+    ASSERT_EQ(type, MessageType::kError) << i;
+    ErrorReply error_reply;
+    ASSERT_TRUE(ParseErrorReply(reply, &error_reply));
+    EXPECT_EQ(error_reply.request_id, i);
+    EXPECT_EQ(error_reply.code, WireError::kShuttingDown);
+  }
   ASSERT_TRUE(client->ReceiveMessage(&type, &reply, &error)) << error;
   EXPECT_EQ(type, MessageType::kShutdown);
   EXPECT_FALSE(client->ReceiveMessage(&type, &reply, &error));
 
   const ServerStats stats = fx.server_->Stats();
-  EXPECT_EQ(stats.batch_flushes[static_cast<size_t>(FlushReason::kDrain)],
-            1u);
-  EXPECT_EQ(stats.predictions_batched, kQueued);
+  EXPECT_EQ(stats.predictions, 1u);
+  EXPECT_EQ(stats.errors_by_code[static_cast<size_t>(WireError::kShuttingDown)],
+            kRequests - 1);
 }
 
 TEST(ServerTest, ShutdownAnnouncesToIdleConnections) {
@@ -1491,19 +1326,10 @@ TEST(ServerTest, ExposesMetricsOnTheRegistry) {
   std::string problem;
   EXPECT_TRUE(obs::ValidateTextExposition(text, &problem)) << problem;
   EXPECT_NE(text.find("stage_net_frames_in_total"), std::string::npos);
-  EXPECT_NE(text.find("stage_net_predictions_total{mode=\"batched\"}"),
+  EXPECT_NE(text.find("\nstage_net_predictions_total 8\n"),
             std::string::npos);
   EXPECT_NE(text.find("stage_net_connections_active"), std::string::npos);
-  EXPECT_NE(text.find("stage_net_batch_size"), std::string::npos);
   EXPECT_NE(text.find("stage_net_frame_latency_nanos"), std::string::npos);
-
-  // Histogram sanity: one Record per flush, counts sum to the flushes.
-  const obs::Histogram::Snapshot hist = fx.server_->batch_size_histogram();
-  uint64_t flushes = 0;
-  for (int r = 0; r < kNumFlushReasons; ++r) {
-    flushes += fx.server_->Stats().batch_flushes[static_cast<size_t>(r)];
-  }
-  EXPECT_EQ(hist.count, flushes);
 
   // The server unregisters its callbacks on destruction.
   fx.server_.reset();
@@ -1548,7 +1374,6 @@ TEST(NetStressTest, ConcurrentClientsAndGracefulShutdown) {
   ServerFixture fx;
   ServerConfig config;
   config.num_workers = 2;
-  config.max_batch = 16;
   fx.Start(config);
 
   constexpr int kThreads = 4;
@@ -1601,8 +1426,7 @@ TEST(NetStressTest, ConcurrentClientsAndGracefulShutdown) {
   // Conservation: every answered request was answered exactly once, and
   // the counters agree with what the clients saw.
   const ServerStats stats = fx.server_->Stats();
-  EXPECT_GE(stats.predictions_batched + stats.predictions_inline +
-                stats.observes,
+  EXPECT_GE(stats.predictions + stats.observes,
             static_cast<uint64_t>(answered.load()));
   EXPECT_EQ(stats.connections_active, 0u);
 }

@@ -120,6 +120,9 @@ fi
 grep -q '"calibrated_coverage_better": true' "${calib_bench_json}"
 echo "=== bench JSON OK: ${calib_bench_json} ==="
 
+# The server's qps, p50 and p99 with 16 pipelined connections, every
+# predict escalating to the global model. The bench itself exits non-zero
+# on a lossy run or a non-global answer; the figures carry no bound.
 echo "=== [release] network serving bench smoke (STAGE_BENCH_FAST=1) ==="
 (cd "${repo_root}/build-check-release/bench" && \
   STAGE_BENCH_FAST=1 ./bench_net_serve)
@@ -127,12 +130,8 @@ net_bench_json="${repo_root}/build-check-release/bench/BENCH_net_serve.json"
 if command -v python3 > /dev/null 2>&1; then
   python3 -m json.tool "${net_bench_json}" > /dev/null
 else
-  grep -q '"qps_speedup"' "${net_bench_json}"
+  grep -q '"p99_ms"' "${net_bench_json}"
 fi
-# ROADMAP item 3 acceptance bar: natural micro-batching (flush whatever is
-# queued when the consumer is free) must be >= 2x the batching-disabled
-# baseline at equal-or-better p99, 16+ connections.
-grep -q '"pass": true' "${net_bench_json}"
 echo "=== bench JSON OK: ${net_bench_json} ==="
 
 # Observability gate (also in --fast): the pinned golden routing replay
@@ -191,8 +190,8 @@ if [[ "${fast}" -eq 0 ]]; then
   "${repo_root}/build-check-tsan/tests/calib_test" \
     --gtest_filter='CalibConcurrencyTest.ReadersPredictWhileRecalibratorObserves'
   # Multi-connection blast + graceful shutdown over real sockets: the
-  # network edge's TSan acceptance gate (workers, batcher thread, listener
-  # and client threads all racing).
+  # network edge's TSan acceptance gate (two workers predicting at once,
+  # the listener and client threads all racing).
   echo "=== [tsan] network serving concurrency gate ==="
   "${repo_root}/build-check-tsan/tests/net_test" \
     --gtest_filter='NetStressTest.*'

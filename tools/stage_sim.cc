@@ -48,7 +48,7 @@
 //       --restore_from=snap.bin --skip=1000
 //   stage_sim stats --queries=2000 --shards=4
 //   stage_sim serve --queries=2000 --metrics_out=metrics.prom
-//   stage_sim serve-net --port=7433 --workers=2 --batching=1 &
+//   stage_sim serve-net --port=7433 --workers=2 &
 //   stage_sim loadgen --port=7433 --connections=16 --requests=500
 #include <algorithm>
 #include <atomic>
@@ -92,9 +92,8 @@ const std::vector<std::string> kKnownFlags = {
     "short_slots", "long_slots", "threads", "shards", "sync",
     "stop_after", "restore_from", "skip", "metrics_out", "json",
     "budget_mb", "policy", "slo_factor", "window", "anchor",
-    "host", "port", "port_file", "workers", "batching", "max_batch",
-    "queue_bound", "max_conns", "duration_s", "connections", "pipeline",
-    "requests", "tenants", "concurrent"};
+    "host", "port", "port_file", "workers", "max_conns", "duration_s",
+    "connections", "pipeline", "requests", "tenants", "concurrent"};
 
 void PrintUsage() {
   std::printf(
@@ -141,9 +140,8 @@ void PrintUsage() {
       "  serve-net:    epoll prediction server: FleetService behind a\n"
       "                socket, one tenant per instance; --port=N (0 binds\n"
       "                an ephemeral port) --port_file=FILE (publish the\n"
-      "                bound port) --workers=N --batching=0|1 (0 predicts\n"
-      "                inline, default 1) --max_batch=N --queue_bound=N\n"
-      "                --max_conns=N --duration_s=S --global=FILE\n"
+      "                bound port) --workers=N (each serves the requests\n"
+      "                it reads) --max_conns=N --duration_s=S --global=FILE\n"
       "                --metrics_out=FILE\n"
       "  loadgen:      pipelined predict load against a serve-net\n"
       "                endpoint: --port=N (required) --host=A\n"
@@ -891,9 +889,6 @@ int RunServeNet(const Flags& flags) {
   server_config.host = flags.GetString("host", "127.0.0.1");
   server_config.port = static_cast<int>(flags.GetInt("port", 0));
   server_config.num_workers = static_cast<int>(flags.GetInt("workers", 2));
-  server_config.batching = flags.GetBool("batching", true);
-  server_config.max_batch = flags.GetInt("max_batch", 64);
-  server_config.queue_bound = flags.GetInt("queue_bound", 1024);
   server_config.max_connections = flags.GetInt("max_conns", 256);
   {
     const std::string problem = server_config.Validate();
@@ -904,11 +899,9 @@ int RunServeNet(const Flags& flags) {
   }
   net::Server server(&service, server_config, {.metrics = &registry});
   std::printf("serve-net: listening on %s:%d (%zu tenants, %d workers, "
-              "batching %s, global model %s)\n",
+              "global model %s)\n",
               server_config.host.c_str(), server.port(), num_tenants,
-              server_config.num_workers,
-              server_config.batching ? "on" : "off",
-              use_global ? "loaded" : "absent");
+              server_config.num_workers, use_global ? "loaded" : "absent");
   std::fflush(stdout);
 
   // Publish the bound port last so a script polling the file knows the
@@ -935,23 +928,13 @@ int RunServeNet(const Flags& flags) {
   uint64_t errors = 0;
   for (const uint64_t count : stats.errors_by_code) errors += count;
   std::printf("serve-net: %llu connections (%llu rejected), %llu frames "
-              "in, %llu predictions (%llu batched, %llu inline), %llu "
-              "observes, %llu errors\n",
+              "in, %llu predictions, %llu observes, %llu errors\n",
               static_cast<unsigned long long>(stats.connections_accepted),
               static_cast<unsigned long long>(stats.connections_rejected),
               static_cast<unsigned long long>(stats.frames_in),
-              static_cast<unsigned long long>(stats.predictions_batched +
-                                              stats.predictions_inline),
-              static_cast<unsigned long long>(stats.predictions_batched),
-              static_cast<unsigned long long>(stats.predictions_inline),
+              static_cast<unsigned long long>(stats.predictions),
               static_cast<unsigned long long>(stats.observes),
               static_cast<unsigned long long>(errors));
-  const obs::Histogram::Snapshot batches = server.batch_size_histogram();
-  if (batches.count > 0) {
-    std::printf("serve-net: %llu batch flushes, mean batch %.1f\n",
-                static_cast<unsigned long long>(batches.count),
-                batches.sum / static_cast<double>(batches.count));
-  }
   const std::string metrics_out = flags.GetString("metrics_out", "");
   if (!metrics_out.empty() && !DumpMetrics(registry, metrics_out)) return 1;
   return 0;
