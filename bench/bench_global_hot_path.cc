@@ -5,11 +5,13 @@
 // matvec per node per transform, per-example forward/backward training);
 // the batched path is the production PredictSeconds/PredictBatch/Train
 // code. The naive inference baseline loads the SAME checkpoint bytes as
-// the production model, so the bench also acts as a bit-equivalence gate:
+// the production model and rounds each weight to bf16 as the served
+// (eval) forward does, so the bench also acts as a bit-equivalence gate:
 // it exits non-zero if any prediction differs. It then times the
 // paper-shaped model perfbench's net_escalate serves (hidden 256 x 6
 // layers; single-plan and batch-8 per-plan latency) under the same gate,
-// and the single-plan pass once more after a 5 ms idle gap per call.
+// and the single-plan pass once more after a 5 ms idle gap per call, and
+// reports the weight bytes its served and training forwards stream.
 // Emits machine-readable BENCH_global_hot_path.json in the working
 // directory.
 //
@@ -33,6 +35,7 @@
 #include "stage/common/thread_pool.h"
 #include "stage/fleet/fleet.h"
 #include "stage/global/global_model.h"
+#include "stage/nn/gemm.h"
 #include "stage/plan/featurizer.h"
 
 namespace {
@@ -207,12 +210,15 @@ struct NaiveLinear {
     b.Step(config, grad_divisor);
   }
 
+  // Loads a checkpointed layer as the served forward sees it: each weight
+  // rounded to bf16, the value nn::Linear's eval panels widen back.
   bool Load(std::istream& in) {
     int32_t in32 = 0;
     int32_t out32 = 0;
     if (!ReadPod(in, &in32) || !ReadPod(in, &out32)) return false;
     if (in32 <= 0 || out32 <= 0) return false;
     if (!w.Load(in) || !b.Load(in)) return false;
+    for (float& x : w.value) x = nn::Bf16ToFloat(nn::RoundToBf16(x));
     in_dim = in32;
     out_dim = out32;
     return true;
@@ -659,6 +665,26 @@ double MeasureBatch(const BenchConfig& config, size_t num_plans, Fn&& run) {
   return best;
 }
 
+// Bytes of packed weight panels one forward pass over a model of `config`'s
+// shape streams, at `element_bytes` per weight: every GCN transform plus
+// the head.
+size_t PanelBytes(const global::GlobalModelConfig& config,
+                  size_t element_bytes) {
+  size_t elements = 0;
+  for (int l = 0; l < config.num_layers; ++l) {
+    // The self and the child transform.
+    const int in = l == 0 ? plan::kNodeFeatureDim : config.hidden_dim;
+    elements += 2 * nn::PackedPanelSize(config.hidden_dim, in);
+  }
+  int in = config.hidden_dim + global::kSystemFeatureDim;
+  for (const int out : config.head_hidden) {
+    elements += nn::PackedPanelSize(out, in);
+    in = out;
+  }
+  elements += nn::PackedPanelSize(1, in);
+  return elements * element_bytes;
+}
+
 template <typename Fn>
 double AllocationsPerCall(int iters, Fn&& call) {
   g_allocations.store(0, std::memory_order_relaxed);
@@ -887,12 +913,19 @@ int main() {
   const LatencyStats paper_idle =
       MeasureSinglePlan(config.paper_idle_iters, eval_plans, paper_predict,
                         &checksum, std::chrono::milliseconds(5));
+  const size_t served_weight_bytes =
+      PanelBytes(paper_config, sizeof(nn::Bf16));
+  const size_t training_weight_bytes =
+      PanelBytes(paper_config, sizeof(float));
   std::printf("paper shape (hidden 256 x 6 layers, %zu/%zu predictions "
               "identical to the naive reference): single-plan p50 %.0fns "
               "p99 %.0fns; batch-8 p50 %.0fns/plan; single-plan after a "
-              "5 ms idle gap p50 %.0fns\n",
+              "5 ms idle gap p50 %.0fns; weight panels %.2f MiB served "
+              "(bf16), %.2f MiB training (fp32)\n",
               eval_plans.size(), eval_plans.size(), paper_single.p50_ns,
-              paper_single.p99_ns, paper_batch8.p50_ns, paper_idle.p50_ns);
+              paper_single.p99_ns, paper_batch8.p50_ns, paper_idle.p50_ns,
+              served_weight_bytes / 1048576.0,
+              training_weight_bytes / 1048576.0);
 
   // -- JSON ------------------------------------------------------------
   std::FILE* json = std::fopen("BENCH_global_hot_path.json", "w");
@@ -928,7 +961,9 @@ int main() {
                "\"single_plan_p99_ns\": %.1f, "
                "\"single_plan_idle_p50_ns\": %.1f, \"idle_gap_us\": 5000,\n"
                "    \"batch8_per_plan_p50_ns\": %.1f, "
-               "\"batch8_per_plan_p99_ns\": %.1f}\n"
+               "\"batch8_per_plan_p99_ns\": %.1f,\n"
+               "    \"served_weight_bytes\": %zu, "
+               "\"training_weight_bytes\": %zu}\n"
                "}\n",
                config.fast ? "true" : "false", examples.size(), config.epochs,
                config.hidden_dim, config.num_layers,
@@ -939,7 +974,8 @@ int main() {
                queries.size(), naive_plans_per_sec, batched_plans_per_sec,
                batch_speedup, naive_allocs, batched_allocs,
                eval_plans.size(), paper_single.p50_ns, paper_single.p99_ns,
-               paper_idle.p50_ns, paper_batch8.p50_ns, paper_batch8.p99_ns);
+               paper_idle.p50_ns, paper_batch8.p50_ns, paper_batch8.p99_ns,
+               served_weight_bytes, training_weight_bytes);
   std::fclose(json);
   std::printf("wrote BENCH_global_hot_path.json\n");
   return 0;

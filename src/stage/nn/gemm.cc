@@ -25,51 +25,61 @@ constexpr int kRowBlock = 64;
 // over every panel, for up to kRowBlock rows. Every output element is the
 // scalar chain
 //   acc = bias[o]; for k ascending: acc = acc + x[k] * W[o][k]
-// with the product rounded before the add, so all kernels match
-// Linear::Forward bit for bit. Padded columns are computed and discarded.
+// with the product rounded before the add, where W[o][k] is the panel's
+// weight widened to float (exact for bf16), so all kernels match the naive
+// loop on the same weights bit for bit. Padded columns are computed and
+// discarded. Each kernel is a template over the panel element type T,
+// float or Bf16.
+template <typename T>
 using BlockKernel = void (*)(int rows, int out_dim, int in_dim,
-                             const float* x, const float* panels,
+                             const float* x, const T* panels,
                              const float* bias, float* y);
 
 // The portable and AVX2 leaves write columns [0, cols) of one panel's
 // slice of y rows [0, rows), from that panel and `bias16` (the panel's
 // kPanelWidth bias values, zero-padded), splitting the rows into groups
 // that share every panel-row load.
+template <typename T>
 using PanelKernel = void (*)(int rows, int in_dim, const float* x,
-                             const float* panel, const float* bias16,
-                             int cols, float* y, int out_dim);
+                             const T* panel, const float* bias16, int cols,
+                             float* y, int out_dim);
 
 // Runs a per-panel leaf panel-outer over a row block: the block's row
 // groups all pass over one panel (L1-resident after the first group)
 // before the next panel is touched.
-template <PanelKernel kLeaf>
+template <typename T, PanelKernel<T> kLeaf>
 void PanelOuterBlock(int rows, int out_dim, int in_dim, const float* x,
-                     const float* panels, const float* bias, float* y) {
+                     const T* panels, const float* bias, float* y) {
   const int num_panels = (out_dim + kPanelWidth - 1) / kPanelWidth;
-  const size_t panel_floats = static_cast<size_t>(in_dim) * kPanelWidth;
+  const size_t panel_size = static_cast<size_t>(in_dim) * kPanelWidth;
   for (int p = 0; p < num_panels; ++p) {
     const int o0 = p * kPanelWidth;
     const int cols = std::min(kPanelWidth, out_dim - o0);
     float bias16[kPanelWidth] = {};
     if (bias != nullptr) std::copy(bias + o0, bias + o0 + cols, bias16);
-    kLeaf(rows, in_dim, x, panels + p * panel_floats, bias16, cols, y + o0,
+    kLeaf(rows, in_dim, x, panels + p * panel_size, bias16, cols, y + o0,
           out_dim);
   }
 }
 
+// A panel weight as the float it stands for.
+inline float Widen(float w) { return w; }
+inline float Widen(Bf16 w) { return Bf16ToFloat(w); }
+
 // Portable kernel: one row at a time, its kPanelWidth accumulators in a
 // local array the compiler vectorizes with the baseline ISA.
-void PanelRowsPortable(int rows, int in_dim, const float* x,
-                       const float* panel, const float* bias16, int cols,
-                       float* y, int out_dim) {
+template <typename T>
+void PanelRowsPortable(int rows, int in_dim, const float* x, const T* panel,
+                       const float* bias16, int cols, float* y,
+                       int out_dim) {
   for (int r = 0; r < rows; ++r) {
     const float* xr = x + static_cast<size_t>(r) * in_dim;
     float acc[kPanelWidth];
     for (int j = 0; j < kPanelWidth; ++j) acc[j] = bias16[j];
-    const float* wk = panel;
+    const T* wk = panel;
     for (int k = 0; k < in_dim; ++k, wk += kPanelWidth) {
       const float xk = xr[k];
-      for (int j = 0; j < kPanelWidth; ++j) acc[j] += xk * wk[j];
+      for (int j = 0; j < kPanelWidth; ++j) acc[j] += xk * Widen(wk[j]);
     }
     std::copy(acc, acc + cols, y + static_cast<size_t>(r) * out_dim);
   }
@@ -87,10 +97,22 @@ void PanelRowsPortable(int rows, int in_dim, const float* x,
 // (avx2 alone does not), so the separate multiply and add intrinsics below
 // stay separate only because stage_nn is built with -ffp-contract=off.
 
+// Eight panel weights from `w` as floats: a plain load for fp32; for bf16
+// a zero-extending load of eight 16-bit weights, each shifted into the
+// upper half of its lane.
+__attribute__((target("avx2"))) inline __m256 LoadWeights8(const float* w) {
+  return _mm256_loadu_ps(w);
+}
+__attribute__((target("avx2"))) inline __m256 LoadWeights8(const Bf16* w) {
+  const __m256i wide = _mm256_cvtepu16_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(w)));
+  return _mm256_castsi256_ps(_mm256_slli_epi32(wide, 16));
+}
+
 // AVX2: R (<= 4) rows x 16 columns in 2R YMM accumulators.
-template <int R>
+template <typename T, int R>
 __attribute__((target("avx2"))) void RowGroupAvx2(int in_dim, const float* x,
-                                                  const float* panel,
+                                                  const T* panel,
                                                   const float* bias16,
                                                   int cols, float* y,
                                                   int out_dim) {
@@ -103,10 +125,10 @@ __attribute__((target("avx2"))) void RowGroupAvx2(int in_dim, const float* x,
     lo[r] = b0;
     hi[r] = b1;
   }
-  const float* wk = panel;
+  const T* wk = panel;
   for (int k = 0; k < in_dim; ++k, wk += kPanelWidth) {
-    const __m256 w0 = _mm256_loadu_ps(wk);
-    const __m256 w1 = _mm256_loadu_ps(wk + 8);
+    const __m256 w0 = LoadWeights8(wk);
+    const __m256 w1 = LoadWeights8(wk + 8);
 #pragma GCC unroll 4
     for (int r = 0; r < R; ++r) {
       const __m256 f =
@@ -130,20 +152,37 @@ __attribute__((target("avx2"))) void RowGroupAvx2(int in_dim, const float* x,
   }
 }
 
+template <typename T>
 __attribute__((target("avx2"))) void PanelRowsAvx2(int rows, int in_dim,
                                                    const float* x,
-                                                   const float* panel,
+                                                   const T* panel,
                                                    const float* bias16,
                                                    int cols, float* y,
                                                    int out_dim) {
-  static constexpr decltype(&RowGroupAvx2<1>) kGroups[] = {
-      nullptr, &RowGroupAvx2<1>, &RowGroupAvx2<2>, &RowGroupAvx2<3>,
-      &RowGroupAvx2<4>};
+  static constexpr decltype(&RowGroupAvx2<T, 1>) kGroups[] = {
+      nullptr, &RowGroupAvx2<T, 1>, &RowGroupAvx2<T, 2>, &RowGroupAvx2<T, 3>,
+      &RowGroupAvx2<T, 4>};
   for (int r = 0; r < rows; r += 4) {
     kGroups[std::min(4, rows - r)](
         in_dim, x + static_cast<size_t>(r) * in_dim, panel, bias16, cols,
         y + static_cast<size_t>(r) * out_dim, out_dim);
   }
+}
+
+// Sixteen panel weights (one panel row) from `w` as floats, as
+// LoadWeights8 does. The widening uses the zero-masked forms with an
+// all-ones mask: they emit the same vpmovzxwd and vpslld as the unmasked
+// intrinsics, which GCC 12 reports as maybe-uninitialized inside its own
+// header.
+__attribute__((target("avx512f"))) inline __m512 LoadWeights16(
+    const float* w) {
+  return _mm512_loadu_ps(w);
+}
+__attribute__((target("avx512f"))) inline __m512 LoadWeights16(
+    const Bf16* w) {
+  const __m512i wide = _mm512_maskz_cvtepu16_epi32(
+      0xFFFF, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w)));
+  return _mm512_castsi512_ps(_mm512_maskz_slli_epi32(0xFFFF, wide, 16));
 }
 
 // AVX-512F: an R-row x P-panel register tile, R * P ZMM accumulators. Each
@@ -152,9 +191,9 @@ __attribute__((target("avx2"))) void PanelRowsAvx2(int rows, int in_dim,
 // `last_mask` covers the tile's last panel, masking its load of the bias
 // and its store, so a tile ending at the GEMM's padded tail panel neither
 // reads bias past out_dim nor writes past it.
-template <int R, int P>
+template <typename T, int R, int P>
 __attribute__((target("avx512f"))) void TileAvx512(
-    int in_dim, const float* x, const float* panel, size_t panel_floats,
+    int in_dim, const float* x, const T* panel, size_t panel_size,
     const float* bias, __mmask16 last_mask, float* y, int out_dim) {
   __m512 acc[R][P];
 #pragma GCC unroll 8
@@ -166,11 +205,11 @@ __attribute__((target("avx512f"))) void TileAvx512(
 #pragma GCC unroll 8
     for (int r = 0; r < R; ++r) acc[r][j] = b;
   }
-  const float* wk = panel;
+  const T* wk = panel;
   for (int k = 0; k < in_dim; ++k, wk += kPanelWidth) {
     __m512 w[P];
 #pragma GCC unroll 8
-    for (int j = 0; j < P; ++j) w[j] = _mm512_loadu_ps(wk + j * panel_floats);
+    for (int j = 0; j < P; ++j) w[j] = LoadWeights16(wk + j * panel_size);
 #pragma GCC unroll 8
     for (int r = 0; r < R; ++r) {
       const __m512 f =
@@ -199,22 +238,25 @@ __attribute__((target("avx512f"))) void TileAvx512(
 // keeps at least 8 independent accumulator chains.
 constexpr int kTilePanels[] = {0, 8, 4, 3, 2, 2, 2, 2, 1};
 
-using TileFn = decltype(&TileAvx512<1, 1>);
+template <typename T>
+using TileFn = decltype(&TileAvx512<T, 1, 1>);
 
-// kTiles[R][P] is the R-row x P-panel tile for P = 1..kTilePanels[R].
-constexpr TileFn kTiles[][9] = {
+// kTiles<T>[R][P] is the R-row x P-panel tile for P = 1..kTilePanels[R].
+template <typename T>
+constexpr TileFn<T> kTiles[9][9] = {
     {},
-    {nullptr, &TileAvx512<1, 1>, &TileAvx512<1, 2>, &TileAvx512<1, 3>,
-     &TileAvx512<1, 4>, &TileAvx512<1, 5>, &TileAvx512<1, 6>,
-     &TileAvx512<1, 7>, &TileAvx512<1, 8>},
-    {nullptr, &TileAvx512<2, 1>, &TileAvx512<2, 2>, &TileAvx512<2, 3>,
-     &TileAvx512<2, 4>},
-    {nullptr, &TileAvx512<3, 1>, &TileAvx512<3, 2>, &TileAvx512<3, 3>},
-    {nullptr, &TileAvx512<4, 1>, &TileAvx512<4, 2>},
-    {nullptr, &TileAvx512<5, 1>, &TileAvx512<5, 2>},
-    {nullptr, &TileAvx512<6, 1>, &TileAvx512<6, 2>},
-    {nullptr, &TileAvx512<7, 1>, &TileAvx512<7, 2>},
-    {nullptr, &TileAvx512<8, 1>},
+    {nullptr, &TileAvx512<T, 1, 1>, &TileAvx512<T, 1, 2>,
+     &TileAvx512<T, 1, 3>, &TileAvx512<T, 1, 4>, &TileAvx512<T, 1, 5>,
+     &TileAvx512<T, 1, 6>, &TileAvx512<T, 1, 7>, &TileAvx512<T, 1, 8>},
+    {nullptr, &TileAvx512<T, 2, 1>, &TileAvx512<T, 2, 2>,
+     &TileAvx512<T, 2, 3>, &TileAvx512<T, 2, 4>},
+    {nullptr, &TileAvx512<T, 3, 1>, &TileAvx512<T, 3, 2>,
+     &TileAvx512<T, 3, 3>},
+    {nullptr, &TileAvx512<T, 4, 1>, &TileAvx512<T, 4, 2>},
+    {nullptr, &TileAvx512<T, 5, 1>, &TileAvx512<T, 5, 2>},
+    {nullptr, &TileAvx512<T, 6, 1>, &TileAvx512<T, 6, 2>},
+    {nullptr, &TileAvx512<T, 7, 1>, &TileAvx512<T, 7, 2>},
+    {nullptr, &TileAvx512<T, 8, 1>},
 };
 
 // AVX-512F row block: full 8-row groups run 8 x 1 tiles panel-outer, so
@@ -222,11 +264,12 @@ constexpr TileFn kTiles[][9] = {
 // rows % 8 tail, which is every row of a block under 8 rows, runs one
 // R x kTilePanels[R] tile per panel group, across the panels the full
 // groups have just read.
+template <typename T>
 __attribute__((target("avx512f"))) void TiledBlockAvx512(
-    int rows, int out_dim, int in_dim, const float* x, const float* panels,
+    int rows, int out_dim, int in_dim, const float* x, const T* panels,
     const float* bias, float* y) {
   const int num_panels = (out_dim + kPanelWidth - 1) / kPanelWidth;
-  const size_t panel_floats = static_cast<size_t>(in_dim) * kPanelWidth;
+  const size_t panel_size = static_cast<size_t>(in_dim) * kPanelWidth;
   const __mmask16 last_panel_mask = static_cast<__mmask16>(
       (1u << (out_dim - (num_panels - 1) * kPanelWidth)) - 1u);
   const int tail = rows % 8;
@@ -237,19 +280,20 @@ __attribute__((target("avx512f"))) void TiledBlockAvx512(
     for (int p = p0; p < p0 + np; ++p) {
       const __mmask16 mask = p == num_panels - 1 ? last_panel_mask : 0xFFFF;
       for (int r = 0; r < full_rows; r += 8) {
-        TileAvx512<8, 1>(in_dim, x + static_cast<size_t>(r) * in_dim,
-                         panels + p * panel_floats, panel_floats,
-                         bias != nullptr ? bias + p * kPanelWidth : nullptr,
-                         mask,
-                         y + static_cast<size_t>(r) * out_dim +
-                             p * kPanelWidth,
-                         out_dim);
+        TileAvx512<T, 8, 1>(in_dim, x + static_cast<size_t>(r) * in_dim,
+                            panels + p * panel_size, panel_size,
+                            bias != nullptr ? bias + p * kPanelWidth
+                                            : nullptr,
+                            mask,
+                            y + static_cast<size_t>(r) * out_dim +
+                                p * kPanelWidth,
+                            out_dim);
       }
     }
     if (tail > 0) {
-      kTiles[tail][np](
+      kTiles<T>[tail][np](
           in_dim, x + static_cast<size_t>(full_rows) * in_dim,
-          panels + p0 * panel_floats, panel_floats,
+          panels + p0 * panel_size, panel_size,
           bias != nullptr ? bias + p0 * kPanelWidth : nullptr,
           p0 + np == num_panels ? last_panel_mask : 0xFFFF,
           y + static_cast<size_t>(full_rows) * out_dim + p0 * kPanelWidth,
@@ -259,16 +303,17 @@ __attribute__((target("avx512f"))) void TiledBlockAvx512(
 }
 #endif  // defined(__x86_64__)
 
-BlockKernel KernelFor(internal::GemmKernel kernel) {
+template <typename T>
+BlockKernel<T> KernelFor(internal::GemmKernel kernel) {
   switch (kernel) {
 #if defined(__x86_64__)
     case internal::GemmKernel::kAvx512:
-      return &TiledBlockAvx512;
+      return &TiledBlockAvx512<T>;
     case internal::GemmKernel::kAvx2:
-      return &PanelOuterBlock<&PanelRowsAvx2>;
+      return &PanelOuterBlock<T, &PanelRowsAvx2<T>>;
 #endif
     default:
-      return &PanelOuterBlock<&PanelRowsPortable>;
+      return &PanelOuterBlock<T, &PanelRowsPortable<T>>;
   }
 }
 
@@ -323,8 +368,9 @@ void ForEachRowBlock(int rows, ThreadPool* pool, Fn&& fn) {
 }
 
 // GemmBias on a given kernel: row blocks fan out on the pool.
-void GemmBiasBlocks(BlockKernel kernel, int rows, int out_dim, int in_dim,
-                    const float* x, const float* panels, const float* bias,
+template <typename T>
+void GemmBiasBlocks(BlockKernel<T> kernel, int rows, int out_dim, int in_dim,
+                    const float* x, const T* panels, const float* bias,
                     float* y, ThreadPool* pool) {
   STAGE_DCHECK(rows >= 0 && out_dim > 0 && in_dim > 0);
   ForEachRowBlock(rows, pool, [&](int block) {
@@ -333,6 +379,16 @@ void GemmBiasBlocks(BlockKernel kernel, int rows, int out_dim, int in_dim,
            x + static_cast<size_t>(row0) * in_dim, panels, bias,
            y + static_cast<size_t>(row0) * out_dim);
   });
+}
+
+// GemmBias on the kernel this machine selects, fixed on first use.
+template <typename T>
+void GemmBiasSelected(int rows, int out_dim, int in_dim, const float* x,
+                      const T* panels, const float* bias, float* y,
+                      ThreadPool* pool) {
+  static const BlockKernel<T> kernel =
+      KernelFor<T>(internal::SelectedGemmKernel());
+  GemmBiasBlocks(kernel, rows, out_dim, in_dim, x, panels, bias, y, pool);
 }
 
 }  // namespace
@@ -370,23 +426,30 @@ size_t Arena::CapacityFloats() const {
   return total;
 }
 
-size_t PackedPanelFloats(int out_dim, int in_dim) {
+size_t PackedPanelSize(int out_dim, int in_dim) {
   const size_t panels = (static_cast<size_t>(out_dim) + kPanelWidth - 1) /
                         kPanelWidth;
   return panels * static_cast<size_t>(in_dim) * kPanelWidth;
 }
 
-void PackPanels(int out_dim, int in_dim, const float* w, float* panels) {
+void PackPanels(int out_dim, int in_dim, const float* w, float* panels,
+                Bf16* bf16_panels) {
   const int num_panels = (out_dim + kPanelWidth - 1) / kPanelWidth;
+  const size_t panel_size = static_cast<size_t>(in_dim) * kPanelWidth;
   for (int p = 0; p < num_panels; ++p) {
-    float* panel =
-        panels + static_cast<size_t>(p) * in_dim * kPanelWidth;
-    for (int k = 0; k < in_dim; ++k) {
-      for (int j = 0; j < kPanelWidth; ++j) {
-        const int o = p * kPanelWidth + j;
+    float* panel = panels + p * panel_size;
+    // Column j of the panel is row o of W, read front to back.
+    for (int j = 0; j < kPanelWidth; ++j) {
+      const int o = p * kPanelWidth + j;
+      for (int k = 0; k < in_dim; ++k) {
         panel[static_cast<size_t>(k) * kPanelWidth + j] =
             o < out_dim ? w[static_cast<size_t>(o) * in_dim + k] : 0.0f;
       }
+    }
+    // The bf16 form of the panel just written, while it is in L1.
+    Bf16* bf16_panel = bf16_panels + p * panel_size;
+    for (size_t i = 0; i < panel_size; ++i) {
+      bf16_panel[i] = RoundToBf16(panel[i]);
     }
   }
 }
@@ -424,8 +487,16 @@ void GemmBiasWithKernel(GemmKernel kernel, int rows, int out_dim, int in_dim,
                         const float* x, const float* panels,
                         const float* bias, float* y, ThreadPool* pool) {
   STAGE_CHECK(GemmKernelSupported(kernel));
-  GemmBiasBlocks(KernelFor(kernel), rows, out_dim, in_dim, x, panels, bias, y,
-                 pool);
+  GemmBiasBlocks(KernelFor<float>(kernel), rows, out_dim, in_dim, x, panels,
+                 bias, y, pool);
+}
+
+void GemmBiasWithKernel(GemmKernel kernel, int rows, int out_dim, int in_dim,
+                        const float* x, const Bf16* panels,
+                        const float* bias, float* y, ThreadPool* pool) {
+  STAGE_CHECK(GemmKernelSupported(kernel));
+  GemmBiasBlocks(KernelFor<Bf16>(kernel), rows, out_dim, in_dim, x, panels,
+                 bias, y, pool);
 }
 
 }  // namespace internal
@@ -433,9 +504,13 @@ void GemmBiasWithKernel(GemmKernel kernel, int rows, int out_dim, int in_dim,
 void GemmBias(int rows, int out_dim, int in_dim, const float* x,
               const float* panels, const float* bias, float* y,
               ThreadPool* pool) {
-  static const BlockKernel kernel =
-      KernelFor(internal::SelectedGemmKernel());
-  GemmBiasBlocks(kernel, rows, out_dim, in_dim, x, panels, bias, y, pool);
+  GemmBiasSelected(rows, out_dim, in_dim, x, panels, bias, y, pool);
+}
+
+void GemmBias(int rows, int out_dim, int in_dim, const float* x,
+              const Bf16* panels, const float* bias, float* y,
+              ThreadPool* pool) {
+  GemmBiasSelected(rows, out_dim, in_dim, x, panels, bias, y, pool);
 }
 
 void GemmGradInput(int rows, int out_dim, int in_dim, const float* dy,

@@ -1,7 +1,9 @@
 #ifndef STAGE_NN_GEMM_H_
 #define STAGE_NN_GEMM_H_
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <vector>
 
@@ -17,13 +19,20 @@ namespace stage::nn {
 // in exactly the order the naive per-row loops use — the accumulator starts
 // at the bias and products are added in ascending k, each product rounded
 // to float before its add (never a fused multiply-add) — so results are
-// bit-for-bit identical to Linear::Forward/Backward no matter the batch
-// size, the row-block size, or how many pool threads execute. The kernels
-// get their speed from vectorizing ACROSS independent output elements
-// (rows/columns), never from reassociating a single element's reduction.
-// That also makes parallel training deterministic for free: each output
-// element is computed wholly by one claimer in a fixed order, so pool
-// widths 1/2/8/serial produce identical bytes.
+// bit-for-bit identical to the naive loops no matter the batch size, the
+// row-block size, or how many pool threads execute. The kernels get their
+// speed from vectorizing ACROSS independent output elements (rows/columns),
+// never from reassociating a single element's reduction. That also makes
+// parallel training deterministic for free: each output element is
+// computed wholly by one claimer in a fixed order, so pool widths
+// 1/2/8/serial produce identical bytes.
+//
+// The forward GEMM reads its weights in one of two packed forms (below):
+// fp32, the training forward's, or bf16, the eval forward's. A bf16 weight
+// is widened to fp32 exactly before the same multiply and add, so the
+// eval forward equals the naive loop run on the rounded weights
+// (Linear::Forward), and the training forward the naive loop on the fp32
+// weights themselves.
 
 // A reusable bump allocator for forward/backward scratch. Allocations are
 // served from a chunk list that only grows until the call pattern has been
@@ -48,23 +57,50 @@ class Arena {
   size_t used_ = 0;  // Floats consumed in chunks_[chunk_index_].
 };
 
+// bfloat16: the upper 16 bits of an IEEE binary32 (sign, the full 8-bit
+// exponent, 7 mantissa bits). The eval panels hold weights in this form,
+// half the bytes of fp32, and the kernels widen each one exactly.
+using Bf16 = uint16_t;
+
+// Rounds `f` to the nearest bf16, ties to even. NaN stays NaN (quiet, its
+// sign kept). A finite |f| >= 0x1.FFp127 (bits 0x7F7F8000, FLT_MAX among
+// them) rounds to infinity; 0x7F7F7FFF is the largest value that stays
+// finite.
+inline Bf16 RoundToBf16(float f) {
+  const uint32_t bits = std::bit_cast<uint32_t>(f);
+  const uint32_t nearest_even = (bits + 0x7FFFu + ((bits >> 16) & 1u)) >> 16;
+  const uint32_t quiet_nan = (bits >> 16) | 0x0040u;
+  const bool nan = (bits & 0x7FFFFFFFu) > 0x7F800000u;
+  return static_cast<Bf16>(nan ? quiet_nan : nearest_even);
+}
+
+// Widens a bf16 to the float with the same sign, exponent and leading
+// mantissa bits. Exact.
+inline float Bf16ToFloat(Bf16 b) {
+  return std::bit_cast<float>(static_cast<uint32_t>(b) << 16);
+}
+
 // Forward weights in packed panel layout: W [out_dim x in_dim] re-laid as
 // ceil(out_dim / kPanelWidth) contiguous [in_dim x kPanelWidth] panels, so
 // panel p holds output columns [16p, 16p + 16) and row k of a panel is the
 // 16 weights that multiply x[k]: panels[(p * in_dim + k) * 16 + j] =
-// W[16p + j][k]. The last panel's columns past out_dim are zero. One panel
-// row is one 64-byte cache line (PanelVector aligns the storage to it), and
-// a panel is in_dim cache lines read front to back. Linear rebuilds its
-// panels at every mutation point (Init/Load/Step); they are a derived
-// cache, never serialized.
+// W[16p + j][k]. The last panel's columns past out_dim are zero. The same
+// layout holds fp32 weights (one panel row is one 64-byte cache line) or
+// their bf16 roundings (half a line); PanelVector aligns the storage to a
+// line, so no panel row load straddles two, and a panel is read front to
+// back. Linear packs both forms in one pass at every mutation point
+// (Init/Load/Step); they are a derived cache, never serialized.
 inline constexpr int kPanelWidth = 16;
 
-// Floats in the packed panels of an [out_dim x in_dim] weight matrix.
-size_t PackedPanelFloats(int out_dim, int in_dim);
+// Elements (floats, or bf16s) in the packed panels of an
+// [out_dim x in_dim] weight matrix.
+size_t PackedPanelSize(int out_dim, int in_dim);
 
-// Writes row-major W [out_dim x in_dim] into `panels`
-// (PackedPanelFloats(out_dim, in_dim) floats), zero padding included.
-void PackPanels(int out_dim, int in_dim, const float* w, float* panels);
+// Writes row-major W [out_dim x in_dim] into both panel forms, each
+// PackedPanelSize(out_dim, in_dim) elements, zero padding included:
+// `panels` as fp32 and `bf16_panels` as RoundToBf16 of each weight.
+void PackPanels(int out_dim, int in_dim, const float* w, float* panels,
+                Bf16* bf16_panels);
 
 // Allocator for PanelVector: cache-line aligned storage, so no panel row
 // load straddles two lines.
@@ -88,11 +124,14 @@ struct CacheLineAllocator {
   }
 };
 
-using PanelVector = std::vector<float, CacheLineAllocator<float>>;
+template <typename T>
+using PanelVector = std::vector<T, CacheLineAllocator<T>>;
 
 // y [rows x out_dim] = x [rows x in_dim] * W^T + bias, with W given as
-// packed panels (above) and bias [out_dim] (may be null for no bias). Each
-// row of y equals Linear::Forward on the matching row of x, bit for bit.
+// packed panels (above) in either form and bias [out_dim] (may be null for
+// no bias). Each row of y equals the naive loop on the matching row of x,
+// bit for bit, with each weight as the panels hold it: widened from bf16,
+// or fp32 as is.
 //
 // Loop order: panel-outer, row-group-inner. Within a row block (64 rows,
 // the pool fan-out unit) each panel is read from memory once and then
@@ -103,15 +142,19 @@ using PanelVector = std::vector<float, CacheLineAllocator<float>>;
 // row k, so each output element still starts at the bias and sums its
 // products in ascending k, with a separate multiply and add per term
 // (stage_nn is compiled with -ffp-contract=off, and tools/check.sh fails
-// on any fused multiply-add in the library).
+// on any fused multiply-add in the library). A bf16 panel row is widened
+// in registers (zero-extend each 16-bit weight, shift it into the upper
+// half) before the multiply, so it streams half the bytes of an fp32 row
+// for the same arithmetic.
 //
 // The leaf kernel is chosen once per process from the CPU's features:
 // AVX-512F (register tiles, below), else AVX2 (up to 4 rows, two YMM
 // accumulators per row), else a portable per-row loop. No option selects
-// it, and all three produce the same bytes (nn_test checks each against
-// Linear::Forward over a table of shapes). Row blocks fan out on `pool`
-// when provided; blocks own disjoint output rows, so the pool never
-// changes the bytes.
+// it, and all three produce the same bytes (nn_test checks each, on both
+// panel forms, against its naive reference over a table of shapes). Each
+// kernel is one template over the panel element type. Row blocks fan out
+// on `pool` when provided; blocks own disjoint output rows, so the pool
+// never changes the bytes.
 //
 // The AVX-512F kernel computes an R-row x P-panel register tile at a time:
 // R * P ZMM accumulators, P panel-row loads and R broadcasts per k step,
@@ -124,6 +167,9 @@ using PanelVector = std::vector<float, CacheLineAllocator<float>>;
 // its store.
 void GemmBias(int rows, int out_dim, int in_dim, const float* x,
               const float* panels, const float* bias, float* y,
+              ThreadPool* pool = nullptr);
+void GemmBias(int rows, int out_dim, int in_dim, const float* x,
+              const Bf16* panels, const float* bias, float* y,
               ThreadPool* pool = nullptr);
 
 // dx [rows x in_dim] += dy [rows x out_dim] * W, the input-gradient half of

@@ -4,10 +4,11 @@
 // Test seam for nn::GemmBias's leaf kernels. Production code never includes
 // this header: GemmBias picks its kernel once from the CPU's features, and
 // nothing a user sets can change that choice. Tests include it to run every
-// kernel this machine supports, not only the one it selects, against
-// Linear::Forward.
+// kernel this machine supports, not only the one it selects, on both panel
+// forms against their naive references.
 
 #include "stage/common/thread_pool.h"
+#include "stage/nn/gemm.h"
 
 namespace stage::nn::internal {
 
@@ -23,9 +24,14 @@ GemmKernel SelectedGemmKernel();
 // Whether this build and CPU can run `kernel`.
 bool GemmKernelSupported(GemmKernel kernel);
 
-// GemmBias (gemm.h) forced onto `kernel`, which must be supported.
+// GemmBias (gemm.h) forced onto `kernel`, which must be supported, over
+// fp32 or bf16 panels.
 void GemmBiasWithKernel(GemmKernel kernel, int rows, int out_dim, int in_dim,
                         const float* x, const float* panels,
+                        const float* bias, float* y,
+                        ThreadPool* pool = nullptr);
+void GemmBiasWithKernel(GemmKernel kernel, int rows, int out_dim, int in_dim,
+                        const float* x, const Bf16* panels,
                         const float* bias, float* y,
                         ThreadPool* pool = nullptr);
 

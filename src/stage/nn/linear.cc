@@ -1,6 +1,7 @@
 #include "stage/nn/linear.h"
 
 #include <cmath>
+#include <utility>
 
 #include "stage/common/macros.h"
 #include "stage/common/serialize.h"
@@ -20,8 +21,11 @@ void Linear::Init(int in_dim, int out_dim, Rng& rng) {
 }
 
 void Linear::RefreshPanels() {
-  panels_.resize(PackedPanelFloats(out_dim_, in_dim_));
-  PackPanels(out_dim_, in_dim_, w_.data(), panels_.data());
+  const size_t size = PackedPanelSize(out_dim_, in_dim_);
+  panels_.resize(size);
+  bf16_panels_.resize(size);
+  PackPanels(out_dim_, in_dim_, w_.data(), panels_.data(),
+             bf16_panels_.data());
 }
 
 void Linear::Forward(const float* x, float* y) const {
@@ -30,7 +34,9 @@ void Linear::Forward(const float* x, float* y) const {
   for (int o = 0; o < out_dim_; ++o) {
     const float* row = w + static_cast<size_t>(o) * in_dim_;
     float acc = b[o];
-    for (int i = 0; i < in_dim_; ++i) acc += row[i] * x[i];
+    for (int i = 0; i < in_dim_; ++i) {
+      acc += Bf16ToFloat(RoundToBf16(row[i])) * x[i];
+    }
     y[o] = acc;
   }
 }
@@ -52,9 +58,14 @@ void Linear::Backward(const float* x, const float* dy, float* dx) {
   }
 }
 
-void Linear::ForwardBatch(const float* x, int rows, float* y,
+void Linear::ForwardBatch(const float* x, int rows, float* y, bool train,
                           ThreadPool* pool) const {
-  GemmBias(rows, out_dim_, in_dim_, x, panels_.data(), b_.data(), y, pool);
+  if (train) {
+    GemmBias(rows, out_dim_, in_dim_, x, panels_.data(), b_.data(), y, pool);
+  } else {
+    GemmBias(rows, out_dim_, in_dim_, x, bf16_panels_.data(), b_.data(), y,
+             pool);
+  }
 }
 
 void Linear::BackwardBatch(const float* x, const float* dy, int rows,
@@ -88,13 +99,24 @@ bool Linear::Load(std::istream& in) {
   int32_t out_dim = 0;
   if (!ReadPod(in, &in_dim) || !ReadPod(in, &out_dim)) return false;
   if (in_dim <= 0 || out_dim <= 0) return false;
-  if (!w_.Load(in) || !b_.Load(in)) return false;
-  if (w_.size() != static_cast<size_t>(in_dim) * out_dim ||
-      b_.size() != static_cast<size_t>(out_dim)) {
+  Param w;
+  Param b;
+  if (!w.Load(in) || !b.Load(in)) return false;
+  if (w.size() != static_cast<size_t>(in_dim) * out_dim ||
+      b.size() != static_cast<size_t>(out_dim)) {
     return false;
+  }
+  // Param::Load rejects only non-finite values. A finite weight of
+  // magnitude >= 0x1.FFp127 rounds to a bf16 infinity, which would make
+  // every eval forward through it non-finite, and the serving path turns
+  // that into a silent 0 s prediction.
+  for (size_t i = 0; i < w.size(); ++i) {
+    if (!std::isfinite(Bf16ToFloat(RoundToBf16(w.data()[i])))) return false;
   }
   in_dim_ = in_dim;
   out_dim_ = out_dim;
+  w_ = std::move(w);
+  b_ = std::move(b);
   RefreshPanels();
   return true;
 }

@@ -1,6 +1,7 @@
 #include "stage/nn/mlp.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "stage/common/macros.h"
 #include "stage/common/serialize.h"
@@ -32,6 +33,7 @@ const float* Mlp::ForwardBatch(const float* x, int rows, Workspace* ws,
 
   ws->arena.Reset();
   ws->rows = rows;
+  ws->train = train;
   ws->acts.assign(num_layers + 1, nullptr);
   ws->masks.assign(num_layers, nullptr);
   ws->acts[0] = ws->arena.Alloc(static_cast<size_t>(rows) * dims_[0]);
@@ -40,7 +42,7 @@ const float* Mlp::ForwardBatch(const float* x, int rows, Workspace* ws,
   for (size_t l = 0; l < num_layers; ++l) {
     const size_t count = static_cast<size_t>(rows) * dims_[l + 1];
     ws->acts[l + 1] = ws->arena.Alloc(count);
-    layers_[l].ForwardBatch(ws->acts[l], rows, ws->acts[l + 1], pool);
+    layers_[l].ForwardBatch(ws->acts[l], rows, ws->acts[l + 1], train, pool);
     const bool hidden = l + 1 < num_layers;
     if (!hidden) break;
     float* act = ws->acts[l + 1];
@@ -69,6 +71,7 @@ void Mlp::Backward(const float* dout, Workspace& ws, float* dx) {
 void Mlp::BackwardBatch(const float* dout, Workspace& ws, float* dx,
                         ThreadPool* pool) {
   const size_t num_layers = layers_.size();
+  STAGE_CHECK_MSG(ws.train, "backward needs a training forward");
   STAGE_CHECK(ws.acts.size() == num_layers + 1);
   const int rows = ws.rows;
   STAGE_CHECK(rows > 0);
@@ -128,17 +131,15 @@ bool Mlp::Load(std::istream& in) {
   for (int32_t d : dims) {
     if (d <= 0) return false;
   }
-  dims_.assign(dims.begin(), dims.end());
-  layers_.assign(dims_.size() - 1, Linear());
-  for (Linear& layer : layers_) {
-    if (!layer.Load(in)) return false;
-  }
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    if (layers_[l].in_dim() != dims_[l] ||
-        layers_[l].out_dim() != dims_[l + 1]) {
+  std::vector<Linear> layers(dims.size() - 1);
+  for (size_t l = 0; l < layers.size(); ++l) {
+    if (!layers[l].Load(in) || layers[l].in_dim() != dims[l] ||
+        layers[l].out_dim() != dims[l + 1]) {
       return false;
     }
   }
+  dims_.assign(dims.begin(), dims.end());
+  layers_ = std::move(layers);
   return true;
 }
 

@@ -15,8 +15,9 @@ namespace stage::nn {
 //
 // All execution is batched over the GEMM kernels (nn/gemm.h); the
 // single-example Forward/Backward are the rows == 1 case and produce
-// bit-for-bit the same values as the naive per-element loops (the kernels
-// preserve each element's accumulation order).
+// bit-for-bit the same values as the naive per-element loops on the
+// weights each pass reads, bf16-rounded in eval and fp32 in training
+// (linear.h; the kernels preserve each element's accumulation order).
 class Mlp {
  public:
   // Scratch for a forward pass and its matching backward, owned by the
@@ -32,6 +33,10 @@ class Mlp {
     // dropout is off), [rows x dims[l+1]].
     std::vector<float*> masks;
     int rows = 0;
+    // Whether the last forward was a training pass; backward needs one,
+    // since an eval pass reads the bf16 weights, not the fp32 ones
+    // backward differentiates.
+    bool train = false;
 
     // Heap floats retained across calls; stops growing once warm (asserted
     // by nn_test's allocation tests).
@@ -62,8 +67,10 @@ class Mlp {
                             Rng* rng = nullptr,
                             ThreadPool* pool = nullptr) const;
 
-  // Accumulates parameter gradients given dL/d(output); requires the `ws`
-  // from the matching Forward call. If dx != nullptr, adds dL/d(input).
+  // Accumulates parameter gradients given dL/d(output); `ws` must hold the
+  // matching training Forward (`train` true), and is checked: Backward
+  // differentiates the fp32 weights, which an eval forward does not read.
+  // If dx != nullptr, adds dL/d(input).
   void Backward(const float* dout, Workspace& ws, float* dx);
 
   // Batched Backward: dout is [rows x out_dim] for the rows of the matching
@@ -76,6 +83,8 @@ class Mlp {
   void Step(const AdamConfig& config, double grad_divisor);
   size_t MemoryBytes() const;
   void Save(std::ostream& out) const;
+  // Fails, leaving this network untouched, unless every layer loads and
+  // maps dims[l] -> dims[l + 1] as the stream's dims say.
   bool Load(std::istream& in);
 
  private:

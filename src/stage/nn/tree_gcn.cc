@@ -103,8 +103,8 @@ const float* TreeGcn::ForwardBatch(const TreeBatch& batch, Workspace* ws,
     float* out = ws->arena.Alloc(static_cast<size_t>(rows) * h);
     float* child_out = ws->arena.Alloc(static_cast<size_t>(rows) * h);
     ws->acts[l + 1] = out;
-    self_[l].ForwardBatch(in, rows, out, pool);
-    child_[l].ForwardBatch(agg, rows, child_out, pool);
+    self_[l].ForwardBatch(in, rows, out, train, pool);
+    child_[l].ForwardBatch(agg, rows, child_out, train, pool);
 
     const size_t count = static_cast<size_t>(rows) * h;
     if (masked) {

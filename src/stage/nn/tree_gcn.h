@@ -27,8 +27,10 @@ namespace stage::nn {
 // roots' receptive field: only the root rows leave the GCN, so layer l
 // runs over just the nodes within depth L-1-l of their root, one slot
 // prefix of the level-major layout. Results are bit-for-bit identical to
-// the naive per-node walk (the kernels keep each element's naive
-// accumulation order; aggregation sums children in their original order).
+// the naive per-node walk on the weights the pass reads, bf16-rounded for
+// eval and fp32 for training (linear.h; the kernels keep each element's
+// naive accumulation order; aggregation sums children in their original
+// order).
 class TreeGcn {
  public:
   struct Config {

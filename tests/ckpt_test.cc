@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <set>
@@ -19,6 +20,8 @@
 #include <string_view>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -79,9 +82,29 @@ std::vector<core::QueryContext> MakeContexts(
   return contexts;
 }
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
+// ctest runs every case in its own process, in parallel, and cases share
+// file names (AllKindFiles' recalibrator source among them), so each
+// process keeps its files in a directory of its own, keyed by its pid and
+// removed when its tests end.
+std::string ScratchDir() {
+  static const std::string dir = [] {
+    const std::string path = ::testing::TempDir() + "stage_ckpt_test_" +
+                             std::to_string(::getpid()) + "/";
+    std::filesystem::create_directories(path);
+    return path;
+  }();
+  return dir;
 }
+
+class ScratchDirEnvironment : public ::testing::Environment {
+ public:
+  void TearDown() override { std::filesystem::remove_all(ScratchDir()); }
+};
+
+[[maybe_unused]] ::testing::Environment* const kScratchDirEnvironment =
+    ::testing::AddGlobalTestEnvironment(new ScratchDirEnvironment);
+
+std::string TempPath(const std::string& name) { return ScratchDir() + name; }
 
 void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

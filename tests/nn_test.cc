@@ -1,4 +1,5 @@
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -68,7 +69,9 @@ void FillUniform(std::vector<float>* v, Rng& rng, double lo = -1.0,
 // The golden-equivalence tests below compare the batched GEMM execution
 // against an independent reimplementation of the original per-element /
 // per-node loops, with weights read back from Save(). If the kernels ever
-// reassociate a reduction, these tests fail on the exact element.
+// reassociate a reduction, these tests fail on the exact element. An eval
+// forward multiplies by each weight's bf16 rounding, so the eval
+// references round the weights they parse.
 
 struct ParsedLinear {
   int in = 0;
@@ -85,6 +88,13 @@ struct ParsedLinear {
     return ReadVector(s, &w) && ReadVector(s, &b);
   }
 
+  // Replaces each weight by its bf16 rounding, the weight an eval forward
+  // multiplies by.
+  void RoundWeightsToBf16() {
+    for (float& v : w) v = Bf16ToFloat(RoundToBf16(v));
+  }
+
+  // The naive loop, fp32 throughout on the weights held.
   void Forward(const float* x, float* y) const {
     for (int o = 0; o < out; ++o) {
       const float* row = w.data() + static_cast<size_t>(o) * in;
@@ -118,16 +128,19 @@ struct ParsedTreeGcn {
     child.resize(static_cast<size_t>(num_layers));
     for (ParsedLinear& layer : self) {
       if (!layer.Parse(s)) return false;
+      layer.RoundWeightsToBf16();
     }
     for (ParsedLinear& layer : child) {
       if (!layer.Parse(s)) return false;
+      layer.RoundWeightsToBf16();
     }
     return true;
   }
 
-  // The naive per-node walk (eval mode): for every layer, every node runs
-  // two matrix-vector products against its own features and the mean of its
-  // children's. Returns the root (node 0) representation.
+  // The naive per-node walk (eval mode, on the rounded weights): for every
+  // layer, every node runs two matrix-vector products against its own
+  // features and the mean of its children's. Returns the root (node 0)
+  // representation.
   std::vector<float> Forward(
       const float* feats,
       const std::vector<std::vector<int32_t>>& children) const {
@@ -216,6 +229,63 @@ TEST(ParamTest, AdamStepDescendsQuadratic) {
   EXPECT_NEAR(param.data()[0], 3.0f, 0.05f);
 }
 
+// RoundToBf16 against hand-rounded bit patterns: input float bits, want
+// bf16 bits.
+TEST(Bf16Test, RoundsToNearestEvenOverEdgeTable) {
+  const struct {
+    uint32_t in;
+    Bf16 want;
+    const char* what;
+  } cases[] = {
+      {0x3F800000u, 0x3F80, "1.0 is exact"},
+      {0x3F807FFFu, 0x3F80, "below the tie rounds down"},
+      {0x3F808001u, 0x3F81, "above the tie rounds up"},
+      {0x3F808000u, 0x3F80, "tie to the even neighbour below"},
+      {0x3F818000u, 0x3F82, "tie to the even neighbour above"},
+      {0xBF808000u, 0xBF80, "negative tie, even below"},
+      {0xBF818000u, 0xBF82, "negative tie, even above"},
+      {0xC0490FDBu, 0xC049, "-pi"},
+      {0x00000000u, 0x0000, "+0"},
+      {0x80000000u, 0x8000, "-0"},
+      {0x00012345u, 0x0001, "subnormal rounds down"},
+      {0x00018000u, 0x0002, "subnormal tie to even above"},
+      {0x00008000u, 0x0000, "subnormal tie to even zero"},
+      {0x807FFFFFu, 0x8080, "largest negative subnormal rounds to normal"},
+      {0x7F7F7FFFu, 0x7F7F, "largest value that stays finite"},
+      {0x7F7F8000u, 0x7F80, "smallest value that rounds to +inf"},
+      {0x7F7FFFFFu, 0x7F80, "FLT_MAX rounds to +inf"},
+      {0xFF7F8000u, 0xFF80, "negative overflow rounds to -inf"},
+      {0x7F800000u, 0x7F80, "+inf"},
+      {0xFF800000u, 0xFF80, "-inf"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(RoundToBf16(std::bit_cast<float>(c.in)), c.want)
+        << c.what << " (0x" << std::hex << c.in << ")";
+  }
+
+  // NaN stays NaN with its sign, even a payload that sits only in the
+  // bits rounding drops.
+  for (const uint32_t nan : {0x7FC00000u, 0x7F800001u, 0xFF800001u,
+                             0x7FFFFFFFu}) {
+    const float widened = Bf16ToFloat(RoundToBf16(std::bit_cast<float>(nan)));
+    EXPECT_TRUE(std::isnan(widened)) << std::hex << nan;
+    EXPECT_EQ(std::signbit(widened), (nan >> 31) != 0) << std::hex << nan;
+  }
+}
+
+// Widening is exact: every bf16 is the top half of the float it widens to,
+// and rounding that float gives the bf16 back.
+TEST(Bf16Test, WideningIsExactForEveryValue) {
+  for (uint32_t bits = 0; bits <= 0xFFFFu; ++bits) {
+    const Bf16 b = static_cast<Bf16>(bits);
+    const float widened = Bf16ToFloat(b);
+    ASSERT_EQ(std::bit_cast<uint32_t>(widened), bits << 16) << bits;
+    if (!std::isnan(widened)) {
+      ASSERT_EQ(RoundToBf16(widened), b) << bits;
+    }
+  }
+}
+
 TEST(LinearTest, ForwardMatchesManualComputation) {
   Rng rng(3);
   Linear layer;
@@ -250,32 +320,41 @@ TEST(LinearTest, ForwardBatchBitEqualsNaivePerRow) {
                   naive.data() + static_cast<size_t>(r) * 11);
   }
   std::vector<float> batched(naive.size(), -1.0f);
-  layer.ForwardBatch(x.data(), rows, batched.data());
+  layer.ForwardBatch(x.data(), rows, batched.data(), /*train=*/false);
   EXPECT_TRUE(BitEqual(naive.data(), batched.data(), naive.size()));
 
   // The pool only schedules row blocks; bytes must not change.
   ThreadPool pool(3);
   std::vector<float> pooled(naive.size(), -1.0f);
-  layer.ForwardBatch(x.data(), rows, pooled.data(), &pool);
+  layer.ForwardBatch(x.data(), rows, pooled.data(), /*train=*/false, &pool);
   EXPECT_TRUE(BitEqual(naive.data(), pooled.data(), naive.size()));
+}
+
+// Linear's stream format for the given dims, weights and bias.
+std::string LinearStream(int in_dim, int out_dim, const std::vector<float>& w,
+                         const std::vector<float>& b) {
+  std::stringstream stream;
+  WritePod<int32_t>(stream, in_dim);
+  WritePod<int32_t>(stream, out_dim);
+  WriteVector(stream, w);
+  WriteVector(stream, b);
+  return stream.str();
 }
 
 // A layer with the given weights and bias, loaded through Linear's own
 // stream format (Init would leave the bias at zero).
 Linear LoadedLinear(int in_dim, int out_dim, const std::vector<float>& w,
                     const std::vector<float>& b) {
-  std::stringstream stream;
-  WritePod<int32_t>(stream, in_dim);
-  WritePod<int32_t>(stream, out_dim);
-  WriteVector(stream, w);
-  WriteVector(stream, b);
+  std::istringstream stream(LinearStream(in_dim, out_dim, w, b));
   Linear layer;
   EXPECT_TRUE(layer.Load(stream));
   return layer;
 }
 
 // Every leaf kernel GemmBias can dispatch to, reached through the test seam
-// whether or not this machine selects it, against Linear::Forward over
+// whether or not this machine selects it, on both panel forms: fp32 panels
+// against the fp32 naive loop on the unrounded weights, bf16 panels against
+// Linear::Forward (the naive loop on the rounded weights). The shapes cover
 // widths with and without a full 16-column panel, ragged tails, and row
 // counts on both sides of every row-group (4, 8) and row-block (64) edge.
 // The AVX-512 kernel's R-row x P-panel tiles (P = 8, 4, 3 or 2 for a 1-,
@@ -302,57 +381,75 @@ TEST_P(GemmKernelTest, BitEqualsLinearForwardOverShapeTable) {
       std::vector<float> b(static_cast<size_t>(out_dim));
       FillUniform(&w, rng);
       FillUniform(&b, rng);
+      const std::vector<float> no_bias(b.size(), 0.0f);
       const Linear layer = LoadedLinear(in_dim, out_dim, w, b);
-      const Linear unbiased = LoadedLinear(
-          in_dim, out_dim, w, std::vector<float>(b.size(), 0.0f));
-      PanelVector panels(PackedPanelFloats(out_dim, in_dim));
-      PackPanels(out_dim, in_dim, w.data(), panels.data());
+      const Linear unbiased = LoadedLinear(in_dim, out_dim, w, no_bias);
+      const ParsedLinear fp32{in_dim, out_dim, w, b};
+      const ParsedLinear fp32_unbiased{in_dim, out_dim, w, no_bias};
+      PanelVector<float> panels(PackedPanelSize(out_dim, in_dim));
+      PanelVector<Bf16> bf16_panels(panels.size());
+      PackPanels(out_dim, in_dim, w.data(), panels.data(),
+                 bf16_panels.data());
 
       std::vector<float> x(static_cast<size_t>(kMaxRows) * in_dim);
       FillUniform(&x, rng, -2.0, 2.0);
       for (size_t i = 0; i < x.size(); i += 7) x[i] = 0.0f;  // ReLU zeros.
-      std::vector<float> naive(static_cast<size_t>(kMaxRows) * out_dim);
-      std::vector<float> naive_unbiased(naive.size());
+      const size_t all = static_cast<size_t>(kMaxRows) * out_dim;
+      std::vector<float> naive32(all), naive32_unbiased(all);
+      std::vector<float> naive16(all), naive16_unbiased(all);
       for (int r = 0; r < kMaxRows; ++r) {
-        layer.Forward(x.data() + static_cast<size_t>(r) * in_dim,
-                      naive.data() + static_cast<size_t>(r) * out_dim);
-        unbiased.Forward(
-            x.data() + static_cast<size_t>(r) * in_dim,
-            naive_unbiased.data() + static_cast<size_t>(r) * out_dim);
+        const float* xr = x.data() + static_cast<size_t>(r) * in_dim;
+        const size_t at = static_cast<size_t>(r) * out_dim;
+        fp32.Forward(xr, naive32.data() + at);
+        fp32_unbiased.Forward(xr, naive32_unbiased.data() + at);
+        layer.Forward(xr, naive16.data() + at);
+        unbiased.Forward(xr, naive16_unbiased.data() + at);
       }
 
       for (const int rows :
            {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 17, 64, 65, 147}) {
         const size_t n = static_cast<size_t>(rows) * out_dim;
         for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-          const std::string where =
+          const std::string shape =
               "out " + std::to_string(out_dim) + " in " +
               std::to_string(in_dim) + " rows " + std::to_string(rows) +
               (p != nullptr ? " pooled" : " serial");
-          std::vector<float> y(n + kGuard, sentinel);
-          internal::GemmBiasWithKernel(kernel, rows, out_dim, in_dim,
-                                       x.data(), panels.data(), b.data(),
-                                       y.data(), p);
-          ASSERT_TRUE(BitEqual(naive.data(), y.data(), n)) << where;
-          for (size_t i = n; i < y.size(); ++i) {
-            ASSERT_EQ(y[i], sentinel) << where << ": wrote past y";
-          }
+          // One panel form against its naive outputs, with and without a
+          // bias, then through the layer's own dispatched ForwardBatch.
+          const auto check = [&](const auto* form, const char* name,
+                                 const std::vector<float>& naive,
+                                 const std::vector<float>& naive_unbiased,
+                                 bool train) {
+            const std::string where = shape + " " + name;
+            std::vector<float> y(n + kGuard, sentinel);
+            internal::GemmBiasWithKernel(kernel, rows, out_dim, in_dim,
+                                         x.data(), form, b.data(), y.data(),
+                                         p);
+            ASSERT_TRUE(BitEqual(naive.data(), y.data(), n)) << where;
+            for (size_t i = n; i < y.size(); ++i) {
+              ASSERT_EQ(y[i], sentinel) << where << ": wrote past y";
+            }
 
-          // A null bias is a zero bias.
-          std::vector<float> y0(n, sentinel);
-          internal::GemmBiasWithKernel(kernel, rows, out_dim, in_dim,
-                                       x.data(), panels.data(), nullptr,
-                                       y0.data(), p);
-          ASSERT_TRUE(BitEqual(naive_unbiased.data(), y0.data(), n))
-              << where << " (null bias)";
+            // A null bias is a zero bias.
+            std::vector<float> y0(n, sentinel);
+            internal::GemmBiasWithKernel(kernel, rows, out_dim, in_dim,
+                                         x.data(), form, nullptr, y0.data(),
+                                         p);
+            ASSERT_TRUE(BitEqual(naive_unbiased.data(), y0.data(), n))
+                << where << " (null bias)";
 
-          // The layer's own panels, through the dispatched GemmBias.
-          if (selected) {
-            std::vector<float> batched(n, sentinel);
-            layer.ForwardBatch(x.data(), rows, batched.data(), p);
-            ASSERT_TRUE(BitEqual(naive.data(), batched.data(), n))
-                << where << " (ForwardBatch)";
-          }
+            if (selected) {
+              std::vector<float> batched(n, sentinel);
+              layer.ForwardBatch(x.data(), rows, batched.data(), train, p);
+              ASSERT_TRUE(BitEqual(naive.data(), batched.data(), n))
+                  << where << " (ForwardBatch)";
+            }
+          };
+          check(panels.data(), "fp32", naive32, naive32_unbiased,
+                /*train=*/true);
+          check(bf16_panels.data(), "bf16", naive16, naive16_unbiased,
+                /*train=*/false);
+          if (HasFatalFailure()) return;
         }
       }
     }
@@ -415,6 +512,119 @@ TEST(LinearTest, BackwardBatchBitEqualsNaivePerRow) {
   EXPECT_EQ(naive_bytes.str(), batched_bytes.str());
 }
 
+// The two panel forms hold the same weights when every weight is already a
+// bf16 value, so a training forward and an eval forward agree to the byte.
+TEST(LinearTest, TrainAndEvalForwardsAgreeOnBf16RepresentableWeights) {
+  Rng rng(29);
+  constexpr int kIn = 37;
+  constexpr int kOut = 45;
+  std::vector<float> w(static_cast<size_t>(kIn) * kOut);
+  std::vector<float> b(kOut);
+  FillUniform(&w, rng);
+  FillUniform(&b, rng);
+  for (float& v : w) v = Bf16ToFloat(RoundToBf16(v));
+  const Linear layer = LoadedLinear(kIn, kOut, w, b);
+
+  ThreadPool pool(2);
+  for (const int rows : {1, 3, 8, 70}) {
+    std::vector<float> x(static_cast<size_t>(rows) * kIn);
+    FillUniform(&x, rng, -2.0, 2.0);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      std::vector<float> trained(static_cast<size_t>(rows) * kOut, -1.0f);
+      std::vector<float> served(trained.size(), -2.0f);
+      layer.ForwardBatch(x.data(), rows, trained.data(), /*train=*/true, p);
+      layer.ForwardBatch(x.data(), rows, served.data(), /*train=*/false, p);
+      EXPECT_TRUE(BitEqual(trained.data(), served.data(), trained.size()))
+          << rows << " rows" << (p != nullptr ? " pooled" : " serial");
+    }
+  }
+}
+
+// The bytes of a layer's stream, and its eval outputs on a fixed input:
+// what a failed load must leave as they were.
+struct LinearState {
+  int in_dim = 0;
+  int out_dim = 0;
+  std::string bytes;
+  std::vector<float> eval;
+};
+
+LinearState StateOf(const Linear& layer) {
+  LinearState state;
+  state.in_dim = layer.in_dim();
+  state.out_dim = layer.out_dim();
+  std::stringstream stream;
+  layer.Save(stream);
+  state.bytes = stream.str();
+  std::vector<float> x(static_cast<size_t>(2) * layer.in_dim());
+  for (size_t i = 0; i < x.size(); ++i) x[i] = 0.25f * (i % 5) - 0.5f;
+  state.eval.resize(static_cast<size_t>(2) * layer.out_dim());
+  layer.ForwardBatch(x.data(), 2, state.eval.data(), /*train=*/false);
+  return state;
+}
+
+void ExpectSameState(const LinearState& want, const LinearState& got) {
+  EXPECT_EQ(want.in_dim, got.in_dim);
+  EXPECT_EQ(want.out_dim, got.out_dim);
+  EXPECT_EQ(want.bytes, got.bytes);
+  ASSERT_EQ(want.eval.size(), got.eval.size());
+  EXPECT_TRUE(BitEqual(want.eval.data(), got.eval.data(), want.eval.size()));
+}
+
+// Param::Load rejects only NaN and +-inf. A finite weight at or past
+// 0x7F7F8000 rounds to a bf16 infinity, so the eval forward through it
+// would be non-finite: the layer must refuse it and stay as it was.
+TEST(LinearTest, LoadRejectsWeightThatRoundsToBf16Infinity) {
+  Rng rng(47);
+  Linear layer;
+  layer.Init(5, 4, rng);
+  const LinearState before = StateOf(layer);
+
+  for (const uint32_t bits : {0x7F7FFFFFu, 0x7F7F8000u, 0xFF7F8000u}) {
+    std::vector<float> w(6, 0.5f);
+    w[4] = std::bit_cast<float>(bits);
+    ASSERT_TRUE(std::isfinite(w[4]));
+    std::istringstream in(LinearStream(3, 2, w, {0.1f, -0.1f}));
+    EXPECT_FALSE(layer.Load(in)) << std::hex << bits;
+    ExpectSameState(before, StateOf(layer));
+  }
+}
+
+TEST(LinearTest, LoadsLargestWeightThatRoundsFinite) {
+  std::vector<float> w(6, 0.5f);
+  w[4] = std::bit_cast<float>(0x7F7F7FFFu);
+  std::istringstream in(LinearStream(3, 2, w, {0.1f, -0.1f}));
+  Linear layer;
+  ASSERT_TRUE(layer.Load(in));
+  const float x[3] = {0.25f, -0.5f, 0.125f};
+  float y[2];
+  layer.Forward(x, y);
+  float batched[2];
+  layer.ForwardBatch(x, 1, batched, /*train=*/false);
+  for (int o = 0; o < 2; ++o) {
+    EXPECT_TRUE(std::isfinite(y[o])) << o;
+    EXPECT_TRUE(std::isfinite(batched[o])) << o;
+  }
+  EXPECT_TRUE(BitEqual(y, batched, 2));
+}
+
+// A stream whose weights load but whose bias is cut short must not leave
+// the new weights behind the old dims and panels.
+TEST(LinearTest, TruncatedBiasLeavesLayerUnchanged) {
+  Rng rng(49);
+  Linear layer;
+  layer.Init(5, 4, rng);
+  const LinearState before = StateOf(layer);
+
+  std::vector<float> w(6);
+  FillUniform(&w, rng);
+  const std::string full = LinearStream(3, 2, w, {0.1f, -0.1f});
+  // Drop the last bias value.
+  std::istringstream in(full.substr(0, full.size() - sizeof(float)));
+  EXPECT_FALSE(layer.Load(in));
+  ExpectSameState(before, StateOf(layer));
+}
+
 // Numerical gradient check for the MLP (and transitively Linear).
 TEST(MlpTest, GradientsMatchFiniteDifferences) {
   Rng rng(5);
@@ -424,9 +634,11 @@ TEST(MlpTest, GradientsMatchFiniteDifferences) {
   const float x[3] = {0.3f, -0.7f, 0.9f};
   const double target = 0.5;
 
-  // Analytic input gradient: loss = 0.5*(out - target)^2.
+  // Analytic input gradient: loss = 0.5*(out - target)^2. Backward
+  // differentiates the training forward (fp32 weights), so both the
+  // analytic and the numeric gradient go through it, with dropout off.
   Mlp::Workspace ws;
-  const float* out = mlp.Forward(x, &ws);
+  const float* out = mlp.Forward(x, &ws, /*train=*/true);
   const float dout = out[0] - static_cast<float>(target);
   float dx[3] = {0, 0, 0};
   mlp.ZeroGrad();
@@ -440,8 +652,10 @@ TEST(MlpTest, GradientsMatchFiniteDifferences) {
     xm[i] -= eps;
     Mlp::Workspace wsp;
     Mlp::Workspace wsm;
-    const double lp = 0.5 * std::pow(mlp.Forward(xp, &wsp)[0] - target, 2);
-    const double lm = 0.5 * std::pow(mlp.Forward(xm, &wsm)[0] - target, 2);
+    const double lp = 0.5 * std::pow(
+        mlp.Forward(xp, &wsp, /*train=*/true)[0] - target, 2);
+    const double lm = 0.5 * std::pow(
+        mlp.Forward(xm, &wsm, /*train=*/true)[0] - target, 2);
     EXPECT_NEAR(dx[i], (lp - lm) / (2 * eps), 2e-3) << "input " << i;
   }
 }
@@ -462,7 +676,7 @@ TEST(MlpTest, LearnsNonlinearFunction) {
                           static_cast<float>(rng.NextUniform(-1, 1))};
       const double y = x[0] * x[0] + std::sin(3.0 * x[1]);
       Mlp::Workspace ws;
-      const float* out = mlp.Forward(x, &ws);
+      const float* out = mlp.Forward(x, &ws, /*train=*/true);
       const float dout = out[0] - static_cast<float>(y);
       mlp.Backward(&dout, ws, nullptr);
     }
@@ -555,7 +769,8 @@ TEST(MlpTest, BackwardBatchBitEqualAcrossPoolWidths) {
     ThreadPool pool(width == 0 ? 1 : width);
     ThreadPool* pool_ptr = width == 0 ? nullptr : &pool;
     Mlp::Workspace ws;
-    mlp.ForwardBatch(x.data(), rows, &ws, false, 0.0f, nullptr, pool_ptr);
+    mlp.ForwardBatch(x.data(), rows, &ws, /*train=*/true, 0.0f, nullptr,
+                     pool_ptr);
     std::vector<float> dx(x.size(), 0.0f);
     mlp.ZeroGrad();
     mlp.BackwardBatch(dout.data(), ws, dx.data(), pool_ptr);
@@ -571,6 +786,19 @@ TEST(MlpTest, BackwardBatchBitEqualAcrossPoolWidths) {
           << "pool width " << width;
     }
   }
+}
+
+TEST(MlpDeathTest, BackwardAfterEvalForwardDies) {
+  Rng rng(46);
+  Mlp mlp;
+  mlp.Init({3, 4, 1}, rng);
+  const std::vector<float> x = {0.5f, -0.5f, 1.0f};
+  const float dout = 1.0f;
+  // An eval forward's activations come from the bf16 weights, while
+  // backward differentiates the fp32 ones.
+  Mlp::Workspace ws;
+  mlp.Forward(x.data(), &ws);
+  EXPECT_DEATH(mlp.Backward(&dout, ws, nullptr), "training forward");
 }
 
 TEST(TreeGcnTest, GradientsMatchFiniteDifferences) {
@@ -589,7 +817,8 @@ TEST(TreeGcnTest, GradientsMatchFiniteDifferences) {
   for (float& f : feats) f = static_cast<float>(rng.NextUniform(-1, 1));
 
   // Loss = 0.5 * ||root||^2 so droot = root. Backward needs a training
-  // forward; with dropout 0 it computes what an eval forward does.
+  // forward, and the loss below is measured through one too (dropout 0),
+  // since an eval forward multiplies by the bf16-rounded weights.
   TreeGcn::Workspace ws;
   const float* root =
       gcn.Forward(feats.data(), 4, children, &ws, /*train=*/true);
@@ -601,7 +830,8 @@ TEST(TreeGcnTest, GradientsMatchFiniteDifferences) {
   // parameter step reduces the loss (descent direction sanity).
   auto loss_of = [&]() {
     TreeGcn::Workspace w2;
-    const float* r = gcn.Forward(feats.data(), 4, children, &w2);
+    const float* r =
+        gcn.Forward(feats.data(), 4, children, &w2, /*train=*/true);
     double loss = 0.0;
     for (int j = 0; j < 5; ++j) loss += 0.5 * r[j] * r[j];
     return loss;
@@ -649,7 +879,7 @@ TEST(TreeGcnTest, OverfitsTinyRegressionSet) {
       const int n = static_cast<int>(example.children.size());
       const float* root = gcn.Forward(example.feats.data(), n,
                                       example.children, &gws, /*train=*/true);
-      const float* out = head.Forward(root, &hws);
+      const float* out = head.Forward(root, &hws, /*train=*/true);
       const float dout = out[0] - static_cast<float>(example.target);
       std::vector<float> droot(16, 0.0f);
       head.Backward(&dout, hws, droot.data());
@@ -1112,6 +1342,30 @@ TEST(SerializationTest, MlpRejectsGarbage) {
   Mlp mlp;
   std::stringstream garbage("garbage bytes here");
   EXPECT_FALSE(mlp.Load(garbage));
+}
+
+// A stream that fails in its last layer must not leave the earlier layers
+// (or the new dims) behind.
+TEST(SerializationTest, MlpFailedLoadLeavesNetworkUnchanged) {
+  Rng rng(75);
+  Mlp mlp;
+  mlp.Init({4, 8, 2}, rng);
+  std::stringstream before;
+  mlp.Save(before);
+
+  Mlp other;
+  other.Init({3, 5, 6, 1}, rng);
+  std::stringstream stream;
+  other.Save(stream);
+  const std::string full = stream.str();
+  // Drop the last layer's bias value.
+  std::istringstream in(full.substr(0, full.size() - sizeof(float)));
+  EXPECT_FALSE(mlp.Load(in));
+  EXPECT_EQ(mlp.in_dim(), 4);
+  EXPECT_EQ(mlp.out_dim(), 2);
+  std::stringstream after;
+  mlp.Save(after);
+  EXPECT_EQ(before.str(), after.str());
 }
 
 }  // namespace
