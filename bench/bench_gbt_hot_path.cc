@@ -113,12 +113,39 @@ gbt::EnsembleConfig MakeEnsembleConfig(const BenchConfig& config) {
   return ensemble;
 }
 
+// One ensemble member in the pre-rewrite form: its base scores and its
+// node-vector trees, trees[round][output], as the trainer built them.
+struct BaselineMember {
+  std::vector<double> base_scores;
+  std::vector<std::vector<gbt::RegressionTree>> trees;
+};
+
+// Trains every member of the ensemble `config` describes again, keeping
+// the trainer's node trees, which the trained models no longer hold. Each
+// member gets the seed BayesianGbtEnsemble::Train gives it, so these are
+// the ensemble's trees; main checks that they predict its bits.
+std::vector<BaselineMember> TrainBaselineMembers(
+    const gbt::Dataset& data, const gbt::EnsembleConfig& config) {
+  std::vector<BaselineMember> members(
+      static_cast<size_t>(config.num_members));
+  ThreadPool::Shared().ParallelFor(members.size(), [&](size_t k) {
+    const auto loss = gbt::MakeGaussianNllLoss();
+    members[k].base_scores =
+        gbt::GbdtModel::Train(data, *loss,
+                              gbt::BayesianGbtEnsemble::MemberConfig(
+                                  config, static_cast<int>(k)),
+                              &members[k].trees)
+            .base_scores();
+  });
+  return members;
+}
+
 // The pre-rewrite GbdtModel::Predict, verbatim semantics: allocate the
 // result vector, then walk the per-round node-vector trees.
-std::vector<double> BaselineMemberPredict(const gbt::GbdtModel& member,
+std::vector<double> BaselineMemberPredict(const BaselineMember& member,
                                           const float* row) {
-  std::vector<double> out = member.base_scores();
-  for (const auto& round : member.trees()) {
+  std::vector<double> out = member.base_scores;
+  for (const auto& round : member.trees) {
     for (size_t j = 0; j < round.size(); ++j) {
       out[j] += round[j].Predict(row);
     }
@@ -128,12 +155,12 @@ std::vector<double> BaselineMemberPredict(const gbt::GbdtModel& member,
 
 // The pre-rewrite BayesianGbtEnsemble::Predict on top of it.
 gbt::BayesianGbtEnsemble::Prediction BaselineEnsemblePredict(
-    const gbt::BayesianGbtEnsemble& ensemble, const float* row) {
-  const double k = static_cast<double>(ensemble.num_members());
+    const std::vector<BaselineMember>& members, const float* row) {
+  const double k = static_cast<double>(members.size());
   double sum_mu = 0.0;
   double sum_mu_sq = 0.0;
   double sum_var = 0.0;
-  for (const gbt::GbdtModel& member : ensemble.members()) {
+  for (const BaselineMember& member : members) {
     const std::vector<double> pred = BaselineMemberPredict(member, row);
     const double mu = pred[0];
     const double sigma_sq = std::exp(std::clamp(pred[1], -12.0, 12.0));
@@ -225,13 +252,23 @@ int main() {
               "member rounds used %d\n",
               member_train_seconds, ensemble.num_members(),
               ensemble_train_seconds, member.rounds_used());
+  const std::vector<BaselineMember> baseline_members =
+      TrainBaselineMembers(data, ensemble_config);
+  for (size_t r = 0; r < 64; ++r) {
+    const float* row = rows.data() + r * config.num_features;
+    if (BaselineEnsemblePredict(baseline_members, row).mean !=
+        ensemble.Predict(row).mean) {
+      std::fprintf(stderr, "baseline trees differ from the ensemble's\n");
+      return 1;
+    }
+  }
 
   // -- Single-row latency ---------------------------------------------
   double checksum = 0.0;
   const LatencyStats baseline = MeasureSingleRow(
       config, rows,
       [&](const float* row) {
-        return BaselineEnsemblePredict(ensemble, row).mean;
+        return BaselineEnsemblePredict(baseline_members, row).mean;
       },
       &checksum);
   const LatencyStats flat = MeasureSingleRow(
@@ -254,7 +291,7 @@ int main() {
       MeasureBatch(config, batch_rows, [&] {
         for (size_t r = 0; r < batch_rows; ++r) {
           batch_out[r] = BaselineEnsemblePredict(
-              ensemble, rows.data() + r * config.num_features);
+              baseline_members, rows.data() + r * config.num_features);
         }
       });
   checksum += batch_out[batch_rows / 2].mean;
@@ -276,7 +313,7 @@ int main() {
   const float* probe_row = rows.data();
   const double baseline_allocs =
       AllocationsPerCall(config.alloc_probe_iters, [&] {
-        checksum += BaselineEnsemblePredict(ensemble, probe_row).mean;
+        checksum += BaselineEnsemblePredict(baseline_members, probe_row).mean;
       });
   const double flat_allocs = AllocationsPerCall(config.alloc_probe_iters, [&] {
     checksum += ensemble.Predict(probe_row).mean;

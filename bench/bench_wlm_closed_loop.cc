@@ -119,13 +119,10 @@ void Accumulate(PolicyStats& stats,
   }
 }
 
-void PrintSourceMix(std::string* out, const PolicyStats& stats) {
+std::string SourceMix(const PolicyStats& stats) {
   uint64_t total = 0;
   for (const uint64_t count : stats.source_counts) total += count;
-  if (total == 0) {
-    *out = "-";
-    return;
-  }
+  if (total == 0) return "-";
   char buffer[128];
   std::snprintf(
       buffer, sizeof(buffer), "%.0f/%.0f/%.0f/%.0f/%.0f",
@@ -134,7 +131,7 @@ void PrintSourceMix(std::string* out, const PolicyStats& stats) {
       100.0 * stats.source_counts[2] / total,
       100.0 * stats.source_counts[3] / total,
       100.0 * stats.source_counts[4] / total);
-  *out = buffer;
+  return buffer;
 }
 
 }  // namespace
@@ -235,8 +232,7 @@ int main() {
                 "mix cache/local/global/baseline/default %");
     for (const wlm::WlmPolicy policy : kPolicies) {
       const PolicyStats& s = stats[static_cast<int>(policy)];
-      std::string mix;
-      PrintSourceMix(&mix, s);
+      const std::string mix = SourceMix(s);
       std::printf(
           "%-10s %9.2f %9.2f %9.2f %9.2f %7.2f%% %8.2f %6.1f%% %9llu  %s\n",
           std::string(wlm::WlmPolicyName(policy)).c_str(), s.Avg(), s.P50(),

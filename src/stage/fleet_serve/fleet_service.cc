@@ -228,12 +228,13 @@ std::shared_ptr<TenantStack> FleetService::ActivateLocked(
   auto stack = std::make_shared<TenantStack>(entry.config, entry.options);
   size_t latency_slot = kActivationFresh;
   if (entry.has_parked) {
-    std::istringstream in(entry.parked_state);
+    // The stream takes the parked bytes over instead of copying them.
+    std::istringstream in(std::move(entry.parked_state));
     std::string error;
     const bool ok = stack->LoadState(in, &error);
     STAGE_CHECK_MSG(ok, error.c_str());
     stack->SeedSourceCounts(entry.parked_counts);
-    std::string().swap(entry.parked_state);  // Free the parked bytes.
+    std::string().swap(entry.parked_state);  // Moved-from: leave it empty.
     entry.has_parked = false;
     latency_slot = kActivationFromParked;
   } else {
@@ -244,7 +245,7 @@ std::shared_ptr<TenantStack> FleetService::ActivateLocked(
       std::string payload;
       bool ok = snapshot_.ReadTenant(entry.id, &payload);
       if (ok) {
-        std::istringstream in(payload);
+        std::istringstream in(std::move(payload));
         ok = stack->LoadState(in);
       }
       if (ok) {

@@ -20,6 +20,17 @@ double ClampedVariance(double log_variance) {
 
 }  // namespace
 
+GbdtConfig BayesianGbtEnsemble::MemberConfig(const EnsembleConfig& config,
+                                             int k) {
+  GbdtConfig member_config = config.member;
+  // Distinct seeds give each member its own bagging draws and its own
+  // early-stopping split; that independence is what makes the variance of
+  // member means a usable model-uncertainty signal.
+  member_config.seed = config.member.seed +
+                       0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(k + 1);
+  return member_config;
+}
+
 BayesianGbtEnsemble BayesianGbtEnsemble::Train(const Dataset& data,
                                                const EnsembleConfig& config,
                                                ThreadPool* pool) {
@@ -28,14 +39,9 @@ BayesianGbtEnsemble BayesianGbtEnsemble::Train(const Dataset& data,
   ensemble.members_.resize(config.num_members);
 
   auto train_member = [&](size_t k) {
-    GbdtConfig member_config = config.member;
-    // Distinct seeds give each member its own bagging draws and its own
-    // early-stopping split; that independence is what makes the variance of
-    // member means a usable model-uncertainty signal.
-    member_config.seed = config.member.seed + 0x9e3779b97f4a7c15ULL *
-                                                  static_cast<uint64_t>(k + 1);
     const auto loss = MakeGaussianNllLoss();
-    ensemble.members_[k] = GbdtModel::Train(data, *loss, member_config);
+    ensemble.members_[k] = GbdtModel::Train(
+        data, *loss, MemberConfig(config, static_cast<int>(k)));
   };
 
   if (config.parallel_train && config.num_members > 1) {

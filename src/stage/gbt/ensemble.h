@@ -44,6 +44,8 @@ class BayesianGbtEnsemble {
   static BayesianGbtEnsemble Train(const Dataset& data,
                                    const EnsembleConfig& config,
                                    ThreadPool* pool = nullptr);
+  // What member k trains with: config.member under its own derived seed.
+  static GbdtConfig MemberConfig(const EnsembleConfig& config, int k);
 
   // Single-row ensemble prediction. Allocation-free: members predict into
   // stack storage via the compiled FlatForest path.

@@ -1,9 +1,12 @@
 #include "stage/gbt/flat_forest.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "stage/common/macros.h"
+#include "stage/common/serialize.h"
 
 namespace stage::gbt {
 
@@ -12,6 +15,9 @@ namespace {
 // while the tree arrays stream through, large enough to amortize each
 // tree's root-to-leaf cold start across many rows.
 constexpr size_t kRowBlock = 64;
+
+// Node indices are int32, so no array of a forest can hold more entries.
+constexpr uint64_t kMaxEntries = std::numeric_limits<int32_t>::max();
 }  // namespace
 
 FlatForest FlatForest::Compile(
@@ -167,10 +173,83 @@ void FlatForest::PredictBatch(const float* rows, size_t num_rows,
   }
 }
 
+double FlatForest::AddSplitCounts(std::span<double> counts) const {
+  double total = 0.0;
+  for (const Node& node : nodes_) {
+    if (node.feature < 0) continue;
+    STAGE_DCHECK(static_cast<size_t>(node.feature) < counts.size());
+    counts[node.feature] += 1.0;
+    total += 1.0;
+  }
+  return total;
+}
+
 size_t FlatForest::MemoryBytes() const {
   return base_scores_.size() * sizeof(double) +
          roots_.size() * sizeof(int32_t) + nodes_.size() * sizeof(Node) +
          value_.size() * sizeof(double);
+}
+
+void FlatForest::Save(std::ostream& out) const {
+  WriteVector(out, base_scores_);
+  WriteVector(out, roots_);
+  WriteVector(out, nodes_);
+  WriteVector(out, value_);
+}
+
+bool FlatForest::Load(std::istream& in, int32_t num_features) {
+  FlatForest flat;
+  if (!ReadVector(in, &flat.base_scores_, 64) ||
+      flat.base_scores_.empty() ||
+      !ReadVector(in, &flat.roots_, kMaxEntries) ||
+      !ReadVector(in, &flat.nodes_, kMaxEntries) ||
+      !ReadVector(in, &flat.value_, kMaxEntries)) {
+    return false;
+  }
+  const std::vector<int32_t>& roots = flat.roots_;
+  const std::vector<Node>& nodes = flat.nodes_;
+  const std::vector<double>& values = flat.value_;
+  for (const double score : flat.base_scores_) {
+    if (!std::isfinite(score)) return false;
+  }
+  if (roots.size() % flat.base_scores_.size() != 0 ||
+      values.size() != nodes.size() || roots.empty() != nodes.empty() ||
+      (!roots.empty() && roots.front() != 0)) {
+    return false;
+  }
+  // One pass over each tree's node range [begin, end). A node other than
+  // the root must already be claimed: children come after their split, so
+  // every split that could claim it has been read.
+  std::vector<bool> claimed(nodes.size(), false);
+  for (size_t t = 0; t < roots.size(); ++t) {
+    const size_t begin = static_cast<size_t>(roots[t]);
+    const size_t end =
+        t + 1 < roots.size() ? static_cast<size_t>(roots[t + 1]) : nodes.size();
+    // Roots ascend, and the last one is a node (a negative root wraps).
+    if (end <= begin || end > nodes.size()) return false;
+    for (size_t i = begin; i < end; ++i) {
+      if ((i != begin && !claimed[i]) || !std::isfinite(values[i])) {
+        return false;
+      }
+      const Node& node = nodes[i];
+      if (node.feature == -1) continue;  // A leaf.
+      if (node.feature < 0 || node.feature >= num_features ||
+          !std::isfinite(node.threshold)) {
+        return false;
+      }
+      // A negative left child wraps to a huge index and fails the bound.
+      const size_t left = static_cast<size_t>(node.left);
+      if (left <= i || left >= end - 1 || claimed[left] ||
+          claimed[left + 1]) {
+        return false;
+      }
+      claimed[left] = true;
+      claimed[left + 1] = true;
+    }
+  }
+  flat.num_outputs_ = static_cast<int>(flat.base_scores_.size());
+  *this = std::move(flat);
+  return true;
 }
 
 }  // namespace stage::gbt

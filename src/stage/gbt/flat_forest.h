@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <istream>
+#include <ostream>
 #include <span>
 #include <vector>
 
@@ -11,24 +13,24 @@
 
 namespace stage::gbt {
 
-// Inference-only compiled form of a trained GBT model: every tree of every
-// round flattened into four contiguous SoA arrays (feature / threshold /
-// child index / leaf value). Compiled once from the node-vector
-// representation after training or loading; the node vectors remain the
-// canonical training and Save/Load format.
+// The one form a trained or loaded GBT model keeps: every tree of every
+// round flattened into contiguous arrays (tree roots, packed 12-byte nodes,
+// leaf values). Train builds RegressionTrees, compiles them once and drops
+// them; Save/Load write and read these arrays as they are (the SGBT v2
+// stream), so a load compiles nothing.
 //
 // Why it is faster than walking RegressionTree nodes:
 //  * no per-call heap allocation (PredictInto writes caller storage);
 //  * one flat buffer instead of one heap allocation per tree behind two
 //    levels of vector indirection, so consecutive trees prefetch;
-//  * nodes are re-laid out so a split's children are adjacent
+//  * nodes are laid out so a split's children are adjacent
 //    (right == left + 1), and the three fields a descent step reads are
 //    packed into one 12-byte record — one cache-line touch per node,
 //    branchless step. Leaf values stay in a separate array, read once
 //    per tree.
-// Predictions are bit-for-bit identical to RegressionTree::Predict: same
-// thresholds, same leaf values, same `x <= t` comparison (including the
-// NaN-goes-right convention).
+// Predictions are bit-for-bit identical to walking the trees Compile was
+// given with RegressionTree::Predict: same thresholds, same leaf values,
+// same `x <= t` comparison (including the NaN-goes-right convention).
 class FlatForest {
  public:
   FlatForest() = default;
@@ -44,6 +46,7 @@ class FlatForest {
   size_t num_trees() const { return roots_.size(); }
   size_t num_nodes() const { return nodes_.size(); }
   bool empty() const { return num_outputs_ == 0; }
+  const std::vector<double>& base_scores() const { return base_scores_; }
 
   // Allocation-free single-row predict; out.size() must equal
   // num_outputs().
@@ -62,7 +65,25 @@ class FlatForest {
   void PredictBatch(const float* rows, size_t num_rows, size_t row_stride,
                     std::span<double> out, ThreadPool* pool = nullptr) const;
 
+  // Adds each split's feature into `counts` (size > every split feature)
+  // and returns the number of splits.
+  double AddSplitCounts(std::span<double> counts) const;
+
+  // Base scores plus the three flat arrays (Fig. 9 accounting).
   size_t MemoryBytes() const;
+
+  // The arrays as the predict path reads them: base scores, tree roots,
+  // nodes, leaf values, each a count-prefixed vector. Load accepts only
+  // what Compile builds: 1 to 64 finite base scores; a tree count that is
+  // a multiple of them; roots that start at 0 and ascend; one finite
+  // value per node; and in each tree, splits on a feature inside
+  // [0, num_features) at a finite threshold whose two adjacent children
+  // come after the split, lie inside its tree and belong to no other
+  // split, with every other node of the tree some split's child. So every
+  // descent stays inside the row and its tree and ends on a leaf. A failed
+  // Load leaves the forest untouched.
+  void Save(std::ostream& out) const;
+  bool Load(std::istream& in, int32_t num_features);
 
  private:
   // The hot per-node state: everything one descent step reads, in 12

@@ -280,23 +280,13 @@ class TreeFitter {
   std::vector<int> free_hists_;
 };
 
-}  // namespace
-
-GbdtModel GbdtModel::Train(const Dataset& data, const Loss& loss,
-                           const GbdtConfig& config) {
-  STAGE_CHECK(config.num_rounds >= 0);
-  STAGE_CHECK(config.max_depth >= 1);
-  STAGE_CHECK(config.subsample > 0.0 && config.subsample <= 1.0);
-  STAGE_CHECK(config.colsample > 0.0 && config.colsample <= 1.0);
-
-  GbdtModel model;
-  model.num_features_ = data.num_features();
-  model.num_outputs_ = loss.num_outputs();
-  model.base_scores_ = loss.InitScores(data.labels());
-  if (data.empty() || config.num_rounds == 0) {
-    model.flat_ = FlatForest::Compile(model.base_scores_, model.trees_);
-    return model;
-  }
+// The boosting loop: trees[round][output], with the rounds past the best
+// validation round dropped when early stopping applies.
+std::vector<std::vector<RegressionTree>> Boost(
+    const Dataset& data, const Loss& loss, const GbdtConfig& config,
+    const std::vector<double>& base_scores) {
+  std::vector<std::vector<RegressionTree>> trees;
+  if (data.empty() || config.num_rounds == 0) return trees;
 
   const size_t n = data.num_rows();
   const int num_outputs = loss.num_outputs();
@@ -328,7 +318,7 @@ GbdtModel GbdtModel::Train(const Dataset& data, const Loss& loss,
   std::vector<double> preds(n * static_cast<size_t>(num_outputs));
   for (size_t i = 0; i < n; ++i) {
     for (int p = 0; p < num_outputs; ++p) {
-      preds[i * num_outputs + p] = model.base_scores_[p];
+      preds[i * num_outputs + p] = base_scores[p];
     }
   }
 
@@ -373,14 +363,14 @@ GbdtModel GbdtModel::Train(const Dataset& data, const Loss& loss,
       for (int f = 0; f < data.num_features(); ++f) features.push_back(f);
     }
 
-    model.trees_.emplace_back();
+    trees.emplace_back();
     for (int p = 0; p < num_outputs; ++p) {
       loss.GradHess(data.labels(), preds, p, &grad, &hess);
       RegressionTree tree = fitter.Fit(sampled, grad, hess, features);
       for (size_t i = 0; i < n; ++i) {
         preds[i * num_outputs + p] += tree.Predict(data.row(i));
       }
-      model.trees_.back().push_back(std::move(tree));
+      trees.back().push_back(std::move(tree));
     }
 
     if (use_early_stopping) {
@@ -401,14 +391,33 @@ GbdtModel GbdtModel::Train(const Dataset& data, const Loss& loss,
   }
 
   if (use_early_stopping && best_round >= 0) {
-    model.trees_.resize(static_cast<size_t>(best_round) + 1);
+    trees.resize(static_cast<size_t>(best_round) + 1);
   }
-  model.flat_ = FlatForest::Compile(model.base_scores_, model.trees_);
+  return trees;
+}
+
+}  // namespace
+
+GbdtModel GbdtModel::Train(
+    const Dataset& data, const Loss& loss, const GbdtConfig& config,
+    std::vector<std::vector<RegressionTree>>* node_trees) {
+  STAGE_CHECK(config.num_rounds >= 0);
+  STAGE_CHECK(config.max_depth >= 1);
+  STAGE_CHECK(config.subsample > 0.0 && config.subsample <= 1.0);
+  STAGE_CHECK(config.colsample > 0.0 && config.colsample <= 1.0);
+
+  const std::vector<double> base_scores = loss.InitScores(data.labels());
+  std::vector<std::vector<RegressionTree>> trees =
+      Boost(data, loss, config, base_scores);
+  GbdtModel model;
+  model.num_features_ = data.num_features();
+  model.flat_ = FlatForest::Compile(base_scores, trees);
+  if (node_trees != nullptr) *node_trees = std::move(trees);
   return model;
 }
 
 std::vector<double> GbdtModel::Predict(const float* row) const {
-  std::vector<double> out(static_cast<size_t>(num_outputs_));
+  std::vector<double> out(static_cast<size_t>(num_outputs()));
   flat_.PredictInto(row, out);
   return out;
 }
@@ -418,7 +427,7 @@ void GbdtModel::PredictInto(const float* row, std::span<double> out) const {
 }
 
 double GbdtModel::PredictScalar(const float* row) const {
-  STAGE_DCHECK(num_outputs_ >= 1);
+  STAGE_DCHECK(num_outputs() >= 1);
   return flat_.PredictScalar(row);
 }
 
@@ -430,18 +439,7 @@ void GbdtModel::PredictBatch(const float* rows, size_t num_rows,
 
 double GbdtModel::AddSplitCounts(std::span<double> counts) const {
   STAGE_DCHECK(counts.size() == static_cast<size_t>(num_features_));
-  double total = 0.0;
-  for (const auto& round : trees_) {
-    for (const auto& tree : round) {
-      for (const auto& node : tree.nodes()) {
-        if (node.is_leaf()) continue;
-        STAGE_DCHECK(node.feature >= 0 && node.feature < num_features_);
-        counts[node.feature] += 1.0;
-        total += 1.0;
-      }
-    }
-  }
-  return total;
+  return flat_.AddSplitCounts(counts);
 }
 
 std::vector<double> GbdtModel::FeatureImportance() const {
@@ -453,61 +451,32 @@ std::vector<double> GbdtModel::FeatureImportance() const {
   return importance;
 }
 
-size_t GbdtModel::MemoryBytes() const {
-  size_t bytes = base_scores_.size() * sizeof(double);
-  for (const auto& round : trees_) {
-    for (const auto& tree : round) bytes += tree.MemoryBytes();
-  }
-  // The compiled inference layout is a second copy of the forest and is
-  // part of the model's real serving footprint (Fig. 9 accounting).
-  bytes += flat_.MemoryBytes();
-  return bytes;
+int GbdtModel::rounds_used() const {
+  return flat_.empty() ? 0
+                       : static_cast<int>(flat_.num_trees()) / num_outputs();
 }
 
 namespace {
 constexpr uint32_t kGbdtMagic = 0x53474254;  // "SGBT".
-constexpr uint32_t kGbdtVersion = 1;
+// v1 streamed each tree's 24-byte node vector and compiled the flat forest
+// on load; v2 streams the flat forest itself. v1 streams are rejected.
+constexpr uint32_t kGbdtVersion = 2;
 }  // namespace
 
 void GbdtModel::Save(std::ostream& out) const {
   WriteHeader(out, kGbdtMagic, kGbdtVersion);
   WritePod<int32_t>(out, num_features_);
-  WritePod<int32_t>(out, num_outputs_);
-  WriteVector(out, base_scores_);
-  WritePod<uint64_t>(out, trees_.size());
-  for (const auto& round : trees_) {
-    for (const auto& tree : round) tree.Save(out);
-  }
+  flat_.Save(out);
 }
 
 bool GbdtModel::Load(std::istream& in) {
   if (!ReadHeader(in, kGbdtMagic, kGbdtVersion)) return false;
   int32_t num_features = 0;
-  int32_t num_outputs = 0;
-  if (!ReadPod(in, &num_features) || !ReadPod(in, &num_outputs)) return false;
-  if (num_features < 0 || num_outputs < 1 || num_outputs > 64) return false;
-  std::vector<double> base_scores;
-  if (!ReadVector(in, &base_scores) ||
-      base_scores.size() != static_cast<size_t>(num_outputs)) {
-    return false;
-  }
-  for (const double score : base_scores) {
-    if (!std::isfinite(score)) return false;
-  }
-  uint64_t num_rounds = 0;
-  if (!ReadPod(in, &num_rounds) || num_rounds > (1u << 24)) return false;
-  std::vector<std::vector<RegressionTree>> trees(num_rounds);
-  for (auto& round : trees) {
-    round.resize(num_outputs);
-    for (auto& tree : round) {
-      if (!tree.Load(in, num_features)) return false;
-    }
-  }
+  if (!ReadPod(in, &num_features) || num_features < 0) return false;
+  FlatForest flat;
+  if (!flat.Load(in, num_features)) return false;
   num_features_ = num_features;
-  num_outputs_ = num_outputs;
-  base_scores_ = std::move(base_scores);
-  trees_ = std::move(trees);
-  flat_ = FlatForest::Compile(base_scores_, trees_);
+  flat_ = std::move(flat);
   return true;
 }
 

@@ -38,18 +38,21 @@ struct GbdtConfig {
 // (XGBoost-style second-order boosting) over histogram-quantized features.
 // Supports multi-output losses: one tree per output per round.
 //
-// Two representations coexist: the node-vector trees (canonical — training
-// builds them and Save/Load serializes them, so checkpoint bytes are
-// independent of the inference layout) and a FlatForest compiled from them
-// after Train/Load, which serves every Predict* call without heap
-// allocation.
+// The model holds one form of its forest, the FlatForest: Train builds
+// node-vector RegressionTrees, compiles them and drops them; Save/Load
+// write and read the flat arrays (SGBT version 2), and every Predict* call
+// walks them without heap allocation.
 class GbdtModel {
  public:
   GbdtModel() = default;
 
   // Trains a model. An empty dataset yields a constant (base-score) model.
-  static GbdtModel Train(const Dataset& data, const Loss& loss,
-                         const GbdtConfig& config);
+  // When `node_trees` is non-null it receives the trees as the trainer
+  // built them, (*node_trees)[round][output], before compilation: the
+  // reference that tests and benches walk. The model keeps no copy.
+  static GbdtModel Train(
+      const Dataset& data, const Loss& loss, const GbdtConfig& config,
+      std::vector<std::vector<RegressionTree>>* node_trees = nullptr);
 
   // Predicts all outputs for one raw feature row. Thin wrapper over
   // PredictInto; hot paths should call PredictInto with reused storage.
@@ -66,7 +69,8 @@ class GbdtModel {
                     std::span<double> out, ThreadPool* pool = nullptr) const;
 
   // Binary checkpointing; Load replaces the model and returns false on a
-  // malformed stream.
+  // malformed stream (see FlatForest::Load), leaving the model untouched.
+  // Version-1 streams (node-vector trees) are rejected.
   void Save(std::ostream& out) const;
   bool Load(std::istream& in);
 
@@ -80,28 +84,20 @@ class GbdtModel {
   // aggregating callers (ensembles) avoid per-member temporaries.
   double AddSplitCounts(std::span<double> counts) const;
 
-  int num_outputs() const { return num_outputs_; }
+  int num_outputs() const { return flat_.num_outputs(); }
   int num_features() const { return num_features_; }
   // Boosting rounds retained after early stopping.
-  int rounds_used() const { return static_cast<int>(trees_.size()); }
-  size_t MemoryBytes() const;
+  int rounds_used() const;
+  // Base scores plus the flat arrays.
+  size_t MemoryBytes() const { return flat_.MemoryBytes(); }
 
-  // The canonical node-vector trees, trees()[round][output], and the
-  // compiled inference form. Exposed for golden-equivalence tests and
-  // benchmarks of the two layouts.
-  const std::vector<std::vector<RegressionTree>>& trees() const {
-    return trees_;
+  const std::vector<double>& base_scores() const {
+    return flat_.base_scores();
   }
-  const std::vector<double>& base_scores() const { return base_scores_; }
   const FlatForest& flat() const { return flat_; }
 
  private:
   int num_features_ = 0;
-  int num_outputs_ = 0;
-  std::vector<double> base_scores_;
-  // trees_[round][output].
-  std::vector<std::vector<RegressionTree>> trees_;
-  // Compiled from trees_ by Train/Load; never serialized.
   FlatForest flat_;
 };
 

@@ -1,9 +1,6 @@
 #include "stage/gbt/tree.h"
 
-#include <cmath>
-
 #include "stage/common/macros.h"
-#include "stage/common/serialize.h"
 
 namespace stage::gbt {
 
@@ -56,45 +53,6 @@ int RegressionTree::num_leaves() const {
   int leaves = 0;
   for (const Node& node : nodes_) leaves += node.is_leaf() ? 1 : 0;
   return leaves;
-}
-
-void RegressionTree::ScaleLeaves(double factor) {
-  for (Node& node : nodes_) {
-    if (node.is_leaf()) node.value *= factor;
-  }
-}
-
-void RegressionTree::Save(std::ostream& out) const {
-  WriteVector(out, nodes_);
-}
-
-bool RegressionTree::Load(std::istream& in, int32_t num_features) {
-  std::vector<Node> nodes;
-  if (!ReadVector(in, &nodes) || nodes.empty()) return false;
-  // One pass accepts only what the trainer builds. A split reads a feature
-  // inside the row at a finite threshold; its children come after it (so
-  // no walk can cycle) and belong to no other split (so the nodes form one
-  // tree and FlatForest::Compile emits each node once). Leaves are finite.
-  std::vector<bool> claimed(nodes.size(), false);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const Node& node = nodes[i];
-    if (node.is_leaf()) {
-      if (!std::isfinite(node.value)) return false;
-      continue;
-    }
-    if (node.feature < 0 || node.feature >= num_features ||
-        !std::isfinite(node.threshold)) {
-      return false;
-    }
-    for (const int32_t child : {node.left, node.right}) {
-      // A negative right child wraps to a huge index and fails the bound.
-      const size_t c = static_cast<size_t>(child);
-      if (c <= i || c >= nodes.size() || claimed[c]) return false;
-      claimed[c] = true;
-    }
-  }
-  nodes_ = std::move(nodes);
-  return true;
 }
 
 }  // namespace stage::gbt

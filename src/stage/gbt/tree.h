@@ -1,18 +1,17 @@
 #ifndef STAGE_GBT_TREE_H_
 #define STAGE_GBT_TREE_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <utility>
 #include <vector>
 
 namespace stage::gbt {
 
 // A single binary regression tree with axis-aligned float-threshold splits.
-// Built by the GBDT trainer over quantized features; prediction runs on raw
-// float rows (the thresholds are de-quantized bin boundaries).
+// The GBDT trainer builds it over quantized features and then compiles it
+// into a FlatForest, which is what a model keeps, saves and predicts with;
+// Predict here runs on raw float rows (the thresholds are de-quantized bin
+// boundaries) and is the node-walk reference the flat form must match.
 class RegressionTree {
  public:
   struct Node {
@@ -45,20 +44,6 @@ class RegressionTree {
 
   const std::vector<Node>& nodes() const { return nodes_; }
   int num_leaves() const;
-
-  // Scales every leaf value (used to apply the learning rate once).
-  void ScaleLeaves(double factor);
-
-  // Rough memory footprint in bytes (Fig. 9 accounting).
-  size_t MemoryBytes() const { return nodes_.size() * sizeof(Node); }
-
-  // Binary checkpointing (see stage/common/serialize.h). Load rejects a
-  // tree the trainer cannot build: a split feature outside
-  // [0, num_features), a non-finite threshold or leaf value, or a child
-  // that is not placed after its split or is claimed by two splits. A
-  // failed Load leaves the tree untouched.
-  void Save(std::ostream& out) const;
-  bool Load(std::istream& in, int32_t num_features);
 
  private:
   std::vector<Node> nodes_;

@@ -66,7 +66,10 @@ class LocalModel {
   // Requires trained().
   Output Predict(const plan::PlanFeatures& features) const;
 
-  size_t MemoryBytes() const { return ensemble_.MemoryBytes(); }
+  // The NLL ensemble plus the MAE member (0 bytes when it is off).
+  size_t MemoryBytes() const {
+    return ensemble_.MemoryBytes() + mae_member_.MemoryBytes();
+  }
 
   // Checkpointing of a trained local model (ensemble + target space).
   void Save(std::ostream& out) const;

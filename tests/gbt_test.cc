@@ -1,14 +1,15 @@
 #include <cmath>
-#include <cstddef>
-#include <cstring>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "stage/common/rng.h"
+#include "stage/common/serialize.h"
 #include "stage/common/thread_pool.h"
 #include "stage/gbt/dataset.h"
 #include "stage/gbt/ensemble.h"
@@ -265,11 +266,18 @@ TEST(GbdtTest, RespectsMaxDepthViaLeafCount) {
   config.max_depth = 2;
   config.early_stopping_rounds = 0;
   const auto loss = MakeSquaredLoss();
-  const GbdtModel model = GbdtModel::Train(data, *loss, config);
+  std::vector<std::vector<RegressionTree>> trees;
+  const GbdtModel model = GbdtModel::Train(data, *loss, config, &trees);
   EXPECT_EQ(model.rounds_used(), 5);
-  // A depth-2 tree has at most 4 leaves; verified indirectly via memory.
-  EXPECT_LT(model.MemoryBytes(), 5 * 7 * sizeof(RegressionTree::Node) +
-                                     sizeof(double) + 1024);
+  ASSERT_EQ(trees.size(), 5u);
+  // A depth-2 tree has at most 4 leaves and 7 nodes.
+  for (const auto& round : trees) EXPECT_LE(round[0].num_leaves(), 4);
+  const size_t num_nodes = model.flat().num_nodes();
+  EXPECT_LE(num_nodes, 5u * 7u);
+  // The model counts its base score and the flat arrays, nothing else: a
+  // root index per tree, and a 12-byte node plus a leaf value per node.
+  EXPECT_EQ(model.MemoryBytes(), sizeof(double) + 5 * sizeof(int32_t) +
+                                     num_nodes * (12 + sizeof(double)));
 }
 
 TEST(GbdtTest, GaussianNllLearnsHeteroscedasticVariance) {
@@ -510,11 +518,13 @@ TEST(SerializationTest, EnsembleRoundTrip) {
 }
 
 // Reference implementation of the pre-FlatForest predict path: base scores
-// plus a walk of the canonical node-vector trees in round-major,
+// plus a walk of the node-vector trees the trainer built, in round-major,
 // output-interleaved order. FlatForest must match it bit for bit.
-std::vector<double> NodeWalkPredict(const GbdtModel& model, const float* row) {
+std::vector<double> NodeWalkPredict(
+    const GbdtModel& model,
+    const std::vector<std::vector<RegressionTree>>& trees, const float* row) {
   std::vector<double> out = model.base_scores();
-  for (const auto& round : model.trees()) {
+  for (const auto& round : trees) {
     for (size_t j = 0; j < round.size(); ++j) {
       out[j] += round[j].Predict(row);
     }
@@ -531,17 +541,17 @@ TEST(FlatForestTest, GoldenEquivalenceWithNodeWalk) {
     config.max_depth = static_cast<int>(3 + seed % 4);
     config.seed = seed;
     const auto loss = MakeGaussianNllLoss();
-    const GbdtModel model = GbdtModel::Train(data, *loss, config);
+    std::vector<std::vector<RegressionTree>> trees;
+    const GbdtModel model = GbdtModel::Train(data, *loss, config, &trees);
     ASSERT_FALSE(model.flat().empty());
     EXPECT_EQ(model.flat().num_outputs(), model.num_outputs());
     EXPECT_EQ(model.flat().num_trees(),
-              model.trees().size() *
-                  static_cast<size_t>(model.num_outputs()));
+              trees.size() * static_cast<size_t>(model.num_outputs()));
     for (int i = 0; i < 200; ++i) {
       const float row[3] = {static_cast<float>(rng.NextUniform(-2, 2)),
                             static_cast<float>(rng.NextUniform(-2, 2)),
                             static_cast<float>(rng.NextUniform(-2, 2))};
-      const std::vector<double> expected = NodeWalkPredict(model, row);
+      const std::vector<double> expected = NodeWalkPredict(model, trees, row);
       const std::vector<double> got = model.Predict(row);
       ASSERT_EQ(expected.size(), got.size());
       for (size_t j = 0; j < expected.size(); ++j) {
@@ -559,13 +569,15 @@ TEST(FlatForestTest, NanFeaturesTakeTheRightChildLikeNodeWalk) {
   GbdtConfig config;
   config.num_rounds = 30;
   const auto loss = MakeSquaredLoss();
-  const GbdtModel model = GbdtModel::Train(data, *loss, config);
+  std::vector<std::vector<RegressionTree>> trees;
+  const GbdtModel model = GbdtModel::Train(data, *loss, config, &trees);
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float rows[3][3] = {{nan, 0.5f, -0.5f},
                             {0.5f, nan, nan},
                             {nan, nan, nan}};
   for (const auto& row : rows) {
-    EXPECT_EQ(NodeWalkPredict(model, row)[0], model.PredictScalar(row));
+    EXPECT_EQ(NodeWalkPredict(model, trees, row)[0],
+              model.PredictScalar(row));
   }
 }
 
@@ -659,9 +671,9 @@ TEST(EnsembleTest, TrainedBytesIdenticalAcrossPoolWidths) {
   }
 }
 
-// The FlatForest is an inference-only companion: compiling it (and running
-// predictions through it) must leave the serialized node-vector checkpoint
-// byte-for-byte unchanged, and a loaded model must re-save identically.
+// The checkpoint is the compiled flat forest itself: predicting through it
+// must leave the saved bytes unchanged, and a loaded model, which compiles
+// nothing, must hold the same arrays and re-save them byte for byte.
 TEST(SerializationTest, CheckpointBytesUnchangedByFlatCompilation) {
   const Dataset data = LinearDataset(600, 71, 0.1);
   GbdtConfig config;
@@ -684,6 +696,7 @@ TEST(SerializationTest, CheckpointBytesUnchangedByFlatCompilation) {
   std::stringstream resaved;
   restored.Save(resaved);
   EXPECT_EQ(first.str(), resaved.str());
+  EXPECT_EQ(restored.MemoryBytes(), model.MemoryBytes());
   // And the loaded model's flat path serves identical predictions.
   EXPECT_EQ(model.PredictScalar(row), restored.PredictScalar(row));
 }
@@ -711,114 +724,388 @@ TEST(SerializationTest, GbdtRejectsTruncatedStream) {
 }
 
 // ---- CRC-valid but malformed streams ------------------------------------
-// Each case edits one field of a saved single-output model. A load must
-// fail and leave the model it was loading into as it was.
+// Each case edits a saved model's stream: one field, or a small tree
+// appended by hand. A load must fail and leave the model it was loading
+// into as it was. Where a case appends a tree, a well-formed twin of it is
+// shown to load first, so the one fault is what the load rejects.
 
-// A saved model and where its fields sit. The stream is the header (magic,
-// version), num_features, num_outputs, base_scores (count, then values),
-// num_rounds, then each tree's node vector (count, then nodes).
-struct SavedModel {
-  std::string bytes;
-  size_t base_score = 0;   // base_scores[0].
-  size_t nodes = 0;        // The first tree's node 0.
-  uint64_t num_nodes = 0;  // Nodes in the first tree.
+constexpr uint32_t kSgbtMagic = 0x53474254;  // "SGBT".
 
-  size_t Field(size_t node, size_t offset) const {
-    return nodes + node * sizeof(RegressionTree::Node) + offset;
+// The 12-byte node record of an SGBT v2 stream: the split feature (-1 on a
+// leaf), its threshold, and the left child's index (the right child is
+// left + 1).
+struct FlatNode {
+  int32_t feature;
+  float threshold;
+  int32_t left;
+};
+static_assert(sizeof(FlatNode) == 12);
+
+constexpr FlatNode kLeaf{-1, 0.0f, -1};
+// A split on feature 0 whose left child is `left`.
+constexpr FlatNode Split(int32_t left) { return FlatNode{0, 0.5f, left}; }
+
+// A saved model split into the fields of its SGBT v2 stream: the header
+// (magic, version), num_features, then the base scores, tree roots, nodes
+// and per-node leaf values, each a count-prefixed vector.
+struct FlatStream {
+  uint32_t version = 0;
+  int32_t num_features = 0;
+  std::vector<double> base_scores;
+  std::vector<int32_t> roots;
+  std::vector<FlatNode> nodes;
+  std::vector<double> values;
+
+  static FlatStream Of(const GbdtModel& model) {
+    std::stringstream buffer;
+    model.Save(buffer);
+    FlatStream stream;
+    uint32_t magic = 0;
+    EXPECT_TRUE(ReadPod(buffer, &magic) && ReadPod(buffer, &stream.version) &&
+                ReadPod(buffer, &stream.num_features) &&
+                ReadVector(buffer, &stream.base_scores) &&
+                ReadVector(buffer, &stream.roots) &&
+                ReadVector(buffer, &stream.nodes) &&
+                ReadVector(buffer, &stream.values));
+    EXPECT_EQ(magic, kSgbtMagic);
+    EXPECT_EQ(stream.version, 2u);
+    EXPECT_EQ(stream.Bytes(), buffer.str()) << "the fields are the stream";
+    return stream;
   }
-  template <typename T>
-  T Get(size_t at) const {
-    T value;
-    std::memcpy(&value, bytes.data() + at, sizeof(T));
-    return value;
+
+  std::string Bytes() const {
+    std::stringstream out;
+    WriteHeader(out, kSgbtMagic, version);
+    WritePod(out, num_features);
+    WriteVector(out, base_scores);
+    WriteVector(out, roots);
+    WriteVector(out, nodes);
+    WriteVector(out, values);
+    return out.str();
   }
-  template <typename T>
-  SavedModel With(size_t at, T value) const {
-    SavedModel edited = *this;
-    std::memcpy(edited.bytes.data() + at, &value, sizeof(T));
-    return edited;
+
+  // End of tree t's node range.
+  size_t TreeEnd(size_t t) const {
+    return t + 1 < roots.size() ? static_cast<size_t>(roots[t + 1])
+                                : nodes.size();
+  }
+  bool IsSplit(size_t node) const { return nodes[node].feature >= 0; }
+  // Appends a tree whose left indices count from its own root.
+  void AppendTree(const std::vector<FlatNode>& tree) {
+    const int32_t root = static_cast<int32_t>(nodes.size());
+    roots.push_back(root);
+    for (FlatNode node : tree) {
+      if (node.feature >= 0) node.left += root;
+      nodes.push_back(node);
+      values.push_back(0.0);
+    }
+  }
+  // Inserts a leaf before the first tree, where no root reaches it.
+  void PrependOrphanLeaf() {
+    nodes.insert(nodes.begin(), kLeaf);
+    values.insert(values.begin(), 0.0);
+    for (int32_t& root : roots) ++root;
+    for (FlatNode& node : nodes) {
+      if (node.feature >= 0) ++node.left;
+    }
   }
 };
 
-SavedModel SaveModel() {
-  const Dataset data = LinearDataset(300, 23);
+// A 3-feature single-output model of five depth-6 trees.
+FlatStream SavedStream() {
   GbdtConfig config;
   config.num_rounds = 5;
-  const auto loss = MakeSquaredLoss();
-  std::stringstream buffer;
-  GbdtModel::Train(data, *loss, config).Save(buffer);
-  SavedModel saved;
-  saved.bytes = buffer.str();
-  saved.base_score = 8 + 4 + 4 + 8;
-  saved.nodes = saved.base_score + 8 + 8 + 8;
-  saved.num_nodes = saved.Get<uint64_t>(saved.nodes - 8);
+  const FlatStream saved = FlatStream::Of(
+      GbdtModel::Train(LinearDataset(300, 23), *MakeSquaredLoss(), config));
+  EXPECT_EQ(saved.roots.size(), 5u);
   return saved;
 }
 
-constexpr size_t kFeature = offsetof(RegressionTree::Node, feature);
-constexpr size_t kThreshold = offsetof(RegressionTree::Node, threshold);
-constexpr size_t kLeft = offsetof(RegressionTree::Node, left);
-constexpr size_t kRight = offsetof(RegressionTree::Node, right);
-constexpr size_t kValue = offsetof(RegressionTree::Node, value);
+bool Loads(const std::string& bytes) {
+  GbdtModel model;
+  std::stringstream in(bytes);
+  return model.Load(in);
+}
 
-void ExpectRejected(const SavedModel& saved) {
+void ExpectRejected(const std::string& bytes) {
   GbdtConfig config;
   config.num_rounds = 10;
   const GbdtModel target =
       GbdtModel::Train(LinearDataset(100, 5), *MakeSquaredLoss(), config);
   GbdtModel loaded = target;
-  std::stringstream in(saved.bytes);
+  std::stringstream in(bytes);
   ASSERT_FALSE(loaded.Load(in));
   const float row[3] = {0.25f, -0.5f, 0.75f};
   EXPECT_EQ(loaded.PredictScalar(row), target.PredictScalar(row));
   EXPECT_EQ(loaded.rounds_used(), target.rounds_used());
+  std::stringstream kept;
+  loaded.Save(kept);
+  std::stringstream original;
+  target.Save(original);
+  EXPECT_EQ(kept.str(), original.str());
+}
+
+void ExpectRejected(const FlatStream& stream) {
+  ExpectRejected(stream.Bytes());
 }
 
 TEST(SerializationTest, GbdtRejectsSplitFeatureOutsideTheRow) {
-  const SavedModel saved = SaveModel();
-  ASSERT_GE(saved.Get<int32_t>(saved.Field(0, kLeft)), 0);  // Root splits.
-  std::stringstream sane(saved.bytes);
-  GbdtModel model;
-  ASSERT_TRUE(model.Load(sane));
-  // Feature 3 is one past a 3-feature row; 2^20 reads megabytes past it.
-  ExpectRejected(saved.With<int32_t>(saved.Field(0, kFeature), 3));
-  ExpectRejected(saved.With<int32_t>(saved.Field(0, kFeature), 1 << 20));
+  const FlatStream saved = SavedStream();
+  ASSERT_TRUE(saved.IsSplit(0));  // The first root splits.
+  ASSERT_TRUE(Loads(saved.Bytes()));
+  // Feature 3 is one past a 3-feature row; 2^20 reads megabytes past it;
+  // -2 is neither a feature nor the leaf marker.
+  for (const int32_t feature : {3, 1 << 20, -2}) {
+    FlatStream edited = saved;
+    edited.nodes[0].feature = feature;
+    ExpectRejected(edited);
+  }
 }
 
-// A root whose left child is itself loops FlatForest::Compile forever, as
-// does any child placed before its split that closes a cycle.
+// A root whose left child is itself would loop every descent forever, as
+// would any child placed before its split.
 TEST(SerializationTest, GbdtRejectsChildNotPlacedAfterItsSplit) {
-  const SavedModel saved = SaveModel();
-  ASSERT_GE(saved.Get<int32_t>(saved.Field(0, kLeft)), 0);
-  ExpectRejected(saved.With<int32_t>(saved.Field(0, kLeft), 0));
-  const int32_t right = saved.Get<int32_t>(saved.Field(0, kRight));
-  ASSERT_GE(saved.Get<int32_t>(saved.Field(right, kLeft)), 0)
-      << "the root's right child must split too";
-  ExpectRejected(saved.With<int32_t>(saved.Field(right, kRight), 0));
+  const FlatStream saved = SavedStream();
+  ASSERT_TRUE(saved.IsSplit(0));
+  FlatStream edited = saved;
+  edited.nodes[0].left = 0;
+  ExpectRejected(edited);
+  const size_t split = static_cast<size_t>(saved.nodes[0].left);
+  ASSERT_TRUE(saved.IsSplit(split)) << "the root's left child must split";
+  edited = saved;
+  edited.nodes[split].left = 0;
+  ExpectRejected(edited);
+  edited.nodes[split].left = static_cast<int32_t>(split);
+  ExpectRejected(edited);
+  // A two-node tree whose root is its own left child: every other check
+  // holds, and a row going left would never leave the root.
+  edited = saved;
+  edited.AppendTree({Split(1), kLeaf, kLeaf});
+  ASSERT_TRUE(Loads(edited.Bytes()));
+  edited = saved;
+  edited.AppendTree({Split(0), kLeaf});
+  ExpectRejected(edited);
 }
 
-// Two references to one node turn the tree into a DAG, which Compile would
-// unfold node by node (exponentially, in a chain of them).
+// Two references to one node turn the tree into a DAG, whose node count no
+// longer bounds its walks.
 TEST(SerializationTest, GbdtRejectsNodeThatIsTheChildOfTwoSplits) {
-  const SavedModel saved = SaveModel();
-  const int32_t left = saved.Get<int32_t>(saved.Field(0, kLeft));
-  ASSERT_GE(left, 0);
-  ExpectRejected(saved.With<int32_t>(saved.Field(0, kRight), left));
+  const FlatStream saved = SavedStream();
+  // Two splits a < b of the first tree with a's children after b, so that
+  // b may point at them and still point forward.
+  const size_t end = saved.TreeEnd(0);
+  size_t a = 0;
+  size_t b = 0;
+  for (size_t i = 0; i < end && b == 0; ++i) {
+    for (size_t j = i + 1; j < end && b == 0; ++j) {
+      if (saved.IsSplit(i) && saved.IsSplit(j) &&
+          static_cast<size_t>(saved.nodes[i].left) > j) {
+        a = i;
+        b = j;
+      }
+    }
+  }
+  ASSERT_NE(b, 0u);
+  FlatStream edited = saved;
+  edited.nodes[b].left = saved.nodes[a].left;
+  ExpectRejected(edited);
+  // Sharing one child: b's left is a's right.
+  edited.nodes[b].left = saved.nodes[a].left + 1;
+  ExpectRejected(edited);
+  // A tree whose two inner splits share their children, so every node is
+  // still reachable.
+  edited = saved;
+  edited.AppendTree({Split(1), Split(3), Split(5), kLeaf, kLeaf, kLeaf, kLeaf});
+  ASSERT_TRUE(Loads(edited.Bytes()));
+  edited = saved;
+  edited.AppendTree({Split(1), Split(3), Split(3), kLeaf, kLeaf});
+  ExpectRejected(edited);
 }
 
 TEST(SerializationTest, GbdtRejectsNonFiniteLeafThresholdOrBaseScore) {
-  const SavedModel saved = SaveModel();
+  const FlatStream saved = SavedStream();
   size_t leaf = 0;
-  while (leaf < saved.num_nodes &&
-         saved.Get<int32_t>(saved.Field(leaf, kLeft)) >= 0) {
-    ++leaf;
-  }
-  ASSERT_LT(leaf, saved.num_nodes);
+  while (leaf < saved.nodes.size() && saved.IsSplit(leaf)) ++leaf;
+  ASSERT_LT(leaf, saved.nodes.size());
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const float inf = std::numeric_limits<float>::infinity();
-  ExpectRejected(saved.With<double>(saved.Field(leaf, kValue), nan));
-  ExpectRejected(saved.With<float>(saved.Field(0, kThreshold), inf));
-  ExpectRejected(saved.With<double>(saved.base_score, nan));
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double value : {nan, inf}) {
+    FlatStream edited = saved;
+    edited.values[leaf] = value;
+    ExpectRejected(edited);
+  }
+  FlatStream edited = saved;
+  edited.nodes[0].threshold = std::numeric_limits<float>::infinity();
+  ExpectRejected(edited);
+  edited = saved;
+  edited.base_scores[0] = nan;
+  ExpectRejected(edited);
+}
+
+// A descent must stay inside its own tree: a child pair that reaches into
+// the next tree, or past the last node, is rejected.
+TEST(SerializationTest, GbdtRejectsChildOutsideItsTree) {
+  const FlatStream saved = SavedStream();
+  const size_t end = saved.TreeEnd(0);
+  size_t last = end;
+  for (size_t i = 0; i < end; ++i) {
+    if (saved.IsSplit(i)) last = i;
+  }
+  ASSERT_LT(last, end);
+  // The right child lands on the second tree's root; then both children
+  // sit in the second tree.
+  for (const size_t left : {end - 1, end}) {
+    FlatStream edited = saved;
+    edited.nodes[last].left = static_cast<int32_t>(left);
+    ExpectRejected(edited);
+  }
+  // In the last tree: the right child one past the last node, and a left
+  // index whose right child overflows int32.
+  const size_t final_root = static_cast<size_t>(saved.roots.back());
+  ASSERT_TRUE(saved.IsSplit(final_root));
+  for (const int32_t left :
+       {static_cast<int32_t>(saved.nodes.size() - 1),
+        std::numeric_limits<int32_t>::max()}) {
+    FlatStream edited = saved;
+    edited.nodes[final_root].left = left;
+    ExpectRejected(edited);
+  }
+  // A one-node tree whose split takes the next tree's two nodes as its
+  // children: every node is claimed once, but two trees share nodes.
+  FlatStream edited = saved;
+  edited.AppendTree({Split(1), kLeaf, kLeaf});
+  ASSERT_TRUE(Loads(edited.Bytes()));
+  edited = saved;
+  edited.AppendTree({Split(1)});
+  edited.AppendTree({kLeaf, kLeaf});
+  ExpectRejected(edited);
+}
+
+// Every node of a tree is its root or some split's child.
+TEST(SerializationTest, GbdtRejectsUnreachableNodeInsideATree) {
+  const FlatStream saved = SavedStream();
+  // A split whose children are both leaves becomes a leaf, stranding them.
+  size_t split = 0;
+  while (split < saved.nodes.size() &&
+         !(saved.IsSplit(split) &&
+           !saved.IsSplit(static_cast<size_t>(saved.nodes[split].left)) &&
+           !saved.IsSplit(static_cast<size_t>(saved.nodes[split].left) + 1))) {
+    ++split;
+  }
+  ASSERT_LT(split, saved.nodes.size());
+  FlatStream edited = saved;
+  edited.nodes[split].feature = -1;
+  ExpectRejected(edited);
+  // A stray leaf appended to the last tree's range.
+  edited = saved;
+  edited.nodes.push_back(FlatNode{-1, 0.0f, -1});
+  edited.values.push_back(0.0);
+  ExpectRejected(edited);
+}
+
+TEST(SerializationTest, GbdtRejectsRootsThatDoNotStartAtZeroOrAscend) {
+  const FlatStream saved = SavedStream();
+  ASSERT_GE(saved.roots.size(), 3u);
+  FlatStream edited = saved;
+  edited.roots[0] = 1;
+  ExpectRejected(edited);
+  // A leaf before the first root, and every tree moved past it. As a tree
+  // of its own, the leaf would load.
+  edited = saved;
+  edited.PrependOrphanLeaf();
+  ExpectRejected(edited);
+  edited.roots.insert(edited.roots.begin(), 0);
+  ASSERT_TRUE(Loads(edited.Bytes()));
+  edited = saved;
+  edited.roots[1] = edited.roots[0];  // An empty first tree.
+  ExpectRejected(edited);
+  // An empty tree between two others, and one after the last node, whose
+  // root would be read one past the array.
+  edited = saved;
+  edited.roots.insert(edited.roots.begin() + 1, saved.roots[1]);
+  ExpectRejected(edited);
+  edited = saved;
+  edited.roots.push_back(static_cast<int32_t>(saved.nodes.size()));
+  ExpectRejected(edited);
+  edited = saved;
+  std::swap(edited.roots[1], edited.roots[2]);
+  ExpectRejected(edited);
+  edited = saved;
+  edited.roots[1] = -1;
+  ExpectRejected(edited);
+  edited = saved;
+  edited.roots.back() = static_cast<int32_t>(saved.nodes.size());
+  ExpectRejected(edited);
+  edited = saved;
+  edited.roots.clear();  // Nodes that belong to no tree.
+  ExpectRejected(edited);
+}
+
+// Tree t adds into output t % num_outputs, so a two-output model holds an
+// even number of trees.
+TEST(SerializationTest, GbdtRejectsTreeCountNotAMultipleOfTheOutputs) {
+  GbdtConfig config;
+  config.num_rounds = 5;
+  FlatStream saved = FlatStream::Of(GbdtModel::Train(
+      LinearDataset(300, 23), *MakeGaussianNllLoss(), config));
+  ASSERT_EQ(saved.base_scores.size(), 2u);
+  saved.AppendTree({kLeaf});
+  ExpectRejected(saved);
+  saved.AppendTree({kLeaf});
+  EXPECT_TRUE(Loads(saved.Bytes()));
+}
+
+TEST(SerializationTest, GbdtRejectsLeafValueArrayOfTheWrongLength) {
+  const FlatStream saved = SavedStream();
+  FlatStream edited = saved;
+  edited.values.pop_back();
+  ExpectRejected(edited);
+  edited = saved;
+  edited.values.push_back(0.0);
+  ExpectRejected(edited);
+}
+
+// Version 1 streamed each tree as its own vector of 24-byte nodes. A
+// well-formed v1 stream of a one-tree model fails cleanly, as does a v2
+// body behind a v1 header.
+TEST(SerializationTest, GbdtRejectsVersionOneStream) {
+  std::stringstream v1;
+  WriteHeader(v1, kSgbtMagic, 1);
+  WritePod<int32_t>(v1, 3);                    // num_features.
+  WritePod<int32_t>(v1, 1);                    // num_outputs.
+  WriteVector(v1, std::vector<double>{0.5});   // Base scores.
+  WritePod<uint64_t>(v1, 1);                   // Rounds.
+  WriteVector(v1, RegressionTree::Constant(2.0).nodes());
+  ExpectRejected(v1.str());
+  FlatStream relabeled = SavedStream();
+  relabeled.version = 1;
+  ExpectRejected(relabeled);
+}
+
+// GbdtTest.EmptyDatasetYieldsBaseOnlyModel's model has no tree at all: its
+// stream carries empty root, node and value arrays, and it must load.
+TEST(SerializationTest, GbdtBaseOnlyModelRoundTrips) {
+  const Dataset empty(2);
+  const GbdtModel model =
+      GbdtModel::Train(empty, *MakeSquaredLoss(), GbdtConfig{});
+  ASSERT_EQ(model.rounds_used(), 0);
+  std::stringstream buffer;
+  model.Save(buffer);
+
+  GbdtConfig config;
+  config.num_rounds = 10;
+  GbdtModel restored =
+      GbdtModel::Train(LinearDataset(100, 5), *MakeSquaredLoss(), config);
+  ASSERT_TRUE(restored.Load(buffer));
+  EXPECT_EQ(restored.num_features(), 2);
+  EXPECT_EQ(restored.num_outputs(), 1);
+  EXPECT_EQ(restored.rounds_used(), 0);
+  EXPECT_EQ(restored.flat().num_nodes(), 0u);
+  const float row[2] = {0.0f, 0.0f};
+  EXPECT_EQ(restored.PredictScalar(row), model.PredictScalar(row));
+  std::stringstream resaved;
+  restored.Save(resaved);
+  EXPECT_EQ(resaved.str(), buffer.str());
 }
 
 }  // namespace

@@ -300,6 +300,32 @@ TEST(LocalModelTest, SaveLoadPreservesMaeMember) {
   }
 }
 
+// The MAE member is a whole GbdtModel, so it counts toward the model's
+// bytes, which feed the fleet's resident budget and Fig. 9. Both models
+// below train the same NLL ensemble on the same pool, so the member is the
+// difference; a restored model counts it too.
+TEST(LocalModelTest, MemoryBytesCountsTheMaeMember) {
+  Rng rng(37);
+  TrainingPool pool(SmallPool(200));
+  for (int i = 0; i < 200; ++i) {
+    pool.Add(MakeFeatures(static_cast<float>(rng.NextDouble() * 2)),
+             rng.NextLogNormal(0.5, 0.6));
+  }
+  LocalModel without(FastLocalConfig());
+  without.Train(pool);
+  LocalModelConfig config = FastLocalConfig();
+  config.include_mae_member = true;
+  LocalModel with(config);
+  with.Train(pool);
+  EXPECT_GT(with.MemoryBytes(), without.MemoryBytes());
+
+  std::stringstream buffer;
+  with.Save(buffer);
+  LocalModel restored(FastLocalConfig());
+  ASSERT_TRUE(restored.Load(buffer));
+  EXPECT_EQ(restored.MemoryBytes(), with.MemoryBytes());
+}
+
 // Version-1 local-model checkpoints (no MAE member fields) must remain
 // loadable, with the member disabled. A v1 stream is reconstructed from a
 // v2 no-member save: patch the version word and drop the two v2-only

@@ -3,10 +3,10 @@
 # a disassembly check that the nn kernels contain no fused multiply-add and
 # start on 64-byte boundaries, an explicit run of the checkpoint corruption
 # fault-injection suite under ASan (truncations and bit flips must fail
-# loads cleanly — no crash, no OOM, no half-trained model), the pinned
-# golden routing replay, a structural check of the stage_sim stats
-# Prometheus exposition, and short runs of the serving benchmark
-# (perfbench/) whose output checks must pass.
+# loads cleanly — no crash, no OOM, no half-trained model), the GBT loader
+# suite under an address-space cap, the pinned golden routing replay, a
+# structural check of the stage_sim stats Prometheus exposition, and short
+# runs of the serving benchmark (perfbench/) whose output checks must pass.
 # Run from anywhere; builds live next to the source tree as
 # build-check-{release,asan,tsan,perfbench}.
 #
@@ -33,6 +33,14 @@ build_and_test() {
 }
 
 build_and_test release ""
+
+# The GBT loader suite again under a ~2 GB address-space cap, so a loader
+# that sizes an allocation from an unchecked count fails fast instead of
+# paging. The ASan lane cannot take the cap: ASan reserves far more address
+# space than that for its shadow memory.
+echo "=== [release] GBT loader suite under a 2 GB address-space cap ==="
+(ulimit -v 2000000; "${repo_root}/build-check-release/tests/gbt_test" \
+  --gtest_filter='SerializationTest.*')
 
 # The nn kernels' bit-exactness contract (src/stage/nn/gemm.h) needs every
 # multiply and add rounded on its own; stage_nn is built with
