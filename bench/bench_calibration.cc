@@ -18,16 +18,18 @@
 //      accuracy.
 //   4. Hot-path overhead: warm-service single-prediction p50, flag-off vs
 //      flag-on (one extra relaxed atomic load + multiply on the local
-//      path). GATE: p50 delta <= 3%.
+//      path). Each stack is built once, then both are timed in rounds that
+//      alternate which side goes first. GATE: the median of the per-round
+//      p50 ratios (on / off) is at most 1.03.
 //
 // Results land in BENCH_calibration.json (with a "gates" object, same
 // shape as BENCH_wlm_closed_loop.json). STAGE_BENCH_FAST=1 shrinks the
 // workload for the tools/check.sh smoke lane.
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "bench_common.h"
@@ -105,23 +107,34 @@ ReplayOutcome ReplayWithConfig(const core::StagePredictorConfig& config,
   return outcome;
 }
 
-// Warm-service single-prediction latencies (phase 4), bench_serve_overhead
-// pattern: replay once to train/fill, then time bare Predicts.
-std::vector<double> PredictNanos(const core::StagePredictorConfig& config,
-                                 const fleet::InstanceTrace& instance,
-                                 const std::vector<core::QueryContext>& contexts,
-                                 const global::GlobalModel* global_model) {
+// A warm service stack for phase 4, bench_serve_overhead pattern: replayed
+// once to train and fill before any timing.
+std::unique_ptr<fleet_serve::TenantStack> WarmStack(
+    const core::StagePredictorConfig& config,
+    const fleet::InstanceTrace& instance,
+    const std::vector<core::QueryContext>& contexts,
+    const global::GlobalModel* global_model) {
   fleet_serve::TenantStackConfig stack_config;
   stack_config.predictor = config;
   stack_config.cache_shards = 8;
   core::StagePredictorOptions options;
   options.global_model = global_model;
   options.instance = &instance.config;
-  fleet_serve::TenantStack stack(stack_config, options);
+  auto stack = std::make_unique<fleet_serve::TenantStack>(stack_config, options);
   for (size_t i = 0; i < contexts.size(); ++i) {
-    stack.Predict(contexts[i]);
-    stack.Observe(contexts[i], instance.trace[i].exec_seconds);
+    stack->Predict(contexts[i]);
+    stack->Observe(contexts[i], instance.trace[i].exec_seconds);
   }
+  return stack;
+}
+
+// The p50 of one timed pass of bare Predicts over `contexts`. An untimed
+// pass runs first, so every timed pass starts hot whichever stack ran just
+// before it (alternating the order alone leaves the side that runs second
+// in a round cold).
+double PredictP50Nanos(const fleet_serve::TenantStack& stack,
+                       const std::vector<core::QueryContext>& contexts) {
+  for (const core::QueryContext& context : contexts) stack.Predict(context);
   std::vector<double> nanos;
   nanos.reserve(contexts.size());
   for (const core::QueryContext& context : contexts) {
@@ -131,7 +144,7 @@ std::vector<double> PredictNanos(const core::StagePredictorConfig& config,
                         std::chrono::steady_clock::now() - start)
                         .count());
   }
-  return nanos;
+  return Quantile(nanos, 0.5);
 }
 
 void PrintCoverageTable(const calib::CalibrationReport& pre,
@@ -286,27 +299,44 @@ int main() {
   add_mix("flag-on", on_outcome);
   std::printf("%s", mix.Render().c_str());
 
-  // -- Phase 4: warm hot-path p50, flag-off vs flag-on. Three repetitions,
-  // best p50 of each side, to keep the 3% gate out of scheduler-noise
-  // territory.
-  double p50_off = 0.0;
-  double p50_on = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    std::vector<double> off_nanos = PredictNanos(
-        flag_off, instances[0], MakeContexts(instances[0]), &global_model);
-    std::vector<double> on_nanos =
-        PredictNanos(CalibratedConfig(), instances[0],
-                     MakeContexts(instances[0]), &global_model);
-    const double off_p50 = Quantile(off_nanos, 0.5);
-    const double on_p50 = Quantile(on_nanos, 0.5);
-    p50_off = rep == 0 ? off_p50 : std::min(p50_off, off_p50);
-    p50_on = rep == 0 ? on_p50 : std::min(p50_on, on_p50);
+  // -- Phase 4: warm hot-path p50, flag-off vs flag-on. Both stacks are
+  // built and warmed once, then timed in alternating order round by round,
+  // so host drift lands on both sides of each round's ratio; the gate reads
+  // the median ratio.
+  constexpr int kOverheadRounds = 15;
+  const std::vector<core::QueryContext> overhead_contexts =
+      MakeContexts(instances[0]);
+  const auto off_stack =
+      WarmStack(flag_off, instances[0], overhead_contexts, &global_model);
+  const auto on_stack = WarmStack(CalibratedConfig(), instances[0],
+                                  overhead_contexts, &global_model);
+  std::vector<double> off_p50s;
+  std::vector<double> on_p50s;
+  std::vector<double> ratios;
+  for (int round = 0; round < kOverheadRounds; ++round) {
+    double off_p50 = 0.0;
+    double on_p50 = 0.0;
+    if (round % 2 == 0) {
+      off_p50 = PredictP50Nanos(*off_stack, overhead_contexts);
+      on_p50 = PredictP50Nanos(*on_stack, overhead_contexts);
+    } else {
+      on_p50 = PredictP50Nanos(*on_stack, overhead_contexts);
+      off_p50 = PredictP50Nanos(*off_stack, overhead_contexts);
+    }
+    off_p50s.push_back(off_p50);
+    on_p50s.push_back(on_p50);
+    ratios.push_back(on_p50 / off_p50);
   }
-  const double p50_delta_pct = 100.0 * (p50_on - p50_off) / p50_off;
-  const bool overhead_gate = p50_on <= 1.03 * p50_off;
-  std::printf("\n== Warm predict p50: %.0f ns off, %.0f ns on "
-              "(%+.2f%%, budget +3%% -> %s) ==\n",
-              p50_off, p50_on, p50_delta_pct, overhead_gate ? "OK" : "FAIL");
+  const double p50_off = Quantile(off_p50s, 0.5);
+  const double p50_on = Quantile(on_p50s, 0.5);
+  const double median_ratio = Quantile(ratios, 0.5);
+  const double p50_delta_pct = 100.0 * (median_ratio - 1.0);
+  const bool overhead_gate = median_ratio <= 1.03;
+  std::printf("\n== Warm predict p50: %.0f ns off, %.0f ns on; median "
+              "per-round ratio %+.2f%% over %d rounds (budget +3%% -> %s) "
+              "==\n",
+              p50_off, p50_on, p50_delta_pct, kOverheadRounds,
+              overhead_gate ? "OK" : "FAIL");
 
   std::FILE* json = std::fopen("BENCH_calibration.json", "w");
   if (json == nullptr) {
@@ -335,11 +365,17 @@ int main() {
   std::fprintf(json,
                "\n  },\n"
                "  \"overhead\": {\"predict_p50_ns_off\": %.1f, "
-               "\"predict_p50_ns_on\": %.1f, \"p50_delta_pct\": %.3f},\n"
+               "\"predict_p50_ns_on\": %.1f, \"p50_delta_pct\": %.3f, "
+               "\"round_ratios\": [",
+               p50_off, p50_on, p50_delta_pct);
+  for (size_t round = 0; round < ratios.size(); ++round) {
+    std::fprintf(json, "%s%.4f", round > 0 ? ", " : "", ratios[round]);
+  }
+  std::fprintf(json,
+               "]},\n"
                "  \"gates\": {\"calibrated_coverage_better\": %s, "
                "\"p50_overhead_within_budget\": %s}\n"
                "}\n",
-               p50_off, p50_on, p50_delta_pct,
                coverage_gate ? "true" : "false",
                overhead_gate ? "true" : "false");
   std::fclose(json);

@@ -2,9 +2,10 @@
 // and the histogram-subtraction trainer against the original node-vector
 // walk. The baseline below replicates the pre-rewrite predict path exactly
 // (one heap-allocated result vector per member per call, two levels of
-// vector indirection per tree); the flat path is the production
-// PredictInto/PredictBatch code. Emits machine-readable
-// BENCH_gbt_hot_path.json in the working directory.
+// vector indirection per tree); the flat path is the production one-row
+// BayesianGbtEnsemble::Predict, the only GBT inference path (each member's
+// 8-lane PredictInto walk). Emits machine-readable BENCH_gbt_hot_path.json
+// in the working directory.
 //
 // STAGE_BENCH_FAST=1 shrinks the workload for CI smoke runs.
 #include <algorithm>
@@ -57,8 +58,6 @@ struct BenchConfig {
   int num_members = 10;
   int num_rounds = 200;
   int single_row_iters = 3000;
-  int batch_rows = 8192;
-  int batch_iters = 8;
   int alloc_probe_iters = 256;
 };
 
@@ -71,8 +70,6 @@ BenchConfig MakeBenchConfig() {
     config.num_members = 4;
     config.num_rounds = 30;
     config.single_row_iters = 300;
-    config.batch_rows = 1024;
-    config.batch_iters = 2;
     config.alloc_probe_iters = 64;
   }
   return config;
@@ -206,19 +203,6 @@ LatencyStats MeasureSingleRow(const BenchConfig& config,
   return stats;
 }
 
-// Best-of-N rows/sec for one full pass over the batch matrix.
-template <typename Fn>
-double MeasureBatch(const BenchConfig& config, size_t num_rows, Fn&& run) {
-  double best = 0.0;
-  for (int i = 0; i < config.batch_iters; ++i) {
-    const auto start = std::chrono::steady_clock::now();
-    run();
-    const double seconds = SecondsSince(start);
-    best = std::max(best, static_cast<double>(num_rows) / seconds);
-  }
-  return best;
-}
-
 template <typename Fn>
 double AllocationsPerCall(int iters, Fn&& call) {
   g_allocations.store(0, std::memory_order_relaxed);
@@ -282,33 +266,6 @@ int main() {
               baseline.p50_ns, flat.p50_ns, single_row_speedup,
               baseline.p99_ns, flat.p99_ns);
 
-  // -- Batch throughput ------------------------------------------------
-  const size_t batch_rows =
-      std::min(static_cast<size_t>(config.batch_rows),
-               rows.size() / config.num_features);
-  std::vector<gbt::BayesianGbtEnsemble::Prediction> batch_out(batch_rows);
-  const double baseline_rows_per_sec =
-      MeasureBatch(config, batch_rows, [&] {
-        for (size_t r = 0; r < batch_rows; ++r) {
-          batch_out[r] = BaselineEnsemblePredict(
-              baseline_members, rows.data() + r * config.num_features);
-        }
-      });
-  checksum += batch_out[batch_rows / 2].mean;
-  const double flat_rows_per_sec = MeasureBatch(config, batch_rows, [&] {
-    ensemble.PredictBatch(rows.data(), batch_rows,
-                          static_cast<size_t>(config.num_features), batch_out,
-                          &ThreadPool::Shared());
-  });
-  checksum += batch_out[batch_rows / 2].mean;
-  const double batch_speedup =
-      baseline_rows_per_sec > 0.0 ? flat_rows_per_sec / baseline_rows_per_sec
-                                  : 0.0;
-  std::printf("batch (%zu rows): baseline %.0f rows/s, flat %.0f rows/s "
-              "(%.2fx, pool of %zu)\n",
-              batch_rows, baseline_rows_per_sec, flat_rows_per_sec,
-              batch_speedup, ThreadPool::Shared().num_threads());
-
   // -- Allocations per predict ----------------------------------------
   const float* probe_row = rows.data();
   const double baseline_allocs =
@@ -342,9 +299,6 @@ int main() {
                "\"flat_mean_ns\": %.1f,\n"
                "    \"speedup_p50\": %.3f\n"
                "  },\n"
-               "  \"batch\": {\"rows\": %zu, "
-               "\"baseline_rows_per_sec\": %.1f, "
-               "\"flat_rows_per_sec\": %.1f, \"speedup\": %.3f},\n"
                "  \"allocations_per_predict\": "
                "{\"baseline\": %.2f, \"flat\": %.2f}\n"
                "}\n",
@@ -353,9 +307,8 @@ int main() {
                ThreadPool::Shared().num_threads(), member_train_seconds,
                ensemble_train_seconds, member.rounds_used(), baseline.p50_ns,
                baseline.p99_ns, baseline.mean_ns, flat.p50_ns, flat.p99_ns,
-               flat.mean_ns, single_row_speedup, batch_rows,
-               baseline_rows_per_sec, flat_rows_per_sec, batch_speedup,
-               baseline_allocs, flat_allocs);
+               flat.mean_ns, single_row_speedup, baseline_allocs,
+               flat_allocs);
   std::fclose(json);
   std::printf("wrote BENCH_gbt_hot_path.json\n");
   return 0;

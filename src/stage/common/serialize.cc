@@ -27,11 +27,4 @@ bool ReadHeader(std::istream& in, uint32_t magic, uint32_t expected_version) {
   return file_magic == magic && file_version == expected_version;
 }
 
-bool ReadHeaderVersion(std::istream& in, uint32_t magic,
-                       uint32_t* version_out) {
-  uint32_t file_magic = 0;
-  if (!ReadPod(in, &file_magic) || !ReadPod(in, version_out)) return false;
-  return file_magic == magic;
-}
-
 }  // namespace stage

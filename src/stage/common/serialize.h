@@ -69,11 +69,6 @@ bool ReadVector(std::istream& in, std::vector<T>* values,
 void WriteHeader(std::ostream& out, uint32_t magic, uint32_t version);
 bool ReadHeader(std::istream& in, uint32_t magic, uint32_t expected_version);
 
-// Like ReadHeader, but accepts any version and returns it through
-// `version_out`, so callers can keep loading older checkpoint formats.
-bool ReadHeaderVersion(std::istream& in, uint32_t magic,
-                       uint32_t* version_out);
-
 }  // namespace stage
 
 #endif  // STAGE_COMMON_SERIALIZE_H_

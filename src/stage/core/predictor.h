@@ -2,9 +2,7 @@
 #define STAGE_CORE_PREDICTOR_H_
 
 #include <cstdint>
-#include <span>
 #include <string_view>
-#include <vector>
 
 #include "stage/plan/featurizer.h"
 #include "stage/plan/plan.h"
@@ -54,12 +52,13 @@ struct Prediction {
 // with the measured exec-time (which feeds caches/training pools).
 //
 // Thread-safety contract. The interface is split into a const read path
-// (Predict / PredictBatch) and a mutating write path (Observe):
+// (Predict, one query per call, as the paper calls Stage once per query at
+// admission) and a mutating write path (Observe):
 //
-//  * Predict / PredictBatch are `const` and must not mutate any state that
-//    affects future predictions. Implementations may update bookkeeping
-//    counters (hit/miss, attribution) from the read path, but only through
-//    atomics, so concurrent Predict calls never race with *each other*.
+//  * Predict is `const` and must not mutate any state that affects future
+//    predictions. Implementations may update bookkeeping counters
+//    (hit/miss, attribution) from the read path, but only through atomics,
+//    so concurrent Predict calls never race with *each other*.
 //  * Observe mutates model state (caches, training pools, retraining).
 //    Whether it may race Predict is up to the implementation: AutoWlm
 //    requires external serialization, while StagePredictor layers
@@ -70,18 +69,6 @@ class ExecTimePredictor {
   virtual ~ExecTimePredictor() = default;
 
   virtual Prediction Predict(const QueryContext& query) const = 0;
-
-  // Batched read path. The default override is a plain loop over Predict;
-  // implementations with cheaper amortized lookups (shard-lock batching,
-  // vectorized ensembles) may specialize it. Must be semantically
-  // equivalent to calling Predict once per query, in order.
-  virtual std::vector<Prediction> PredictBatch(
-      std::span<const QueryContext> queries) const {
-    std::vector<Prediction> out;
-    out.reserve(queries.size());
-    for (const QueryContext& query : queries) out.push_back(Predict(query));
-    return out;
-  }
 
   virtual void Observe(const QueryContext& query, double exec_seconds) = 0;
   virtual std::string_view name() const = 0;

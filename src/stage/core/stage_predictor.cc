@@ -82,8 +82,7 @@ const StagePredictorConfig& Validated(const StagePredictorConfig& config) {
   return config;
 }
 
-// Mirrors a final routing outcome into `trace` (no-op when null); finishes
-// the trace of an escalated query once its global seconds are known.
+// Mirrors the final routing outcome into `trace` (no-op when null).
 void CompleteTrace(obs::PredictionTrace* trace, const Prediction& out) {
   if (trace == nullptr) return;
   trace->stage = static_cast<obs::TraceStage>(out.source);
@@ -95,25 +94,21 @@ void CompleteTrace(obs::PredictionTrace* trace, const Prediction& out) {
 // trained local model -> local unless it is uncertain about a long-running
 // query and a global model is usable; otherwise global (cold start) or the
 // cold-start default. `cached_seconds` is the already-made cache lookup;
-// `local` may be null or untrained. When the query escalates to the global
-// model it returns with out.source == kGlobal, out.seconds NOT yet
-// computed, and *needs_global = true: StagePredictor::Route fills them from
-// one GlobalModel::PredictBatch over the call's escalations, then calls
-// CompleteTrace. When `trace` is non-null the routing decision is recorded
-// into it; the shard and latency fields are the caller's job.
-// `uncertainty_scale` multiplies the local model's log_std before the
-// confidence check and in the reported uncertainty (the §4.8 conformal
-// correction); 1.0 — the only value the flag-off path passes — is
-// bit-for-bit identity.
+// `local` may be null or untrained. An escalated query is answered by
+// GlobalModel::PredictSeconds. When `trace` is non-null the routing
+// decision is recorded into it; the shard and latency fields are the
+// caller's job. `uncertainty_scale` multiplies the local model's log_std
+// before the confidence check and in the reported uncertainty (the §4.8
+// conformal correction); 1.0 — the only value the flag-off path passes —
+// is bit-for-bit identity.
 Prediction RouteHierarchical(const StagePredictorConfig& config,
                              const QueryContext& query,
                              std::optional<double> cached_seconds,
                              const local::LocalModel* local,
                              const global::GlobalModel* global_model,
                              const fleet::InstanceConfig* instance,
-                             bool* needs_global, obs::PredictionTrace* trace,
+                             obs::PredictionTrace* trace,
                              double uncertainty_scale) {
-  *needs_global = false;
   Prediction out;
   if (trace != nullptr) {
     trace->short_running_threshold = config.short_running_seconds;
@@ -158,22 +153,19 @@ Prediction RouteHierarchical(const StagePredictorConfig& config,
       return out;
     }
     // Stage 3: the local model is uncertain about a long-running query.
-    // Seconds deferred to the caller's GlobalModel call.
-    out.source = PredictionSource::kGlobal;
-    *needs_global = true;
     if (trace != nullptr) trace->escalated = true;
+  } else if (!global_available) {
+    out.seconds = kColdStartDefaultSeconds;
+    out.source = PredictionSource::kDefault;
+    CompleteTrace(trace, out);
     return out;
   }
-
-  // Cold start: no local model yet. The transferable global model covers
-  // new instances until enough local training data accumulates.
-  if (global_available) {
-    out.source = PredictionSource::kGlobal;
-    *needs_global = true;
-    return out;
-  }
-  out.seconds = kColdStartDefaultSeconds;
-  out.source = PredictionSource::kDefault;
+  // Escalation, or a cold start: no local model yet, and the transferable
+  // global model covers new instances until enough local training data
+  // accumulates.
+  out.seconds = global_model->PredictSeconds(*query.plan, *instance,
+                                             query.concurrent_queries);
+  out.source = PredictionSource::kGlobal;
   CompleteTrace(trace, out);
   return out;
 }
@@ -281,92 +273,6 @@ void StagePredictor::RegisterMetrics() {
       [] { return ThreadPool::Shared().tasks_run(); });
 }
 
-namespace {
-
-// Per-thread working storage of StagePredictor::Route, reused across
-// calls: allocation-free once a thread has served its largest batch.
-struct RouteScratch {
-  struct Routed {
-    uint64_t nanos = 0;  // Cache probe + routing.
-    bool escalated = false;
-  };
-  std::vector<Routed> routed;                   // One per query.
-  std::vector<global::GlobalQuery> escalations;  // In query order.
-  std::vector<double> global_seconds;            // One per escalation.
-};
-
-RouteScratch& TlsRouteScratch() {
-  thread_local RouteScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
-void StagePredictor::Route(std::span<const QueryContext> queries,
-                           std::span<Prediction> out,
-                           std::span<obs::PredictionTrace> traces) const {
-  RouteScratch& scratch = TlsRouteScratch();
-  scratch.routed.resize(queries.size());
-  scratch.escalations.clear();
-
-  // Phase 1: cache probe + local routing, escalations deferred. The model
-  // snapshot and the conformal scale are taken once, before the first
-  // probe: every query routes against one model, which cannot be freed
-  // mid-call, under one correction even if an Observe refreshes it.
-  const std::shared_ptr<const local::LocalModel> local =
-      local_model_snapshot();
-  const double scale = conformal_scale();
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const QueryContext& query = queries[i];
-    const auto start = std::chrono::steady_clock::now();
-    bool escalated = false;
-    out[i] = RouteHierarchical(
-        config_, query, cache_.Predict(query.feature_hash), local.get(),
-        options_.global_model, options_.instance, &escalated,
-        traces.empty() ? nullptr : &traces[i], scale);
-    if (escalated) {
-      scratch.escalations.push_back({query.plan, query.concurrent_queries});
-    }
-    scratch.routed[i] = {ElapsedNanos(start), escalated};
-  }
-
-  // Phase 2: one level-order global pass over every escalation. Each
-  // escalated query is charged an equal share (the per-query split inside
-  // one GEMM is unknowable).
-  uint64_t global_share = 0;
-  if (!scratch.escalations.empty()) {
-    const size_t count = scratch.escalations.size();
-    scratch.global_seconds.resize(count);
-    const auto global_start = std::chrono::steady_clock::now();
-    options_.global_model->PredictBatch(
-        scratch.escalations, *options_.instance, scratch.global_seconds,
-        count > 1 ? &ThreadPool::Shared() : nullptr);
-    global_share = ElapsedNanos(global_start) / count;
-  }
-
-  // Phase 3: attribution, per-stage latency, traces and routing metrics,
-  // in query order.
-  size_t next_escalation = 0;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const RouteScratch::Routed& routed = scratch.routed[i];
-    uint64_t nanos = routed.nanos;
-    if (routed.escalated) {
-      out[i].seconds = scratch.global_seconds[next_escalation++];
-      nanos += global_share;
-    }
-    source_counts_[static_cast<int>(out[i].source)].fetch_add(
-        1, std::memory_order_relaxed);
-    predict_latency_.Record(static_cast<size_t>(out[i].source), nanos);
-    if (traces.empty()) continue;
-    obs::PredictionTrace& trace = traces[i];
-    if (routed.escalated) CompleteTrace(&trace, out[i]);
-    trace.cache_shard =
-        static_cast<uint32_t>(queries[i].feature_hash % cache_.num_shards());
-    trace.total_nanos = nanos;
-    if (routing_metrics_.enabled()) routing_metrics_.Record(trace);
-  }
-}
-
 Prediction StagePredictor::Predict(const QueryContext& query) const {
   return PredictTraced(query, nullptr);
 }
@@ -377,19 +283,27 @@ Prediction StagePredictor::PredictTraced(const QueryContext& query,
   // traces every query.
   obs::PredictionTrace metered;
   if (trace == nullptr && routing_metrics_.enabled()) trace = &metered;
-  Prediction out;
-  Route({&query, 1}, {&out, 1},
-        trace == nullptr ? std::span<obs::PredictionTrace>()
-                         : std::span<obs::PredictionTrace>(trace, 1));
-  return out;
-}
+  const auto start = std::chrono::steady_clock::now();
+  const std::optional<double> cached = cache_.Predict(query.feature_hash);
+  // A hit never reads the model, so only a miss takes the snapshot (a lock
+  // and a reference count) and the conformal scale. The snapshot keeps the
+  // model alive through the call even if a retrain swaps it meanwhile.
+  const std::shared_ptr<const local::LocalModel> local =
+      cached ? nullptr : local_model_snapshot();
+  const Prediction out = RouteHierarchical(
+      config_, query, cached, local.get(), options_.global_model,
+      options_.instance, trace, cached ? 1.0 : conformal_scale());
+  const uint64_t nanos = ElapsedNanos(start);
 
-std::vector<Prediction> StagePredictor::PredictBatch(
-    std::span<const QueryContext> queries) const {
-  std::vector<Prediction> out(queries.size());
-  std::vector<obs::PredictionTrace> traces(
-      routing_metrics_.enabled() ? queries.size() : 0);
-  Route(queries, out, traces);
+  source_counts_[static_cast<int>(out.source)].fetch_add(
+      1, std::memory_order_relaxed);
+  predict_latency_.Record(static_cast<size_t>(out.source), nanos);
+  if (trace != nullptr) {
+    trace->cache_shard =
+        static_cast<uint32_t>(query.feature_hash % cache_.num_shards());
+    trace->total_nanos = nanos;
+    if (routing_metrics_.enabled()) routing_metrics_.Record(*trace);
+  }
   return out;
 }
 

@@ -7,7 +7,6 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -84,16 +83,16 @@ struct StagePredictorOptions {
 // is due and leaves scheduling to the caller (FleetService's fairness-capped
 // workers).
 //
-// Predict, PredictTraced and PredictBatch are one routine over a span of
-// queries (one query for the first two), in three phases: route each query
-// through the cache and the local model with escalation deferred, run ONE
-// GlobalModel::PredictBatch over the escalations, then record attribution,
-// per-stage latency, traces and routing metrics in query order. A query
-// therefore routes, answers and reports the same whichever entry served it.
+// One read routine serves one query, as the paper calls Stage once per
+// query at admission: PredictTraced probes the cache, routes a miss through
+// the local model, answers an escalation with GlobalModel::PredictSeconds,
+// then records attribution, per-stage latency, the trace and the routing
+// metrics. Predict is PredictTraced without a trace, so a query routes,
+// answers and reports the same whichever entry served it.
 //
 // Concurrency contract:
-//  * Predict / PredictBatch / PredictTraced are const, never block on
-//    training, and are safe against each other and against Observe.
+//  * Predict / PredictTraced are const, never block on training, and are
+//    safe against each other and against Observe.
 //  * Observe is serialized internally (multiple writer sessions are safe).
 //  * SaveState pauses writers (not readers) for a consistent cut; LoadState
 //    must not race anything — restore before serving starts.
@@ -115,19 +114,13 @@ class StagePredictor : public ExecTimePredictor {
   StagePredictor(const StagePredictor&) = delete;
   StagePredictor& operator=(const StagePredictor&) = delete;
 
-  // Allocation-free once this thread's scratch is warm.
+  // PredictTraced without a trace. Allocation-free once this thread's
+  // global-model scratch is warm.
   Prediction Predict(const QueryContext& query) const override;
 
-  // The same routine over the whole span: its escalations share one
-  // global pass (on ThreadPool::Shared() when there are several), and each
-  // is charged an equal share of that pass's latency. Bit-for-bit equal to
-  // calling Predict once per query, in order (the base-class contract).
-  std::vector<Prediction> PredictBatch(
-      std::span<const QueryContext> queries) const override;
-
-  // Predict with the routing decision recorded into `trace` (stage reached,
-  // thresholds crossed, uncertainty, cache shard, total latency in ns).
-  // `trace` may be null, degrading to Predict.
+  // The read routine: routes one query and records the decision into
+  // `trace` (stage reached, thresholds crossed, uncertainty, cache shard,
+  // total latency in ns). `trace` may be null, degrading to Predict.
   Prediction PredictTraced(const QueryContext& query,
                            obs::PredictionTrace* trace) const;
 
@@ -220,11 +213,6 @@ class StagePredictor : public ExecTimePredictor {
                  const StagePredictorOptions& options, size_t cache_shards);
 
  private:
-  // The routine behind every predict entry. `out` has queries.size()
-  // slots; `traces` is empty or has one per query, and must be non-empty
-  // when routing metrics are enabled (they are recorded from the traces).
-  void Route(std::span<const QueryContext> queries, std::span<Prediction> out,
-             std::span<obs::PredictionTrace> traces) const;
   void RegisterMetrics();
   void PublishModel(std::shared_ptr<const local::LocalModel> fresh);
 

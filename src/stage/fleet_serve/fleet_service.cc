@@ -365,42 +365,24 @@ void FleetService::AccountResidentBytes(Entry& entry, size_t fresh_bytes) {
                             std::memory_order_relaxed);
 }
 
-template <typename PredictFn>
-auto FleetService::PredictPinned(TenantId tenant, size_t count,
-                                 bool* cold_activated, PredictFn predict) {
-  decltype(predict(std::declval<const TenantStack&>())) out;
-  {
-    OpGuard guard = AcquireWarm(tenant, cold_activated);
-    out = predict(*guard.stack);
-    guard.entry->predictions.fetch_add(count, std::memory_order_relaxed);
-  }
-  MaybeEnforceBudget();
-  return out;
-}
-
 core::Prediction FleetService::Predict(TenantId tenant,
                                        const core::QueryContext& query,
                                        bool* cold_activated) {
   return PredictTraced(tenant, query, nullptr, cold_activated);
 }
 
-std::vector<core::Prediction> FleetService::PredictBatch(
-    TenantId tenant, std::span<const core::QueryContext> queries,
-    bool* cold_activated) {
-  return PredictPinned(tenant, queries.size(), cold_activated,
-                       [queries](const TenantStack& stack) {
-                         return stack.PredictBatch(queries);
-                       });
-}
-
 core::Prediction FleetService::PredictTraced(TenantId tenant,
                                              const core::QueryContext& query,
                                              obs::PredictionTrace* trace,
                                              bool* cold_activated) {
-  return PredictPinned(tenant, 1, cold_activated,
-                       [&query, trace](const TenantStack& stack) {
-                         return stack.PredictTraced(query, trace);
-                       });
+  core::Prediction out;
+  {
+    OpGuard guard = AcquireWarm(tenant, cold_activated);
+    out = guard.stack->PredictTraced(query, trace);
+    guard.entry->predictions.fetch_add(1, std::memory_order_relaxed);
+  }
+  MaybeEnforceBudget();
+  return out;
 }
 
 void FleetService::Observe(TenantId tenant, const core::QueryContext& query,

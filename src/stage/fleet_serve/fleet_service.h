@@ -9,7 +9,6 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
-#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -115,15 +114,15 @@ class FleetService {
   bool IsRegistered(TenantId tenant) const;
   std::vector<TenantId> TenantIds() const;
 
-  // The serving API. Unknown tenants are fatal (registration is the
-  // admission decision; prediction is the hot path). All four activate a
-  // cold tenant on demand; `cold_activated`, when non-null, reports
-  // whether THIS call paid a cold activation (bench warm/cold split).
+  // The serving API, one query per call. Unknown tenants are fatal
+  // (registration is the admission decision; prediction is the hot path).
+  // All three activate a cold tenant on demand; `cold_activated`, when
+  // non-null, reports whether THIS call paid a cold activation (bench
+  // warm/cold split). Predict is PredictTraced without a trace: both pin
+  // the warm stack, run its PredictTraced, count the prediction for the
+  // tenant, then enforce the resident-bytes budget.
   core::Prediction Predict(TenantId tenant, const core::QueryContext& query,
                            bool* cold_activated = nullptr);
-  std::vector<core::Prediction> PredictBatch(
-      TenantId tenant, std::span<const core::QueryContext> queries,
-      bool* cold_activated = nullptr);
   core::Prediction PredictTraced(TenantId tenant,
                                  const core::QueryContext& query,
                                  obs::PredictionTrace* trace,
@@ -256,12 +255,6 @@ class FleetService {
   Entry* FindEntryLocked(TenantId tenant) const;
   // Returns a pinned warm stack for `tenant`, activating it if cold.
   OpGuard AcquireWarm(TenantId tenant, bool* cold_activated);
-  // The body of every predict entry: runs `predict` on the pinned warm
-  // stack, counts `count` predictions for the tenant, then enforces the
-  // resident-bytes budget.
-  template <typename PredictFn>
-  auto PredictPinned(TenantId tenant, size_t count, bool* cold_activated,
-                     PredictFn predict);
   // Like AcquireWarm but returns an empty guard instead of activating a
   // cold tenant (the retrain worker has no business waking evicted state).
   OpGuard TryAcquireWarm(TenantId tenant);

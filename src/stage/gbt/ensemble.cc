@@ -83,41 +83,6 @@ BayesianGbtEnsemble::Prediction BayesianGbtEnsemble::Predict(
   return out;
 }
 
-void BayesianGbtEnsemble::PredictBatch(const float* rows, size_t num_rows,
-                                       size_t row_stride,
-                                       std::span<Prediction> out,
-                                       ThreadPool* pool) const {
-  STAGE_CHECK(!members_.empty());
-  STAGE_DCHECK(out.size() == num_rows);
-  if (num_rows == 0) return;
-  const double k = static_cast<double>(members_.size());
-
-  // Accumulate the member moments in the output slots (mean holds the mu
-  // sum, model_variance the mu^2 sum, data_variance the sigma^2 sum) and
-  // finalize once. Members are visited in order, so every per-row
-  // accumulation happens in exactly Predict's order.
-  for (size_t r = 0; r < num_rows; ++r) out[r] = Prediction{};
-  std::vector<double> scratch(num_rows * kMemberOutputs);
-  for (const GbdtModel& member : members_) {
-    STAGE_DCHECK(member.num_outputs() == kMemberOutputs);
-    member.PredictBatch(rows, num_rows, row_stride, scratch, pool);
-    for (size_t r = 0; r < num_rows; ++r) {
-      const double mu = scratch[r * kMemberOutputs];
-      const double sigma_sq = ClampedVariance(scratch[r * kMemberOutputs + 1]);
-      out[r].mean += mu;
-      out[r].model_variance += mu * mu;
-      out[r].data_variance += sigma_sq;
-    }
-  }
-  for (size_t r = 0; r < num_rows; ++r) {
-    const double mean = out[r].mean / k;
-    out[r].mean = mean;
-    out[r].model_variance =
-        std::max(0.0, out[r].model_variance / k - mean * mean);
-    out[r].data_variance /= k;
-  }
-}
-
 size_t BayesianGbtEnsemble::MemoryBytes() const {
   size_t bytes = 0;
   for (const GbdtModel& member : members_) bytes += member.MemoryBytes();

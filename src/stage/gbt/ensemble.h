@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
-#include <span>
 #include <vector>
 
 #include "stage/common/thread_pool.h"
@@ -50,14 +49,6 @@ class BayesianGbtEnsemble {
   // Single-row ensemble prediction. Allocation-free: members predict into
   // stack storage via the compiled FlatForest path.
   Prediction Predict(const float* row) const;
-
-  // Batched ensemble prediction over row-major rows (`row_stride` floats
-  // apart). Members run their blocked FlatForest batch kernel over the
-  // whole matrix (on `pool` when non-null), then the per-row moments are
-  // combined exactly like Predict — results are bit-for-bit identical to
-  // calling Predict per row.
-  void PredictBatch(const float* rows, size_t num_rows, size_t row_stride,
-                    std::span<Prediction> out, ThreadPool* pool = nullptr) const;
 
   int num_members() const { return static_cast<int>(members_.size()); }
   const std::vector<GbdtModel>& members() const { return members_; }

@@ -1,6 +1,5 @@
 #include "stage/gbt/flat_forest.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -11,11 +10,6 @@
 namespace stage::gbt {
 
 namespace {
-// Rows per batch block: small enough that a block's outputs stay in L1
-// while the tree arrays stream through, large enough to amortize each
-// tree's root-to-leaf cold start across many rows.
-constexpr size_t kRowBlock = 64;
-
 // Node indices are int32, so no array of a forest can hold more entries.
 constexpr uint64_t kMaxEntries = std::numeric_limits<int32_t>::max();
 }  // namespace
@@ -122,55 +116,6 @@ double FlatForest::PredictScalar(const float* row) const {
     out += value_[Descend(roots_[t], row)];
   }
   return out;
-}
-
-void FlatForest::PredictBatch(const float* rows, size_t num_rows,
-                              size_t row_stride, std::span<double> out,
-                              ThreadPool* pool) const {
-  STAGE_DCHECK(out.size() == num_rows * static_cast<size_t>(num_outputs_));
-  if (num_rows == 0 || num_outputs_ == 0) return;
-
-  const auto run_block = [&](size_t block) {
-    const size_t begin = block * kRowBlock;
-    const size_t end = std::min(num_rows, begin + kRowBlock);
-    for (size_t r = begin; r < end; ++r) {
-      for (int p = 0; p < num_outputs_; ++p) {
-        out[r * num_outputs_ + p] = base_scores_[p];
-      }
-    }
-    // Trees outer, rows inner: each tree's nodes are touched once per
-    // block, not once per row. Rows descend four abreast — independent
-    // lanes over the same tree — to overlap the per-level load latency.
-    int p = 0;
-    for (const int32_t root : roots_) {
-      size_t r = begin;
-      for (; r + 4 <= end; r += 4) {
-        int32_t i0 = root;
-        int32_t i1 = root;
-        int32_t i2 = root;
-        int32_t i3 = root;
-        Descend4(rows + r * row_stride, rows + (r + 1) * row_stride,
-                 rows + (r + 2) * row_stride, rows + (r + 3) * row_stride,
-                 i0, i1, i2, i3);
-        out[r * num_outputs_ + p] += value_[i0];
-        out[(r + 1) * num_outputs_ + p] += value_[i1];
-        out[(r + 2) * num_outputs_ + p] += value_[i2];
-        out[(r + 3) * num_outputs_ + p] += value_[i3];
-      }
-      for (; r < end; ++r) {
-        out[r * num_outputs_ + p] +=
-            value_[Descend(root, rows + r * row_stride)];
-      }
-      if (++p == num_outputs_) p = 0;
-    }
-  };
-
-  const size_t num_blocks = (num_rows + kRowBlock - 1) / kRowBlock;
-  if (pool != nullptr && num_blocks > 1) {
-    pool->ParallelFor(num_blocks, run_block);
-  } else {
-    for (size_t block = 0; block < num_blocks; ++block) run_block(block);
-  }
 }
 
 double FlatForest::AddSplitCounts(std::span<double> counts) const {

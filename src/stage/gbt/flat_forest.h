@@ -8,7 +8,6 @@
 #include <span>
 #include <vector>
 
-#include "stage/common/thread_pool.h"
 #include "stage/gbt/tree.h"
 
 namespace stage::gbt {
@@ -54,16 +53,6 @@ class FlatForest {
 
   // Output 0 only, walking only that output's trees.
   double PredictScalar(const float* row) const;
-
-  // Blocked multi-row predict: rows are row-major with `row_stride` floats
-  // per row; `out` is row-major [num_rows x num_outputs()]. Rows are
-  // processed in cache-sized blocks with trees as the outer loop inside
-  // each block, so the node arrays stream once per block instead of once
-  // per row. When `pool` is non-null, blocks run on it in parallel
-  // (per-row results are independent, so the output is identical either
-  // way).
-  void PredictBatch(const float* rows, size_t num_rows, size_t row_stride,
-                    std::span<double> out, ThreadPool* pool = nullptr) const;
 
   // Adds each split's feature into `counts` (size > every split feature)
   // and returns the number of splits.
@@ -137,43 +126,6 @@ class FlatForest {
                    static_cast<int32_t>(
                        !(row[features[k]] <= nodes[idx[k]].threshold));
         }
-      }
-    }
-  }
-
-  // Four independent descents in lockstep (four trees over one row, or one
-  // tree over four rows). A single descent is a chain of dependent loads
-  // (each step's node address comes from the previous load), so a serial
-  // walk pays the full cache latency per level; four lanes in flight let
-  // the out-of-order core overlap those misses. Each lane takes exactly
-  // the steps Descend would, so the reached leaves are identical.
-  // i0..i3 hold the roots on entry and the leaves on return.
-  inline void Descend4(const float* row0, const float* row1,
-                       const float* row2, const float* row3, int32_t& i0,
-                       int32_t& i1, int32_t& i2, int32_t& i3) const {
-    const Node* nodes = nodes_.data();
-    for (;;) {
-      const int32_t f0 = nodes[i0].feature;
-      const int32_t f1 = nodes[i1].feature;
-      const int32_t f2 = nodes[i2].feature;
-      const int32_t f3 = nodes[i3].feature;
-      // All four sign bits set means every lane sits on a leaf.
-      if ((f0 & f1 & f2 & f3) < 0) return;
-      if (f0 >= 0) {
-        i0 = nodes[i0].left +
-             static_cast<int32_t>(!(row0[f0] <= nodes[i0].threshold));
-      }
-      if (f1 >= 0) {
-        i1 = nodes[i1].left +
-             static_cast<int32_t>(!(row1[f1] <= nodes[i1].threshold));
-      }
-      if (f2 >= 0) {
-        i2 = nodes[i2].left +
-             static_cast<int32_t>(!(row2[f2] <= nodes[i2].threshold));
-      }
-      if (f3 >= 0) {
-        i3 = nodes[i3].left +
-             static_cast<int32_t>(!(row3[f3] <= nodes[i3].threshold));
       }
     }
   }

@@ -431,12 +431,6 @@ double GbdtModel::PredictScalar(const float* row) const {
   return flat_.PredictScalar(row);
 }
 
-void GbdtModel::PredictBatch(const float* rows, size_t num_rows,
-                             size_t row_stride, std::span<double> out,
-                             ThreadPool* pool) const {
-  flat_.PredictBatch(rows, num_rows, row_stride, out, pool);
-}
-
 double GbdtModel::AddSplitCounts(std::span<double> counts) const {
   STAGE_DCHECK(counts.size() == static_cast<size_t>(num_features_));
   return flat_.AddSplitCounts(counts);

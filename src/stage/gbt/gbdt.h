@@ -7,7 +7,6 @@
 #include <span>
 #include <vector>
 
-#include "stage/common/thread_pool.h"
 #include "stage/gbt/dataset.h"
 #include "stage/gbt/flat_forest.h"
 #include "stage/gbt/loss.h"
@@ -62,11 +61,6 @@ class GbdtModel {
   void PredictInto(const float* row, std::span<double> out) const;
   // Convenience: output 0 only (single-output losses).
   double PredictScalar(const float* row) const;
-  // Blocked batch predict over row-major rows (`row_stride` floats apart);
-  // `out` is row-major [num_rows x num_outputs()]. See
-  // FlatForest::PredictBatch.
-  void PredictBatch(const float* rows, size_t num_rows, size_t row_stride,
-                    std::span<double> out, ThreadPool* pool = nullptr) const;
 
   // Binary checkpointing; Load replaces the model and returns false on a
   // malformed stream (see FlatForest::Load), leaving the model untouched.

@@ -76,10 +76,9 @@ LocalModel::Output LocalModel::Predict(
 
 namespace {
 constexpr uint32_t kLocalMagic = 0x534c434c;  // "SLCL".
-// v1 never serialized the MAE member, so a v1 file of a model trained with
-// include_mae_member=true silently blended a default-constructed GbdtModel
-// into every prediction after load. v2 persists the member (and its blend
-// weight); v1 files remain loadable with the member disabled.
+// v2 persists the MAE member and its blend weight, which v1 never wrote.
+// Only v2 loads: every v1 stream holds SGBT v1 members, which
+// GbdtModel::Load rejects.
 constexpr uint32_t kLocalVersion = 2;
 }  // namespace
 
@@ -94,17 +93,14 @@ void LocalModel::Save(std::ostream& out) const {
 }
 
 bool LocalModel::Load(std::istream& in) {
-  uint32_t version = 0;
-  if (!ReadHeaderVersion(in, kLocalMagic, &version)) return false;
-  if (version < 1 || version > kLocalVersion) return false;
+  if (!ReadHeader(in, kLocalMagic, kLocalVersion)) return false;
   uint8_t log_target = 0;
-  if (!ReadPod(in, &log_target)) return false;
   uint8_t include_mae = 0;
-  double mae_weight = config_.mae_member_weight;
-  if (version >= 2) {
-    if (!ReadPod(in, &include_mae)) return false;
-    if (!ReadPod(in, &mae_weight)) return false;
-    if (!(mae_weight >= 0.0 && mae_weight <= 1.0)) return false;
+  double mae_weight = 0.0;
+  if (!ReadPod(in, &log_target) || !ReadPod(in, &include_mae) ||
+      !ReadPod(in, &mae_weight) ||
+      !(mae_weight >= 0.0 && mae_weight <= 1.0)) {
+    return false;
   }
   // Load into locals and commit only on full success: a failed Load must
   // never leave a half-replaced (yet still trained()) model behind.

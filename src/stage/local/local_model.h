@@ -71,7 +71,9 @@ class LocalModel {
     return ensemble_.MemoryBytes() + mae_member_.MemoryBytes();
   }
 
-  // Checkpointing of a trained local model (ensemble + target space).
+  // Checkpointing of a trained local model (ensemble + target space) on
+  // the SLCL v2 stream. Load rejects any other version, and a failed Load
+  // leaves the model untouched.
   void Save(std::ostream& out) const;
   bool Load(std::istream& in);
 

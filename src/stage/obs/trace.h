@@ -52,7 +52,7 @@ struct PredictionTrace {
 
   // Placement / cost.
   uint32_t cache_shard = 0;  // Shard probed (0 with a single shard).
-  uint64_t total_nanos = 0;  // Cache probe + routing (+ global share).
+  uint64_t total_nanos = 0;  // Cache probe to answer, global pass included.
 };
 
 // Stable one-line serialization of the *deterministic* trace fields (stage,

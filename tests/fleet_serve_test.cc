@@ -12,7 +12,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <span>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -634,71 +633,10 @@ TEST(ServiceConfigTest, ValidateRejectsNonsense) {
   EXPECT_TRUE(config.Validate().empty());
 }
 
-TEST(TenantStackTest, PredictBatchMatchesLoopedPredict) {
-  const fleet::InstanceTrace instance = MakeTrace(400);
-  const std::vector<core::QueryContext> contexts = MakeContexts(instance);
-
-  TenantStackConfig config;
-  config.predictor = FastStage();
-  TenantStack stack(config, {.instance = &instance.config});
-  for (size_t i = 0; i < contexts.size(); ++i) {
-    stack.Observe(contexts[i], instance.trace[i].exec_seconds);
-  }
-
-  const std::vector<core::Prediction> batch = stack.PredictBatch(contexts);
-  ASSERT_EQ(batch.size(), contexts.size());
-  for (size_t i = 0; i < contexts.size(); ++i) {
-    const core::Prediction single = stack.Predict(contexts[i]);
-    EXPECT_EQ(batch[i].source, single.source) << i;
-    EXPECT_DOUBLE_EQ(batch[i].seconds, single.seconds) << i;
-  }
-  // Every prediction was attributed and counted.
-  EXPECT_EQ(stack.total_predictions(), 2 * contexts.size());
-  EXPECT_EQ(stack.predict_latency().total_count(), 2 * contexts.size());
-}
-
-TEST(TenantStackTest, PredictBatchWithEscalationsMatchesLoopedPredict) {
-  // Same parity bar, with a trained global model wired in and thresholds
-  // forcing escalation: one PredictBatch runs ONE GlobalModel::PredictBatch
-  // over all of its escalated queries, which must be bit-identical to the
-  // one-query global pass each Predict takes.
-  const fleet::InstanceTrace instance = MakeTrace(400);
-  const std::vector<core::QueryContext> contexts = MakeContexts(instance);
-  const global::GlobalModel global_model = SmallGlobalModel(instance);
-
-  TenantStackConfig config;
-  config.predictor = FastStage();
-  config.predictor.short_running_seconds = 0.0;
-  config.predictor.uncertainty_log_std_threshold = 0.0;
-  TenantStack stack(
-      config, {.global_model = &global_model, .instance = &instance.config});
-  for (size_t i = 0; i + 100 < contexts.size(); ++i) {
-    stack.Observe(contexts[i], instance.trace[i].exec_seconds);
-  }
-  ASSERT_NE(stack.local_model_snapshot(), nullptr);
-
-  const std::vector<core::Prediction> batch = stack.PredictBatch(contexts);
-  ASSERT_EQ(batch.size(), contexts.size());
-  bool any_cache = false;
-  bool any_global = false;
-  for (size_t i = 0; i < contexts.size(); ++i) {
-    const core::Prediction single = stack.Predict(contexts[i]);
-    EXPECT_EQ(batch[i].source, single.source) << i;
-    EXPECT_EQ(batch[i].seconds, single.seconds) << i;
-    any_cache |= batch[i].source == core::PredictionSource::kCache;
-    any_global |= batch[i].source == core::PredictionSource::kGlobal;
-  }
-  EXPECT_TRUE(any_cache);
-  EXPECT_TRUE(any_global);
-  EXPECT_EQ(stack.total_predictions(), 2 * contexts.size());
-  EXPECT_EQ(stack.predict_latency().total_count(), 2 * contexts.size());
-}
-
-// Traced single predicts and one batched predict run the same routine, so
-// two identical 8-shard stacks serving the same queries each way report
-// the same telemetry, and every trace names the cache shard its probe
-// used.
-TEST(TenantStackTest, TracedAndBatchedPredictsReportTheSameTelemetry) {
+// Predict is PredictTraced without a trace, so two identical 8-shard
+// stacks serving the same queries each way report the same telemetry, and
+// every trace names the cache shard its probe used.
+TEST(TenantStackTest, TracedAndUntracedPredictsReportTheSameTelemetry) {
   const fleet::InstanceTrace instance = MakeTrace(400);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
   const global::GlobalModel global_model = SmallGlobalModel(instance);
@@ -711,47 +649,47 @@ TEST(TenantStackTest, TracedAndBatchedPredictsReportTheSameTelemetry) {
   config.predictor.uncertainty_log_std_threshold = 0.3;
   config.cache_shards = 8;
   obs::MetricsRegistry traced_registry;
-  obs::MetricsRegistry batched_registry;
+  obs::MetricsRegistry untraced_registry;
   TenantStack traced(config, {.global_model = &global_model,
                               .instance = &instance.config,
                               .metrics = &traced_registry});
-  TenantStack batched(config, {.global_model = &global_model,
-                               .instance = &instance.config,
-                               .metrics = &batched_registry});
+  TenantStack untraced(config, {.global_model = &global_model,
+                                .instance = &instance.config,
+                                .metrics = &untraced_registry});
   for (size_t i = 0; i + 100 < contexts.size(); ++i) {
     traced.Observe(contexts[i], instance.trace[i].exec_seconds);
-    batched.Observe(contexts[i], instance.trace[i].exec_seconds);
+    untraced.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
 
   for (const core::QueryContext& context : contexts) {
     obs::PredictionTrace trace;
     traced.PredictTraced(context, &trace);
     EXPECT_EQ(trace.cache_shard, context.feature_hash % 8);
+    untraced.Predict(context);
   }
-  batched.PredictBatch(contexts);
 
   // The queries reach every stage of the hierarchy.
   EXPECT_GT(traced.predictions_from(core::PredictionSource::kCache), 0u);
   EXPECT_GT(traced.predictions_from(core::PredictionSource::kLocal), 0u);
   EXPECT_GT(traced.predictions_from(core::PredictionSource::kGlobal), 0u);
-  EXPECT_EQ(traced.SourceCounts(), batched.SourceCounts());
+  EXPECT_EQ(traced.SourceCounts(), untraced.SourceCounts());
   for (size_t slot = 0; slot < core::kNumPredictionSources; ++slot) {
     EXPECT_EQ(traced.predict_latency().slot(slot).count,
-              batched.predict_latency().slot(slot).count)
+              untraced.predict_latency().slot(slot).count)
         << slot;
   }
   const auto escalations = [](obs::MetricsRegistry& registry) {
     return registry.GetCounter("stage_escalations_total").value();
   };
   EXPECT_GT(escalations(traced_registry), 0u);
-  EXPECT_EQ(escalations(traced_registry), escalations(batched_registry));
+  EXPECT_EQ(escalations(traced_registry), escalations(untraced_registry));
   const auto uncertainty_samples = [](obs::MetricsRegistry& registry) {
     return registry.GetHistogram("stage_local_uncertainty_log_std", {})
         .count();
   };
   EXPECT_GT(uncertainty_samples(traced_registry), 0u);
   EXPECT_EQ(uncertainty_samples(traced_registry),
-            uncertainty_samples(batched_registry));
+            uncertainty_samples(untraced_registry));
 }
 
 TEST(TenantStackTest, AsyncRetrainPublishesModelInBackground) {
@@ -783,11 +721,11 @@ TEST(TenantStackTest, AsyncRetrainPublishesModelInBackground) {
   EXPECT_NE(prediction.source, core::PredictionSource::kDefault);
 }
 
-// The issue's stress test: 8 reader threads hammering Predict/PredictBatch
-// race one writer replaying the trace (Observe) across several retrain
-// boundaries. Asserts no lost counters (every prediction attributed, every
-// cache lookup counted) and monotone attribution totals. Run under TSan to
-// prove the absence of data races.
+// The read/write stress test: 8 reader threads hammering Predict and
+// PredictTraced race one writer replaying the trace (Observe) across
+// several retrain boundaries. Asserts no lost counters (every prediction
+// attributed, every cache lookup counted) and monotone attribution totals.
+// Run under TSan to prove the absence of data races.
 TEST(TenantStackTest, ConcurrentReadersWithRetrainingWriter) {
   const fleet::InstanceTrace instance = MakeTrace(1500);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
@@ -804,7 +742,6 @@ TEST(TenantStackTest, ConcurrentReadersWithRetrainingWriter) {
 
   constexpr int kNumReaders = 8;
   constexpr int kPredictsPerReader = 3000;
-  constexpr int kBatchSize = 16;
   std::atomic<bool> writer_done{false};
   std::atomic<uint64_t> reader_predictions{0};
 
@@ -816,16 +753,15 @@ TEST(TenantStackTest, ConcurrentReadersWithRetrainingWriter) {
       uint64_t last_total = 0;
       size_t at = static_cast<size_t>(r) * 131;
       while (made < kPredictsPerReader) {
-        if (made % 3 == 0 && made + kBatchSize <= kPredictsPerReader) {
-          // Batched read path, racing the writer.
-          const size_t begin = at % (contexts.size() - kBatchSize);
-          const std::span<const core::QueryContext> window(
-              contexts.data() + begin, kBatchSize);
-          made += stack->PredictBatch(window).size();
+        const core::QueryContext& context = contexts[at % contexts.size()];
+        if (made % 3 == 0) {
+          // The traced entry, racing the writer too.
+          obs::PredictionTrace trace;
+          stack->PredictTraced(context, &trace);
         } else {
-          stack->Predict(contexts[at % contexts.size()]);
-          ++made;
+          stack->Predict(context);
         }
+        ++made;
         at += 127;
         // Attribution totals only ever grow, even mid-retrain-swap.
         const uint64_t total = stack->total_predictions();

@@ -590,18 +590,13 @@ TEST(FlatForestTest, PredictVariantsAgreeBitForBit) {
   const int num_outputs = model.num_outputs();
   ASSERT_EQ(num_outputs, 2);
 
-  // A few hundred rows, beyond one PredictBatch block, plus a NaN row.
+  // A few hundred rows plus a NaN row. Output 0 has 50 trees, so the
+  // scalar walk runs full 8-lane groups and a serial tail.
   Rng rng(22);
   const size_t num_rows = 300;
   std::vector<float> rows(num_rows * 3);
   for (float& v : rows) v = static_cast<float>(rng.NextUniform(-2, 2));
   rows[5 * 3 + 1] = std::numeric_limits<float>::quiet_NaN();
-
-  std::vector<double> batch(num_rows * num_outputs);
-  model.PredictBatch(rows.data(), num_rows, 3, batch);
-  std::vector<double> batch_pooled(num_rows * num_outputs);
-  ThreadPool pool(3);
-  model.PredictBatch(rows.data(), num_rows, 3, batch_pooled, &pool);
 
   std::vector<double> into(num_outputs);
   for (size_t r = 0; r < num_rows; ++r) {
@@ -610,38 +605,8 @@ TEST(FlatForestTest, PredictVariantsAgreeBitForBit) {
     model.PredictInto(row, into);
     for (int j = 0; j < num_outputs; ++j) {
       EXPECT_EQ(reference[j], into[j]) << r;
-      EXPECT_EQ(reference[j], batch[r * num_outputs + j]) << r;
-      EXPECT_EQ(reference[j], batch_pooled[r * num_outputs + j]) << r;
     }
-  }
-}
-
-TEST(EnsembleTest, PredictBatchMatchesPerRowBitForBit) {
-  const Dataset data = LinearDataset(600, 31, 0.2);
-  EnsembleConfig config;
-  config.num_members = 3;
-  config.member.num_rounds = 25;
-  const BayesianGbtEnsemble ensemble = BayesianGbtEnsemble::Train(data, config);
-
-  Rng rng(33);
-  const size_t num_rows = 200;
-  std::vector<float> rows(num_rows * 3);
-  for (float& v : rows) v = static_cast<float>(rng.NextUniform(-2, 2));
-
-  std::vector<BayesianGbtEnsemble::Prediction> batch(num_rows);
-  ensemble.PredictBatch(rows.data(), num_rows, 3, batch);
-  ThreadPool pool(2);
-  std::vector<BayesianGbtEnsemble::Prediction> batch_pooled(num_rows);
-  ensemble.PredictBatch(rows.data(), num_rows, 3, batch_pooled, &pool);
-
-  for (size_t r = 0; r < num_rows; ++r) {
-    const auto single = ensemble.Predict(rows.data() + r * 3);
-    EXPECT_EQ(single.mean, batch[r].mean) << r;
-    EXPECT_EQ(single.model_variance, batch[r].model_variance) << r;
-    EXPECT_EQ(single.data_variance, batch[r].data_variance) << r;
-    EXPECT_EQ(single.mean, batch_pooled[r].mean) << r;
-    EXPECT_EQ(single.model_variance, batch_pooled[r].model_variance) << r;
-    EXPECT_EQ(single.data_variance, batch_pooled[r].data_variance) << r;
+    EXPECT_EQ(reference[0], model.PredictScalar(row)) << r;
   }
 }
 

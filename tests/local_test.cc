@@ -326,11 +326,13 @@ TEST(LocalModelTest, MemoryBytesCountsTheMaeMember) {
   EXPECT_EQ(restored.MemoryBytes(), with.MemoryBytes());
 }
 
-// Version-1 local-model checkpoints (no MAE member fields) must remain
-// loadable, with the member disabled. A v1 stream is reconstructed from a
-// v2 no-member save: patch the version word and drop the two v2-only
-// fields (include_mae u8 at offset 9, blend weight f64 at offsets 10-17).
-TEST(LocalModelTest, LoadsVersion1StreamsWithMaeDisabled) {
+// Every version-1 local-model stream ever written holds SGBT v1 members,
+// which GbdtModel::Load rejects, so the loader reads version 2 only. A v1
+// stream is reconstructed from a v2 no-member save (patch the version word
+// and drop the two v2-only fields: include_mae u8 at offset 9, blend
+// weight f64 at offsets 10-17); it fails to load, as does the v2 body under
+// a v1 version word, and the target stays untrained.
+TEST(LocalModelTest, LoadRejectsVersion1Streams) {
   Rng rng(31);
   TrainingPool pool(SmallPool(200));
   for (int i = 0; i < 200; ++i) {
@@ -342,24 +344,17 @@ TEST(LocalModelTest, LoadsVersion1StreamsWithMaeDisabled) {
 
   std::stringstream buffer;
   original.Save(buffer);
-  std::string v2 = buffer.str();
-  ASSERT_GT(v2.size(), 18u);
+  std::string relabeled = buffer.str();
+  ASSERT_GT(relabeled.size(), 18u);
   const uint32_t v1_version = 1;
-  std::memcpy(v2.data() + 4, &v1_version, sizeof(v1_version));
-  const std::string v1 =
-      v2.substr(0, 9) + v2.substr(18);  // Drop include_mae + weight.
+  std::memcpy(relabeled.data() + 4, &v1_version, sizeof(v1_version));
+  const std::string v1 = relabeled.substr(0, 9) + relabeled.substr(18);
 
-  LocalModel restored(FastLocalConfig());
-  std::istringstream in(v1);
-  ASSERT_TRUE(restored.Load(in));
-  ASSERT_TRUE(restored.trained());
-  for (int i = 0; i < 20; ++i) {
-    const auto features =
-        MakeFeatures(static_cast<float>(rng.NextDouble() * 2));
-    const auto a = original.Predict(features);
-    const auto b = restored.Predict(features);
-    EXPECT_DOUBLE_EQ(a.exec_seconds, b.exec_seconds);
-    EXPECT_DOUBLE_EQ(a.total_variance(), b.total_variance());
+  for (const std::string& stream : {v1, relabeled}) {
+    LocalModel restored(FastLocalConfig());
+    std::istringstream in(stream);
+    EXPECT_FALSE(restored.Load(in));
+    EXPECT_FALSE(restored.trained());
   }
 }
 

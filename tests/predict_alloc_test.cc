@@ -157,14 +157,11 @@ const core::QueryContext* FirstServedBy(const Workload& workload,
 
 TEST(PredictAllocationTest, WarmStagePredictorPredictsAllocateNothing) {
   const Workload workload;
-  // The counter is live: a batch returns a freshly allocated vector.
-  {
-    core::StagePredictor predictor(MixedRouting());
-    EXPECT_GT(AllocationsDuring([&] {
-                (void)predictor.PredictBatch(workload.contexts);
-              }),
-              0u);
-  }
+  // The counter is live: building a predictor allocates its cache and pool.
+  EXPECT_GT(AllocationsDuring([] {
+              const core::StagePredictor predictor(MixedRouting());
+            }),
+            0u);
   for (const bool metered : {false, true}) {
     obs::MetricsRegistry registry;
     core::StagePredictor predictor(

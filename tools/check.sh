@@ -76,8 +76,8 @@ bench_json="${repo_root}/build-check-release/bench/BENCH_gbt_hot_path.json"
 if command -v python3 > /dev/null 2>&1; then
   python3 -m json.tool "${bench_json}" > /dev/null
 else
-  # No python3: at least require the closing speedup fields to be present.
-  grep -q '"speedup"' "${bench_json}"
+  # No python3: at least require the single-row speedup field.
+  grep -q '"speedup_p50"' "${bench_json}"
 fi
 echo "=== bench JSON OK: ${bench_json} ==="
 
