@@ -91,7 +91,6 @@ Workload MakeWorkload(const BenchConfig& config) {
 
 fleet_serve::FleetServiceConfig ServingFleetConfig(const BenchConfig& config) {
   fleet_serve::FleetServiceConfig fleet;
-  fleet.stack.cache_shards = 4;
   fleet.async_retrain = false;
   // Serving-only replay: the pool never reaches the training threshold.
   fleet.stack.predictor.min_train_size = 1 << 30;

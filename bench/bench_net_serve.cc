@@ -148,7 +148,6 @@ int main() {
 
   fleet_serve::FleetServiceConfig fleet_config;
   fleet_config.stack.predictor.min_train_size = 1 << 30;  // Never trains.
-  fleet_config.stack.cache_shards = 1;
   fleet_config.async_retrain = false;
   fleet_serve::FleetService fleet(fleet_config);
   for (int t = 0; t < bench.num_tenants; ++t) {

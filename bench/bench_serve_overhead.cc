@@ -29,7 +29,6 @@ constexpr fleet_serve::TenantId kTenant = 0;
 fleet_serve::FleetServiceConfig ServeConfig(bool async_retrain) {
   fleet_serve::FleetServiceConfig config;
   config.stack.predictor = bench::PaperStageConfig();
-  config.stack.cache_shards = 8;
   config.async_retrain = async_retrain;
   return config;
 }
@@ -106,15 +105,14 @@ double ReaderQps(const fleet::InstanceTrace& instance,
 
 // Pure single-prediction latency, with or without the metrics registry
 // attached. The stack is warmed first (local model trained, cache filled),
-// so the measured loop is exactly the production read path: sharded cache
-// probe + routing + (with metrics) a handful of relaxed atomic RMWs. No
+// so the measured loop is exactly the production read path: cache probe +
+// routing + (with metrics) a handful of relaxed atomic RMWs. No
 // per-predict allocation.
 std::vector<double> PredictNanos(const fleet::InstanceTrace& instance,
                                  const std::vector<core::QueryContext>& contexts,
                                  obs::MetricsRegistry* registry) {
   fleet_serve::TenantStackConfig config;
   config.predictor = bench::PaperStageConfig();
-  config.cache_shards = 8;
   core::StagePredictorOptions options;
   options.instance = &instance.config;
   options.metrics = registry;

@@ -15,6 +15,7 @@ ExecTimeCache::ExecTimeCache(const ExecTimeCacheConfig& config)
 }
 
 std::optional<double> ExecTimeCache::Predict(uint64_t key) const {
+  std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -29,18 +30,23 @@ std::optional<double> ExecTimeCache::Predict(uint64_t key) const {
 }
 
 bool ExecTimeCache::Contains(uint64_t key) const {
+  std::lock_guard<std::mutex> lock(mutex_);
   return entries_.find(key) != entries_.end();
 }
 
-const ExecTimeCache::Entry* ExecTimeCache::Lookup(uint64_t key) const {
+std::optional<ExecTimeCache::Entry> ExecTimeCache::Lookup(uint64_t key) const {
+  std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
+  if (it == entries_.end()) return std::nullopt;
+  return it->second;
 }
 
-void ExecTimeCache::Observe(uint64_t key, double exec_time, uint64_t tick) {
+bool ExecTimeCache::Observe(uint64_t key, double exec_time, uint64_t tick) {
   STAGE_CHECK(exec_time >= 0.0);
+  std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
-  if (it != entries_.end()) {
+  const bool was_cached = it != entries_.end();
+  if (was_cached) {
     by_update_time_.erase({it->second.last_update_tick, key});
   } else {
     if (entries_.size() >= config_.capacity) {
@@ -57,6 +63,12 @@ void ExecTimeCache::Observe(uint64_t key, double exec_time, uint64_t tick) {
   entry.last_exec_time = exec_time;
   entry.last_update_tick = tick;
   by_update_time_.emplace(std::make_pair(tick, key), key);
+  return was_cached;
+}
+
+size_t ExecTimeCache::size() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.size();
 }
 
 namespace {
@@ -67,6 +79,7 @@ constexpr uint64_t kEntryBytes = 6 * sizeof(uint64_t);
 }  // namespace
 
 void ExecTimeCache::Save(std::ostream& out) const {
+  std::lock_guard<std::mutex> lock(mutex_);
   WriteHeader(out, kCacheMagic, kCacheVersion);
   WritePod<uint64_t>(out, entries_.size());
   // Walk the eviction index, not the hash map: the on-disk order is then
@@ -84,6 +97,13 @@ void ExecTimeCache::Save(std::ostream& out) const {
 }
 
 bool ExecTimeCache::Load(std::istream& in) {
+  Staged staged;
+  if (!Parse(in, &staged)) return false;
+  Commit(std::move(staged));
+  return true;
+}
+
+bool ExecTimeCache::Parse(std::istream& in, Staged* staged) const {
   if (!ReadHeader(in, kCacheMagic, kCacheVersion)) return false;
   uint64_t count = 0;
   if (!ReadPod(in, &count)) return false;
@@ -91,8 +111,8 @@ bool ExecTimeCache::Load(std::istream& in) {
   // Bound the loop by the remaining stream so a corrupt count fails fast.
   const std::optional<uint64_t> remaining = RemainingBytes(in);
   if (remaining && count > *remaining / kEntryBytes) return false;
-  std::unordered_map<uint64_t, Entry> entries;
-  std::map<std::pair<uint64_t, uint64_t>, uint64_t> by_update_time;
+  Entries entries;
+  EvictionIndex by_update_time;
   entries.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t key = 0;
@@ -111,17 +131,24 @@ bool ExecTimeCache::Load(std::istream& in) {
     if (!entries.emplace(key, entry).second) return false;  // Duplicate key.
     by_update_time.emplace(std::make_pair(entry.last_update_tick, key), key);
   }
-  entries_ = std::move(entries);
-  by_update_time_ = std::move(by_update_time);
+  staged->entries_ = std::move(entries);
+  staged->by_update_time_ = std::move(by_update_time);
+  return true;
+}
+
+void ExecTimeCache::Commit(Staged&& staged) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  entries_ = std::move(staged.entries_);
+  by_update_time_ = std::move(staged.by_update_time_);
   // Telemetry (hits/misses/evictions) intentionally restarts at zero: the
   // counters describe a process lifetime, not the cached state.
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
   evictions_.store(0, std::memory_order_relaxed);
-  return true;
 }
 
 size_t ExecTimeCache::MemoryBytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
   // Hash-map node: key + Entry + bucket overhead; tree node: key pair +
   // value + red-black overhead. Approximate with struct sizes + 2 pointers.
   const size_t map_node =

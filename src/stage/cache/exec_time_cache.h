@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 
@@ -28,6 +29,12 @@ struct ExecTimeCacheConfig {
 // most recent exec-time and the tick of that update. A hit predicts
 // alpha * mean + (1 - alpha) * last. Eviction removes the entry whose
 // latest observation is oldest ("least updated", not least *used*).
+//
+// One instance's one cache, as in the paper: every member that reads or
+// writes the entries takes one mutex for the (sub-microsecond) map
+// operation, so Predict, Observe and the snapshot calls are safe against
+// each other. The hit/miss/eviction counters are atomics a metrics scrape
+// reads without the lock.
 class ExecTimeCache {
  public:
   explicit ExecTimeCache(const ExecTimeCacheConfig& config);
@@ -39,27 +46,25 @@ class ExecTimeCache {
     uint64_t last_update_tick = 0;
   };
 
-  // Predicted exec-time for a key, or nullopt on a miss. Logically const:
-  // the hit/miss counters it updates are atomics, so concurrent Predict
-  // calls are safe with each other. Predict racing Observe still needs
-  // external synchronization (the entry map is not lock-free);
-  // ShardedExecTimeCache provides that.
+  // Predicted exec-time for a key, or nullopt on a miss; counts a hit or a
+  // miss exactly once.
   std::optional<double> Predict(uint64_t key) const;
 
-  // True if the key is cached (no counter side effects); used by the local
-  // model's training-pool deduplication (§4.3).
+  // True if the key is cached (no counter side effects).
   bool Contains(uint64_t key) const;
 
-  // Read-only view of an entry, or nullptr on a miss.
-  const Entry* Lookup(uint64_t key) const;
+  // Copy of the entry for `key`, or nullopt on a miss; counts nothing.
+  std::optional<Entry> Lookup(uint64_t key) const;
 
   // Records an observed execution. `tick` is a monotonically non-decreasing
   // logical timestamp (e.g. the query's completion time); it drives the
   // eviction order. Evicts the least-recently-updated entry when a new key
-  // would exceed capacity.
-  void Observe(uint64_t key, double exec_time, uint64_t tick);
+  // would exceed capacity. Returns true when the key was cached *before*
+  // this observation — the §4.3 pool-deduplication signal, checked and
+  // updated under one lock so callers need no separate Contains.
+  bool Observe(uint64_t key, double exec_time, uint64_t tick);
 
-  size_t size() const { return entries_.size(); }
+  size_t size() const;
   size_t capacity() const { return config_.capacity; }
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
@@ -84,14 +89,30 @@ class ExecTimeCache {
   bool Load(std::istream& in);
 
  private:
-  ExecTimeCacheConfig config_;
-  std::unordered_map<uint64_t, Entry> entries_;
+  using Entries = std::unordered_map<uint64_t, Entry>;
   // Eviction index ordered by (last_update_tick, key); the begin() element
   // is the least-recently-updated query.
-  std::map<std::pair<uint64_t, uint64_t>, uint64_t> by_update_time_;
-  // Mutable + atomic so the const read path can count without a writer
-  // lock; evictions_ is written only by Observe but atomic as well so a
-  // metrics scrape may read it while an Observe is in flight.
+  using EvictionIndex = std::map<std::pair<uint64_t, uint64_t>, uint64_t>;
+
+ public:
+  // Load in two steps, for a caller restoring several components
+  // all-or-nothing: Parse reads a Save stream into `staged` without
+  // touching this cache; Commit installs a successfully parsed set.
+  class Staged {
+    friend class ExecTimeCache;
+    Entries entries_;
+    EvictionIndex by_update_time_;
+  };
+  bool Parse(std::istream& in, Staged* staged) const;
+  void Commit(Staged&& staged);
+
+ private:
+  const ExecTimeCacheConfig config_;
+  mutable std::mutex mutex_;
+  Entries entries_;               // Guarded by mutex_.
+  EvictionIndex by_update_time_;  // Guarded by mutex_.
+  // Mutable + atomic so the const read path can count and a metrics scrape
+  // can read without taking the lock.
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};

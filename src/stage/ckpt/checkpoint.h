@@ -24,10 +24,11 @@ namespace stage::ckpt {
 // Save stream into the CRC-checked envelope and publishes it with the
 // write-tmp-then-rename protocol of snapshot_file.h.
 
-// Full StagePredictor state (cache shards, pool, cadence, local model, and
-// the recalibrator when calibration is on); a fleet_serve::TenantStack is
-// a StagePredictor too. The loading predictor needs the writer's cache
-// shard count and calibration flag, and is left untouched on failure.
+// Full StagePredictor state (exec-time cache, pool, cadence, local model,
+// and the recalibrator when calibration is on); a fleet_serve::TenantStack
+// is a StagePredictor too. The loading predictor needs the writer's
+// calibration flag and a cache capacity that holds the writer's entries,
+// and is left untouched on failure.
 bool SaveServiceSnapshot(const core::StagePredictor& predictor,
                          const std::string& path,
                          std::string* error = nullptr);

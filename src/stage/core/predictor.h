@@ -61,9 +61,9 @@ struct Prediction {
 //    so concurrent Predict calls never race with *each other*.
 //  * Observe mutates model state (caches, training pools, retraining).
 //    Whether it may race Predict is up to the implementation: AutoWlm
-//    requires external serialization, while StagePredictor layers
-//    per-shard cache locks and a double-buffered model snapshot on this
-//    interface so Predict never waits on Observe or a retrain.
+//    requires external serialization, while StagePredictor layers a
+//    locked cache and a double-buffered model snapshot on this interface
+//    so Predict never waits on a whole Observe or a retrain.
 class ExecTimePredictor {
  public:
   virtual ~ExecTimePredictor() = default;

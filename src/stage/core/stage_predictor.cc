@@ -96,11 +96,11 @@ void CompleteTrace(obs::PredictionTrace* trace, const Prediction& out) {
 // cold-start default. `cached_seconds` is the already-made cache lookup;
 // `local` may be null or untrained. An escalated query is answered by
 // GlobalModel::PredictSeconds. When `trace` is non-null the routing
-// decision is recorded into it; the shard and latency fields are the
-// caller's job. `uncertainty_scale` multiplies the local model's log_std
-// before the confidence check and in the reported uncertainty (the §4.8
-// conformal correction); 1.0 — the only value the flag-off path passes —
-// is bit-for-bit identity.
+// decision is recorded into it; the latency field is the caller's job.
+// `uncertainty_scale` multiplies the local model's log_std before the
+// confidence check and in the reported uncertainty (the §4.8 conformal
+// correction); 1.0 — the only value the flag-off path passes — is
+// bit-for-bit identity.
 Prediction RouteHierarchical(const StagePredictorConfig& config,
                              const QueryContext& query,
                              std::optional<double> cached_seconds,
@@ -174,14 +174,9 @@ Prediction RouteHierarchical(const StagePredictorConfig& config,
 
 StagePredictor::StagePredictor(const StagePredictorConfig& config,
                                const StagePredictorOptions& options)
-    : StagePredictor(config, options, /*cache_shards=*/1) {}
-
-StagePredictor::StagePredictor(const StagePredictorConfig& config,
-                               const StagePredictorOptions& options,
-                               size_t cache_shards)
     : config_(Validated(config)),
       options_(options),
-      cache_(cache::ShardedExecTimeCacheConfig{config.cache, cache_shards}),
+      cache_(config.cache),
       pool_(config.pool) {
   if (config_.calibrate_uncertainty) {
     recalibrator_ =
@@ -222,22 +217,6 @@ void StagePredictor::RegisterMetrics() {
                                     [this] { return cache_.misses(); });
   registry->RegisterCounterCallback(this, prefix + "cache_evictions_total",
                                     [this] { return cache_.evictions(); });
-  for (size_t shard = 0; shard < cache_.num_shards(); ++shard) {
-    const std::string label = "{shard=\"" + std::to_string(shard) + "\"}";
-    registry->RegisterCounterCallback(
-        this, prefix + "cache_shard_hits_total" + label,
-        [this, shard] { return cache_.shard_stats(shard).hits; });
-    registry->RegisterCounterCallback(
-        this, prefix + "cache_shard_misses_total" + label,
-        [this, shard] { return cache_.shard_stats(shard).misses; });
-    registry->RegisterCounterCallback(
-        this, prefix + "cache_shard_evictions_total" + label,
-        [this, shard] { return cache_.shard_stats(shard).evictions; });
-    registry->RegisterGaugeCallback(
-        this, prefix + "cache_shard_entries" + label, [this, shard] {
-          return static_cast<double>(cache_.shard_stats(shard).entries);
-        });
-  }
   registry->RegisterGaugeCallback(
       this, prefix + "cache_entries",
       [this] { return static_cast<double>(cache_.size()); });
@@ -299,8 +278,6 @@ Prediction StagePredictor::PredictTraced(const QueryContext& query,
       1, std::memory_order_relaxed);
   predict_latency_.Record(static_cast<size_t>(out.source), nanos);
   if (trace != nullptr) {
-    trace->cache_shard =
-        static_cast<uint32_t>(query.feature_hash % cache_.num_shards());
     trace->total_nanos = nanos;
     if (routing_metrics_.enabled()) routing_metrics_.Record(*trace);
   }
@@ -334,7 +311,7 @@ bool StagePredictor::Observe(const QueryContext& query, double exec_seconds,
 
   // §4.3 pool deduplication: repeats are the cache's job; only cache misses
   // diversify the pool. The was-cached check and the observation happen
-  // under one shard lock.
+  // under one cache lock.
   const bool was_cached =
       cache_.Observe(query.feature_hash, exec_seconds, query.tick);
 
@@ -396,7 +373,9 @@ std::shared_ptr<const local::LocalModel> StagePredictor::local_model_snapshot()
 
 namespace {
 constexpr uint32_t kStateMagic = 0x53535256;  // "SSRV".
-constexpr uint32_t kStateVersion = 1;
+// v2: the cache section is one "SCCH" stream (v1 wrapped it in a sharded
+// "SSHC" header with a shard count); v1 streams fail the header check.
+constexpr uint32_t kStateVersion = 2;
 }  // namespace
 
 bool StagePredictor::SaveState(std::ostream& out, std::string* error) const {
@@ -436,7 +415,7 @@ bool StagePredictor::LoadState(std::istream& in, std::string* error) {
     SetError(error, "bad predictor state header");
     return false;
   }
-  cache::ShardedExecTimeCache::Staged cache;
+  cache::ExecTimeCache::Staged cache;
   if (!cache_.Parse(in, &cache)) {
     SetError(error, "malformed exec-time cache payload");
     return false;
@@ -497,8 +476,7 @@ size_t StagePredictor::ApproxResidentBytes() const {
     std::lock_guard<std::mutex> lock(pool_mutex_);
     pool_bytes = pool_.MemoryBytes();
   }
-  // The fixed tail covers the predictor object itself plus per-shard cache
-  // bookkeeping not counted by MemoryBytes.
+  // The fixed tail covers the predictor object itself.
   return cache_.MemoryBytes() + pool_bytes +
          (local ? local->MemoryBytes() : 0) + sizeof(StagePredictor);
 }

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "stage/cache/exec_time_cache.h"
-#include "stage/cache/sharded_cache.h"
 #include "stage/calib/conformal.h"
 #include "stage/core/predictor.h"
 #include "stage/fleet/instance.h"
@@ -75,7 +74,7 @@ struct StagePredictorOptions {
 
 // The Stage predictor (§4): exec-time cache -> local Bayesian-ensemble
 // model -> fleet-trained global GCN, built to serve concurrently. The
-// exec-time cache sits behind per-shard locks, the training pool and
+// exec-time cache sits behind its own lock, the training pool and
 // retrain cadence behind a write-path lock, and the local model is a
 // double-buffered snapshot: a retrain builds a fresh model from a copy of
 // the pool and publishes it with an O(1) pointer swap. The §4.3 cadence
@@ -97,11 +96,9 @@ struct StagePredictorOptions {
 //  * SaveState pauses writers (not readers) for a consistent cut; LoadState
 //    must not race anything — restore before serving starts.
 //
-// The public constructor builds one cache shard, which is the paper's
-// single least-recently-updated cache exactly (same eviction order); a
+// The cache is the paper's single least-recently-updated cache; a
 // single-threaded replay with inline retraining is pinned bit-for-bit by
-// tests/golden/routing_v1.txt. fleet_serve::TenantStack is the sharded
-// variant.
+// tests/golden/routing_v1.txt.
 class StagePredictor : public ExecTimePredictor {
  public:
   // `options` collaborators are borrowed and must outlive the predictor.
@@ -119,8 +116,8 @@ class StagePredictor : public ExecTimePredictor {
   Prediction Predict(const QueryContext& query) const override;
 
   // The read routine: routes one query and records the decision into
-  // `trace` (stage reached, thresholds crossed, uncertainty, cache shard,
-  // total latency in ns). `trace` may be null, degrading to Predict.
+  // `trace` (stage reached, thresholds crossed, uncertainty, total latency
+  // in ns). `trace` may be null, degrading to Predict.
   Prediction PredictTraced(const QueryContext& query,
                            obs::PredictionTrace* trace) const;
 
@@ -141,13 +138,14 @@ class StagePredictor : public ExecTimePredictor {
 
   std::string_view name() const override { return "Stage"; }
 
-  // Full-state checkpointing on the "SSRV" stream: cache shards, training
-  // pool, retrain cadence, local model (when trained), trainings counter,
-  // and the recalibrator window when calibration is on. A predictor
-  // restored from a snapshot continues the replay bit-for-bit. SaveState
-  // pins one consistent Observe boundary (writers stall, readers do not).
-  // LoadState needs the writer's cache shard count and calibration flag;
-  // it parses every section before committing any, so on failure it
+  // Full-state checkpointing on the "SSRV" v2 stream: exec-time cache,
+  // training pool, retrain cadence, local model (when trained), trainings
+  // counter, and the recalibrator window when calibration is on. A
+  // predictor restored from a snapshot continues the replay bit-for-bit.
+  // SaveState pins one consistent Observe boundary (writers stall; readers
+  // wait only while the cache section is written). LoadState needs the
+  // writer's calibration flag and a cache capacity that holds the writer's
+  // entries; it parses every section before committing any, so on failure it
   // returns false — filling `error` when non-null — with the predictor
   // untouched. Telemetry (attribution counters, latency recorder, cache
   // hit/miss counters) restarts at zero on LoadState: counters describe a
@@ -158,7 +156,7 @@ class StagePredictor : public ExecTimePredictor {
 
   // Approximate bytes of resident state (cache + pool + current local
   // model + fixed overhead): the fleet registry's eviction currency. Takes
-  // the shard locks briefly; cheap enough for the Observe path.
+  // the cache and pool locks briefly; cheap enough for the Observe path.
   size_t ApproxResidentBytes() const;
 
   // Memory footprint of the locally resident components (the paper excludes
@@ -196,7 +194,7 @@ class StagePredictor : public ExecTimePredictor {
   // returned pointer stays valid across later swaps.
   std::shared_ptr<const local::LocalModel> local_model_snapshot() const;
 
-  const cache::ShardedExecTimeCache& exec_time_cache() const { return cache_; }
+  const cache::ExecTimeCache& exec_time_cache() const { return cache_; }
   size_t pool_size() const;
 
   // Per-source read-path latency/QPS, one slot per PredictionSource.
@@ -206,12 +204,6 @@ class StagePredictor : public ExecTimePredictor {
   // Slot kNumPredictionSources-aligned names for RenderTable.
   static std::vector<std::string> PredictLatencySlotNames();
 
- protected:
-  // The sharded variant's constructor (fleet_serve::TenantStack);
-  // `cache_shards` must be positive.
-  StagePredictor(const StagePredictorConfig& config,
-                 const StagePredictorOptions& options, size_t cache_shards);
-
  private:
   void RegisterMetrics();
   void PublishModel(std::shared_ptr<const local::LocalModel> fresh);
@@ -219,7 +211,7 @@ class StagePredictor : public ExecTimePredictor {
   StagePredictorConfig config_;
   StagePredictorOptions options_;  // Borrowed pointers, nullable.
 
-  cache::ShardedExecTimeCache cache_;
+  cache::ExecTimeCache cache_;
 
   // Write-path state: the pool and retrain bookkeeping, guarded by
   // pool_mutex_ (observe_mutex_ additionally serializes whole Observes so

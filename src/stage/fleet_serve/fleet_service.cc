@@ -34,7 +34,7 @@ std::string FleetServiceConfig::Validate() const {
   if (async_retrain && max_concurrent_trainings == 0) {
     return "max_concurrent_trainings must be positive with async_retrain";
   }
-  return stack.Validate();
+  return stack.predictor.Validate();
 }
 
 FleetService::FleetService(const FleetServiceConfig& config,
@@ -136,7 +136,7 @@ void FleetService::RegisterTenant(TenantId tenant,
   auto entry = std::make_unique<Entry>();
   entry->id = tenant;
   entry->config = config_override != nullptr ? *config_override : config_.stack;
-  const std::string error = entry->config.Validate();
+  const std::string error = entry->config.predictor.Validate();
   STAGE_CHECK_MSG(error.empty(), error.c_str());
   entry->options = options;
   std::unique_lock<std::shared_mutex> lock(registry_mutex_);

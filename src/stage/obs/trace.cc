@@ -28,12 +28,12 @@ std::string FormatTraceLine(uint64_t query_index,
   std::snprintf(
       buffer, sizeof(buffer),
       "q=%llu stage=%s hit=%d trained=%d global=%d short=%d conf=%d esc=%d "
-      "shard=%u pred=%.17g unc=%.17g thr_short=%.17g thr_unc=%.17g",
+      "pred=%.17g unc=%.17g thr_short=%.17g thr_unc=%.17g",
       static_cast<unsigned long long>(query_index),
       std::string(TraceStageName(trace.stage)).c_str(),
       trace.cache_hit ? 1 : 0, trace.local_trained ? 1 : 0,
       trace.global_available ? 1 : 0, trace.short_running ? 1 : 0,
-      trace.confident ? 1 : 0, trace.escalated ? 1 : 0, trace.cache_shard,
+      trace.confident ? 1 : 0, trace.escalated ? 1 : 0,
       trace.predicted_seconds, trace.uncertainty_log_std,
       trace.short_running_threshold, trace.uncertainty_threshold);
   return buffer;

@@ -50,13 +50,12 @@ struct PredictionTrace {
   double short_running_threshold = 0.0;
   double uncertainty_threshold = 0.0;
 
-  // Placement / cost.
-  uint32_t cache_shard = 0;  // Shard probed (0 with a single shard).
+  // Cost.
   uint64_t total_nanos = 0;  // Cache probe to answer, global pass included.
 };
 
 // Stable one-line serialization of the *deterministic* trace fields (stage,
-// decision record, values, thresholds, shard — never latencies), used by
+// decision record, values, thresholds — never latencies), used by
 // the golden routing test to pin per-query routing across refactors.
 // Doubles are rendered with round-trip precision, so any numeric drift in
 // routing inputs changes the line.

@@ -79,8 +79,8 @@ ClosedLoopResult RunWlmPolicy(const std::vector<fleet::QueryEvent>& trace,
       return SimulateClosedLoop(trace, nullptr, config.loop);
     case WlmPolicy::kStage: {
       // The live predictor in the loop (the §4.5 deployment shape): inline
-      // retrain and one cache shard make a single-threaded closed-loop run
-      // bit-for-bit reproducible.
+      // retrain makes a single-threaded closed-loop run bit-for-bit
+      // reproducible.
       core::StagePredictorOptions options;
       options.global_model = config.global_model;
       options.instance = config.instance;

@@ -49,8 +49,8 @@ struct PolicyRunConfig {
 };
 
 // Runs `policy` over `trace` and returns the closed-loop result. Stage
-// policies run deterministically (inline retrain, single cache shard), so
-// repeated runs are bit-for-bit reproducible.
+// policies run deterministically (inline retrain), so repeated runs are
+// bit-for-bit reproducible.
 ClosedLoopResult RunWlmPolicy(const std::vector<fleet::QueryEvent>& trace,
                               WlmPolicy policy,
                               const PolicyRunConfig& config);

@@ -1,7 +1,8 @@
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "stage/cache/exec_time_cache.h"
-#include "stage/cache/sharded_cache.h"
 #include "stage/common/rng.h"
 
 namespace stage::cache {
@@ -50,8 +51,8 @@ TEST(ExecTimeCacheTest, WelfordEntryStats) {
   ExecTimeCache cache(SmallConfig());
   cache.Observe(7, 1.0, 1);
   cache.Observe(7, 3.0, 2);
-  const ExecTimeCache::Entry* entry = cache.Lookup(7);
-  ASSERT_NE(entry, nullptr);
+  const std::optional<ExecTimeCache::Entry> entry = cache.Lookup(7);
+  ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->stats.count(), 2u);
   EXPECT_DOUBLE_EQ(entry->stats.mean(), 2.0);
   EXPECT_DOUBLE_EQ(entry->stats.variance(), 1.0);
@@ -129,7 +130,7 @@ TEST_P(CacheBlendPropertyTest, PredictionBetweenMeanAndLast) {
   for (int i = 0; i < 200; ++i) {
     const uint64_t key = rng.NextBelow(4);
     cache.Observe(key, rng.NextLogNormal(0.0, 1.0), i);
-    const ExecTimeCache::Entry* entry = cache.Lookup(key);
+    const std::optional<ExecTimeCache::Entry> entry = cache.Lookup(key);
     const double lo = std::min(entry->stats.mean(), entry->last_exec_time);
     const double hi = std::max(entry->stats.mean(), entry->last_exec_time);
     const double prediction = *cache.Predict(key);
@@ -157,74 +158,34 @@ TEST(ExecTimeCacheTest, PredictionModes) {
   EXPECT_EQ(predict(0.0), 9.0);
 }
 
-TEST(ShardedCacheTest, SingleShardMatchesBareCache) {
-  ExecTimeCacheConfig cache_config;
-  cache_config.capacity = 8;  // Small, to exercise eviction.
-  ExecTimeCache bare(cache_config);
-  ShardedExecTimeCache sharded({cache_config, 1});
-
-  for (uint64_t i = 0; i < 64; ++i) {
-    const uint64_t key = i % 13;
-    const double exec = static_cast<double>(i) * 0.5;
-    // Observe reports the pre-observation membership (the §4.3 dedup
-    // signal).
-    const bool was_cached = bare.Contains(key);
-    bare.Observe(key, exec, i);
-    EXPECT_EQ(sharded.Observe(key, exec, i), was_cached) << key;
-    const auto bare_prediction = bare.Predict(key);
-    const auto sharded_prediction = sharded.Predict(key);
-    ASSERT_EQ(bare_prediction.has_value(), sharded_prediction.has_value());
-    EXPECT_DOUBLE_EQ(*bare_prediction, *sharded_prediction);
-  }
-  EXPECT_EQ(bare.size(), sharded.size());
-  EXPECT_EQ(bare.hits(), sharded.hits());
-  EXPECT_EQ(bare.misses(), sharded.misses());
-  EXPECT_EQ(bare.evictions(), sharded.evictions());
+// Observe reports whether the key was cached before the observation (the
+// §4.3 pool-deduplication signal), including for a key that was cached
+// once and then evicted.
+TEST(ExecTimeCacheTest, ObserveReportsWhetherKeyWasCached) {
+  ExecTimeCache cache(SmallConfig(2));
+  EXPECT_FALSE(cache.Observe(1, 1.0, 1));
+  EXPECT_TRUE(cache.Observe(1, 2.0, 2));
+  EXPECT_FALSE(cache.Observe(2, 1.0, 3));
+  EXPECT_FALSE(cache.Observe(3, 1.0, 4));  // Evicts key 1.
+  EXPECT_FALSE(cache.Observe(1, 1.0, 5));  // Evicts key 2.
+  EXPECT_TRUE(cache.Observe(3, 1.0, 6));
+  EXPECT_EQ(cache.evictions(), 2u);
+  EXPECT_EQ(cache.hits(), 0u);  // Observe counts no hit or miss.
+  EXPECT_EQ(cache.misses(), 0u);
 }
 
-TEST(ShardedCacheTest, SplitsCapacityAndAggregatesCounters) {
-  ExecTimeCacheConfig cache_config;
-  cache_config.capacity = 100;
-  ShardedExecTimeCache sharded({cache_config, 8});
-  EXPECT_EQ(sharded.num_shards(), 8u);
-  EXPECT_EQ(sharded.shard_capacity(), 13u);  // ceil(100 / 8).
-
-  for (uint64_t key = 0; key < 40; ++key) sharded.Observe(key, 1.0, key);
-  EXPECT_EQ(sharded.size(), 40u);
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  for (uint64_t key = 0; key < 80; ++key) {
-    if (sharded.Predict(key)) {
-      ++hits;
-    } else {
-      ++misses;
-    }
-  }
-  EXPECT_EQ(sharded.hits(), hits);
-  EXPECT_EQ(sharded.misses(), misses);
-  EXPECT_GT(sharded.MemoryBytes(), 0u);
-}
-
-// Pins the documented divergence from the paper's single 2,000-entry cache
-// (§4.2/§5.1): per-shard capacity is ceil(capacity / num_shards), so the
-// effective aggregate capacity can exceed the configured one by up to
-// num_shards - 1 entries. total_capacity() must report that honestly.
-TEST(ShardedCacheTest, CeilDivisionOverProvisionsAggregateCapacity) {
-  ExecTimeCacheConfig cache_config;
-  cache_config.capacity = 2000;  // The paper's cache size.
-  ShardedExecTimeCache three({cache_config, 3});
-  EXPECT_EQ(three.shard_capacity(), 667u);  // ceil(2000 / 3).
-  EXPECT_EQ(three.total_capacity(), 2001u);
-  EXPECT_GT(three.total_capacity(), cache_config.capacity);
-
-  // num_shards == 1 restores the paper's configuration exactly.
-  ShardedExecTimeCache one({cache_config, 1});
-  EXPECT_EQ(one.shard_capacity(), 2000u);
-  EXPECT_EQ(one.total_capacity(), 2000u);
-
-  // Even division has no over-provisioning.
-  ShardedExecTimeCache eight({cache_config, 8});
-  EXPECT_EQ(eight.total_capacity(), 2000u);
+// Lookup hands out a copy: later observations do not reach it.
+TEST(ExecTimeCacheTest, LookupReturnsACopy) {
+  ExecTimeCache cache(SmallConfig());
+  EXPECT_FALSE(cache.Lookup(1).has_value());
+  cache.Observe(1, 1.0, 1);
+  const std::optional<ExecTimeCache::Entry> before = cache.Lookup(1);
+  cache.Observe(1, 5.0, 2);
+  ASSERT_TRUE(before.has_value());
+  EXPECT_EQ(before->stats.count(), 1u);
+  EXPECT_EQ(before->last_exec_time, 1.0);
+  EXPECT_EQ(cache.Lookup(1)->last_exec_time, 5.0);
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
 }
 
 }  // namespace

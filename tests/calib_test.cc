@@ -585,7 +585,6 @@ TEST(CalibratedPredictorTest, ReportedUncertaintyIsScaledRawSigma) {
 fleet_serve::TenantStackConfig CalibStackConfig(bool calibrate) {
   fleet_serve::TenantStackConfig config;
   config.predictor = CalibStageConfig(calibrate);
-  config.cache_shards = 2;
   return config;
 }
 
@@ -689,7 +688,6 @@ TEST(CalibratedPredictorTest, FailedLoadLeavesStackUntouched) {
 TEST(CalibConcurrencyTest, ReadersPredictWhileRecalibratorObserves) {
   fleet_serve::FleetServiceConfig config;
   config.stack.predictor = CalibStageConfig(true);
-  config.stack.cache_shards = 4;
   config.async_retrain = true;
   fleet_serve::FleetService service(config);
   constexpr fleet_serve::TenantId kTenant = 0;

@@ -31,7 +31,6 @@
 #include "stage/common/rng.h"
 #include "stage/common/serialize.h"
 #include "stage/core/stage_predictor.h"
-#include "stage/cache/sharded_cache.h"
 #include "stage/fleet/fleet.h"
 #include "stage/fleet_serve/tenant_stack.h"
 #include "stage/local/local_model.h"
@@ -54,10 +53,9 @@ core::StagePredictorConfig FastStage() {
   return config;
 }
 
-fleet_serve::TenantStackConfig SyncServiceConfig(size_t shards) {
+fleet_serve::TenantStackConfig SyncServiceConfig() {
   fleet_serve::TenantStackConfig config;
   config.predictor = FastStage();
-  config.cache_shards = shards;
   return config;
 }
 
@@ -511,47 +509,6 @@ TEST(TrainingPoolCheckpointTest, RestoredPoolContinuesEvictionOrder) {
   }
 }
 
-TEST(ShardedCacheCheckpointTest, RoundTripsAcrossShards) {
-  cache::ShardedExecTimeCacheConfig config;
-  config.cache.capacity = 30;
-  config.num_shards = 3;
-  cache::ShardedExecTimeCache original(config);
-  Rng rng(21);
-  for (uint64_t tick = 0; tick < 200; ++tick) {
-    original.Observe(rng.NextBelow(50), rng.NextDouble() * 20, tick);
-  }
-
-  std::stringstream buffer;
-  original.Save(buffer);
-  cache::ShardedExecTimeCache restored(config);
-  ASSERT_TRUE(restored.Load(buffer));
-  EXPECT_EQ(restored.size(), original.size());
-  for (uint64_t key = 0; key < 50; ++key) {
-    const auto a = original.Predict(key);
-    const auto b = restored.Predict(key);
-    ASSERT_EQ(a.has_value(), b.has_value()) << key;
-    if (a) {
-      EXPECT_DOUBLE_EQ(*a, *b) << key;
-    }
-  }
-}
-
-TEST(ShardedCacheCheckpointTest, LoadRejectsShardCountMismatch) {
-  cache::ShardedExecTimeCacheConfig two;
-  two.cache.capacity = 30;
-  two.num_shards = 2;
-  cache::ShardedExecTimeCache original(two);
-  for (uint64_t key = 0; key < 10; ++key) original.Observe(key, 1.0, key);
-  std::stringstream buffer;
-  original.Save(buffer);
-
-  cache::ShardedExecTimeCacheConfig three = two;
-  three.num_shards = 3;
-  cache::ShardedExecTimeCache restored(three);
-  EXPECT_FALSE(restored.Load(buffer));
-  EXPECT_EQ(restored.size(), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Warm-restart equivalence (the ISSUE acceptance bar): snapshot mid-replay,
 // restore into a fresh object, and the remainder of the replay must produce
@@ -634,7 +591,7 @@ TEST(ServiceCheckpointTest, WarmRestartContinuesReplayBitForBit) {
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
   const size_t cut = contexts.size() / 2;
 
-  fleet_serve::TenantStack reference(SyncServiceConfig(2),
+  fleet_serve::TenantStack reference(SyncServiceConfig(),
                                      {.instance = &instance.config});
   std::vector<core::Prediction> expected;
   for (size_t i = 0; i < contexts.size(); ++i) {
@@ -643,7 +600,7 @@ TEST(ServiceCheckpointTest, WarmRestartContinuesReplayBitForBit) {
     reference.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
 
-  fleet_serve::TenantStack prefix(SyncServiceConfig(2),
+  fleet_serve::TenantStack prefix(SyncServiceConfig(),
                                   {.instance = &instance.config});
   for (size_t i = 0; i < cut; ++i) {
     prefix.Predict(contexts[i]);
@@ -651,7 +608,7 @@ TEST(ServiceCheckpointTest, WarmRestartContinuesReplayBitForBit) {
   }
   std::stringstream buffer;
   ASSERT_TRUE(prefix.SaveState(buffer));
-  fleet_serve::TenantStack resumed(SyncServiceConfig(2),
+  fleet_serve::TenantStack resumed(SyncServiceConfig(),
                                    {.instance = &instance.config});
   ASSERT_TRUE(resumed.LoadState(buffer));
 
@@ -673,7 +630,7 @@ TEST(ServiceCheckpointTest, WarmRestartContinuesReplayBitForBit) {
 TEST(ServiceCheckpointTest, FileHelpersRoundTrip) {
   const fleet::InstanceTrace instance = MakeTrace(200);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
-  fleet_serve::TenantStack original(SyncServiceConfig(2),
+  fleet_serve::TenantStack original(SyncServiceConfig(),
                                     {.instance = &instance.config});
   for (size_t i = 0; i < contexts.size(); ++i) {
     original.Observe(contexts[i], instance.trace[i].exec_seconds);
@@ -682,7 +639,7 @@ TEST(ServiceCheckpointTest, FileHelpersRoundTrip) {
   const std::string path = TempPath("service.snap");
   std::string error;
   ASSERT_TRUE(SaveServiceSnapshot(original, path, &error)) << error;
-  fleet_serve::TenantStack restored(SyncServiceConfig(2),
+  fleet_serve::TenantStack restored(SyncServiceConfig(),
                                     {.instance = &instance.config});
   ASSERT_TRUE(LoadServiceSnapshot(&restored, path, &error)) << error;
 
@@ -695,20 +652,46 @@ TEST(ServiceCheckpointTest, FileHelpersRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(ServiceCheckpointTest, LoadRejectsShardCountMismatch) {
+// Version 1 of the predictor stream wrapped its cache section in a sharded
+// "SSHC" header (magic, version 1, shard count) around the "SCCH" stream.
+// Such a stream, rebuilt here from a v2 one as a one-shard writer would
+// have saved it, must fail LoadState and commit nothing.
+TEST(ServiceCheckpointTest, LoadRejectsVersion1Stream) {
   const fleet::InstanceTrace instance = MakeTrace(100);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
-  fleet_serve::TenantStack original(SyncServiceConfig(2),
+  fleet_serve::TenantStack original(SyncServiceConfig(),
                                     {.instance = &instance.config});
   for (size_t i = 0; i < contexts.size(); ++i) {
     original.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
-  std::stringstream buffer;
-  ASSERT_TRUE(original.SaveState(buffer));
+  std::stringstream saved;
+  ASSERT_TRUE(original.SaveState(saved));
+  const std::string v2 = saved.str();
+  constexpr size_t kHeaderBytes = 2 * sizeof(uint32_t);
+  std::stringstream v1;
+  WriteHeader(v1, 0x53535256, 1);  // "SSRV", version 1.
+  WriteHeader(v1, 0x53534843, 1);  // "SSHC", version 1.
+  WritePod<uint64_t>(v1, 1);       // Shard count.
+  v1 << v2.substr(kHeaderBytes);
 
-  fleet_serve::TenantStack mismatched(SyncServiceConfig(3),
-                                      {.instance = &instance.config});
-  EXPECT_FALSE(mismatched.LoadState(buffer));
+  fleet_serve::TenantStack target(SyncServiceConfig(),
+                                  {.instance = &instance.config});
+  target.Observe(contexts[0], 3.0);
+  std::string error;
+  EXPECT_FALSE(target.LoadState(v1, &error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(target.exec_time_cache().size(), 1u);
+  EXPECT_EQ(target.pool_size(), 1u);
+  EXPECT_EQ(target.local_model_snapshot(), nullptr);
+  const core::Prediction cached = target.Predict(contexts[0]);
+  EXPECT_EQ(cached.source, core::PredictionSource::kCache);
+  EXPECT_EQ(cached.seconds, 3.0);
+
+  // The v2 stream it was rebuilt from loads.
+  std::istringstream in(v2);
+  ASSERT_TRUE(target.LoadState(in, &error)) << error;
+  EXPECT_EQ(target.exec_time_cache().size(),
+            original.exec_time_cache().size());
 }
 
 // ---------------------------------------------------------------------------
@@ -717,7 +700,7 @@ TEST(ServiceCheckpointTest, LoadRejectsShardCountMismatch) {
 TEST(PeriodicCheckpointerTest, WritesPeriodicallyAndSnapshotRestores) {
   const fleet::InstanceTrace instance = MakeTrace(150);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
-  fleet_serve::TenantStack service(SyncServiceConfig(2),
+  fleet_serve::TenantStack service(SyncServiceConfig(),
                                    {.instance = &instance.config});
   for (size_t i = 0; i < contexts.size(); ++i) {
     service.Observe(contexts[i], instance.trace[i].exec_seconds);
@@ -741,7 +724,7 @@ TEST(PeriodicCheckpointerTest, WritesPeriodicallyAndSnapshotRestores) {
   EXPECT_EQ(checkpointer.failed(), 0u);
   EXPECT_TRUE(checkpointer.last_error().empty());
 
-  fleet_serve::TenantStack restored(SyncServiceConfig(2),
+  fleet_serve::TenantStack restored(SyncServiceConfig(),
                                     {.instance = &instance.config});
   std::string error;
   ASSERT_TRUE(LoadServiceSnapshot(&restored, path, &error)) << error;
@@ -756,7 +739,7 @@ TEST(PeriodicCheckpointerTest, WritesPeriodicallyAndSnapshotRestores) {
 
 TEST(PeriodicCheckpointerTest, ReportsFailures) {
   const fleet::InstanceTrace instance = MakeTrace(50);
-  fleet_serve::TenantStack service(SyncServiceConfig(1),
+  fleet_serve::TenantStack service(SyncServiceConfig(),
                                    {.instance = &instance.config});
 
   PeriodicCheckpointer::Options options;
@@ -849,7 +832,7 @@ std::vector<KindFile> AllKindFiles() {
   const fleet::InstanceTrace instance = MakeTrace(160);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
   {
-    fleet_serve::TenantStack service(SyncServiceConfig(2),
+    fleet_serve::TenantStack service(SyncServiceConfig(),
                                      {.instance = &instance.config});
     for (size_t i = 0; i < contexts.size(); ++i) {
       service.Observe(contexts[i], instance.trace[i].exec_seconds);
@@ -908,7 +891,7 @@ bool TryLoadKind(SnapshotKind kind, const std::string& bytes,
       return ok;
     }
     case SnapshotKind::kPredictionService: {
-      fleet_serve::TenantStack service(SyncServiceConfig(2));
+      fleet_serve::TenantStack service(SyncServiceConfig());
       const bool ok = LoadServiceSnapshot(&service, path);
       if (!ok) {
         // All-or-nothing: nothing parsed before the failure was applied.

@@ -1,8 +1,8 @@
 // Tests for the stage::fleet_serve registry and its tenant stacks:
 // eviction/cold-activation round-trips (bit-for-bit predictions AND
 // attribution counters), LRU order under a byte budget, the indexed fleet
-// snapshot format and its fallback on bad payloads, the sharded stack's
-// batch path and background retrains, and the concurrency stress tests
+// snapshot format and its fallback on bad payloads, the per-tenant cache's
+// §4.2 eviction, background retrains, and the concurrency stress tests
 // (run under STAGE_SANITIZE=thread to prove the synchronization).
 // Single-tenant routing equivalence with the pinned goldens lives in
 // golden_routing_test.
@@ -12,12 +12,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "stage/cache/exec_time_cache.h"
 #include "stage/common/crc32.h"
 #include "stage/core/predictor.h"
 #include "stage/fleet/fleet.h"
@@ -77,11 +79,10 @@ global::GlobalModel SmallGlobalModel(const fleet::InstanceTrace& instance) {
   return global::GlobalModel::Train(examples, config);
 }
 
-// Deterministic fleet config: inline retrains, one cache shard.
+// Deterministic fleet config: inline retrains.
 FleetServiceConfig DeterministicFleet() {
   FleetServiceConfig config;
   config.stack.predictor = FastStage();
-  config.stack.cache_shards = 1;
   config.async_retrain = false;
   return config;
 }
@@ -101,12 +102,53 @@ TEST(FleetServiceConfigTest, ValidateRejectsNonsense) {
   config.async_retrain = true;
   config.max_concurrent_trainings = 2;
 
-  config.stack.cache_shards = 0;
-  EXPECT_FALSE(config.Validate().empty());
-  config.stack.cache_shards = 8;
-
   config.stack.predictor.retrain_interval = 0;
   EXPECT_FALSE(config.Validate().empty());
+}
+
+// Each tenant owns one §4.2 cache: under the default fleet config a tenant
+// serves and evicts exactly like a bare ExecTimeCache fed the same (key,
+// tick) stream. Half the keys share one residue mod 8, so a cache split
+// into key-residue shards would evict from that residue early.
+TEST(FleetServiceTest, TenantCacheEvictsLikeTheSingleCache) {
+  FleetServiceConfig config;
+  config.stack.predictor.cache.capacity = 16;
+  FleetService fleet(config);
+  constexpr TenantId kTenant = 5;
+  fleet.RegisterTenant(kTenant);
+  cache::ExecTimeCache bare(config.stack.predictor.cache);
+
+  // 24 distinct keys (fewer than the default min_train_size, so no
+  // retrain starts): 12 multiples of 8, then 12 odd keys.
+  std::vector<uint64_t> keys;
+  for (uint64_t i = 0; i < 12; ++i) keys.push_back(8 * i);
+  for (uint64_t i = 0; i < 12; ++i) keys.push_back(2 * i + 1);
+  uint64_t tick = 0;
+  for (const uint64_t key : keys) {
+    core::QueryContext context;
+    context.feature_hash = key;
+    context.tick = ++tick;
+    const double seconds = 0.5 + static_cast<double>(key);
+    fleet.Observe(kTenant, context, seconds);
+    bare.Observe(key, seconds, tick);
+  }
+  for (const uint64_t key : keys) {
+    core::QueryContext context;
+    context.feature_hash = key;
+    const core::Prediction got = fleet.Predict(kTenant, context);
+    const std::optional<double> want = bare.Predict(key);
+    ASSERT_EQ(got.source == core::PredictionSource::kCache, want.has_value())
+        << key;
+    if (want) {
+      EXPECT_EQ(got.seconds, *want) << key;
+    }
+  }
+  const std::shared_ptr<TenantStack> stack = fleet.PinTenant(kTenant);
+  EXPECT_EQ(bare.evictions(), keys.size() - 16);
+  EXPECT_EQ(stack->exec_time_cache().evictions(), bare.evictions());
+  EXPECT_EQ(stack->exec_time_cache().hits(), bare.hits());
+  EXPECT_EQ(stack->exec_time_cache().misses(), bare.misses());
+  EXPECT_EQ(stack->exec_time_cache().size(), bare.size());
 }
 
 // The eviction-correctness bar: a tenant evicted mid-replay and
@@ -249,7 +291,6 @@ TEST(FleetServiceTest, ConcurrentDisjointTenantsWithEvictorChurn) {
   obs::MetricsRegistry registry;
   FleetServiceConfig config;
   config.stack.predictor = FastStage();
-  config.stack.cache_shards = 4;
   config.async_retrain = true;
   config.max_concurrent_trainings = 2;
   FleetService* fleet = new FleetService(
@@ -488,8 +529,9 @@ TEST(FleetSnapshotTest, SaveAttachActivateRoundTrip) {
 
 // A bad payload in an attached snapshot must not take the process down at
 // the tenant's first request: a corrupt payload (checksum mismatch) and one
-// written under another stack config (shard count) each fall back to a
-// fresh stack and are counted, while the intact tenant loads as saved.
+// written under another stack config (more cache entries than the
+// restoring cache holds) each fall back to a fresh stack and are counted,
+// while the intact tenant loads as saved.
 TEST(FleetSnapshotTest, BadTenantPayloadActivatesFresh) {
   const std::string path = TempPath("fleet_snapshot_bad_payload.sflt");
   const fleet::InstanceTrace instance = MakeTrace(200);
@@ -522,9 +564,11 @@ TEST(FleetSnapshotTest, BadTenantPayloadActivatesFresh) {
   FleetService restored(DeterministicFleet(), {.metrics = &registry});
   restored.RegisterTenant(1, {.instance = &instance.config});
   restored.RegisterTenant(2, {.instance = &instance.config});
-  TenantStackConfig two_shards = DeterministicFleet().stack;
-  two_shards.cache_shards = 2;
-  restored.RegisterTenant(3, {.instance = &instance.config}, &two_shards);
+  TenantStackConfig small_cache = DeterministicFleet().stack;
+  small_cache.predictor.cache.capacity =
+      original.PinTenant(3)->exec_time_cache().size() - 1;
+  ASSERT_GT(small_cache.predictor.cache.capacity, 0u);
+  restored.RegisterTenant(3, {.instance = &instance.config}, &small_cache);
   ASSERT_TRUE(restored.AttachSnapshot(path, &error)) << error;
 
   for (const core::QueryContext& context : contexts) {
@@ -566,7 +610,6 @@ TEST(FleetSnapshotTest, BadTenantPayloadActivatesFresh) {
 TEST(TenantStackTest, SaveLoadStatusContract) {
   TenantStackConfig config;
   config.predictor = FastStage();
-  config.cache_shards = 1;
   TenantStack stack(config);
   const fleet::InstanceTrace instance = MakeTrace(100);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
@@ -604,38 +647,33 @@ TEST(TenantStackTest, SaveLoadStatusContract) {
 
 TEST(ServiceConfigTest, ValidateRejectsNonsense) {
   TenantStackConfig config;
-  EXPECT_TRUE(config.Validate().empty());
-
-  config.cache_shards = 0;
-  EXPECT_FALSE(config.Validate().empty());
-  config.cache_shards = 8;
+  EXPECT_TRUE(config.predictor.Validate().empty());
 
   config.predictor.cache.capacity = 0;
-  EXPECT_FALSE(config.Validate().empty());
+  EXPECT_FALSE(config.predictor.Validate().empty());
   config.predictor.cache.capacity = 2000;
 
   config.predictor.cache.alpha = 1.5;
-  EXPECT_FALSE(config.Validate().empty());
+  EXPECT_FALSE(config.predictor.Validate().empty());
   config.predictor.cache.alpha = 0.8;
 
   config.predictor.retrain_interval = 0;
-  EXPECT_FALSE(config.Validate().empty());
+  EXPECT_FALSE(config.predictor.Validate().empty());
   config.predictor.retrain_interval = 400;
 
   config.predictor.min_train_size = 0;
-  EXPECT_FALSE(config.Validate().empty());
+  EXPECT_FALSE(config.predictor.Validate().empty());
   config.predictor.min_train_size = 30;
 
   config.predictor.local.ensemble.num_members = 0;
-  EXPECT_FALSE(config.Validate().empty());
+  EXPECT_FALSE(config.predictor.Validate().empty());
   config.predictor.local.ensemble.num_members = 10;
 
-  EXPECT_TRUE(config.Validate().empty());
+  EXPECT_TRUE(config.predictor.Validate().empty());
 }
 
-// Predict is PredictTraced without a trace, so two identical 8-shard
-// stacks serving the same queries each way report the same telemetry, and
-// every trace names the cache shard its probe used.
+// Predict is PredictTraced without a trace, so two identical stacks
+// serving the same queries each way report the same telemetry.
 TEST(TenantStackTest, TracedAndUntracedPredictsReportTheSameTelemetry) {
   const fleet::InstanceTrace instance = MakeTrace(400);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
@@ -647,7 +685,6 @@ TEST(TenantStackTest, TracedAndUntracedPredictsReportTheSameTelemetry) {
   // all fresh queries: 322 cache hits, 68 local answers, 10 escalations.
   config.predictor.short_running_seconds = 0.0;
   config.predictor.uncertainty_log_std_threshold = 0.3;
-  config.cache_shards = 8;
   obs::MetricsRegistry traced_registry;
   obs::MetricsRegistry untraced_registry;
   TenantStack traced(config, {.global_model = &global_model,
@@ -664,7 +701,6 @@ TEST(TenantStackTest, TracedAndUntracedPredictsReportTheSameTelemetry) {
   for (const core::QueryContext& context : contexts) {
     obs::PredictionTrace trace;
     traced.PredictTraced(context, &trace);
-    EXPECT_EQ(trace.cache_shard, context.feature_hash % 8);
     untraced.Predict(context);
   }
 
@@ -733,7 +769,6 @@ TEST(TenantStackTest, ConcurrentReadersWithRetrainingWriter) {
   FleetServiceConfig config;
   config.stack.predictor = FastStage();
   config.stack.predictor.retrain_interval = 150;  // Several retrains.
-  config.stack.cache_shards = 8;
   config.async_retrain = true;
   FleetService service(config);
   constexpr TenantId kTenant = 0;

@@ -176,14 +176,13 @@ ReplaySummary ReplayTraced(core::StagePredictor& predictor) {
       });
 }
 
-// The same replay through a one-tenant FleetService: one cache shard and
-// inline retrains, the configuration whose routing the goldens pin. The
+// The same replay through a one-tenant FleetService with inline retrains,
+// the configuration whose routing the goldens pin. The
 // fleet's attribution counters must agree with the traced stage counts.
 ReplaySummary ReplayThroughFleet(const core::StagePredictorConfig& config) {
   const GoldenWorkload& workload = Workload();
   fleet_serve::FleetServiceConfig fleet_config;
   fleet_config.stack.predictor = config;
-  fleet_config.stack.cache_shards = 1;
   fleet_config.async_retrain = false;
   fleet_serve::FleetService fleet(fleet_config);
   constexpr fleet_serve::TenantId kTenant = 7;

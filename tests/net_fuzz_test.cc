@@ -209,7 +209,6 @@ class FuzzServer {
     config.stack.predictor.local.ensemble.num_members = 2;
     config.stack.predictor.local.ensemble.member.num_rounds = 10;
     config.stack.predictor.min_train_size = 10;
-    config.stack.cache_shards = 1;
     config.async_retrain = false;
     served_ = std::make_unique<fleet_serve::FleetService>(config);
     twin_ = std::make_unique<fleet_serve::FleetService>(config);

@@ -53,7 +53,6 @@ core::StagePredictorConfig FastStage() {
 fleet_serve::FleetServiceConfig DeterministicFleet() {
   fleet_serve::FleetServiceConfig config;
   config.stack.predictor = FastStage();
-  config.stack.cache_shards = 1;
   config.async_retrain = false;
   return config;
 }

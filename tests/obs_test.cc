@@ -201,12 +201,11 @@ TEST(TraceTest, FormatTraceLineIsDeterministic) {
   trace.uncertainty_log_std = 1.75;
   trace.short_running_threshold = 5.0;
   trace.uncertainty_threshold = 1.0;
-  trace.cache_shard = 3;
   trace.total_nanos = 12345;  // Latency must NOT appear (non-deterministic).
   const std::string line = FormatTraceLine(7, trace);
   EXPECT_EQ(line,
             "q=7 stage=global hit=0 trained=1 global=1 short=0 conf=0 esc=1 "
-            "shard=3 pred=12.5 unc=1.75 thr_short=5 thr_unc=1");
+            "pred=12.5 unc=1.75 thr_short=5 thr_unc=1");
   EXPECT_EQ(line.find("nanos"), std::string::npos);
 }
 

@@ -52,7 +52,6 @@ core::StagePredictorConfig TinyStage() {
 fleet_serve::TenantStackConfig TinyService() {
   fleet_serve::TenantStackConfig config;
   config.predictor = TinyStage();
-  config.cache_shards = 2;
   return config;
 }
 
@@ -136,8 +135,8 @@ std::string ReadFileBytes(const std::string& path) {
   return buffer.str();
 }
 
-// The fuzz harness fixture: builds one exercised sharded stack + one-shard
-// predictor + local model, snapshots each, and exposes TryLoad* helpers
+// The fuzz harness fixture: builds one exercised tenant stack + predictor
+// + local model, snapshots each, and exposes TryLoad* helpers
 // that assert the no-partial-state property on every failed load.
 class SnapshotFuzzTest : public ::testing::Test {
  protected:

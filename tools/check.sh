@@ -124,8 +124,11 @@ else
   grep -q '"calibrated_coverage_better"' "${calib_bench_json}"
 fi
 # The coverage gate is the §4.8 acceptance bar: post-recalibration 90%
-# coverage error must beat pre.
+# coverage error must beat pre. The overhead gate: the median per-round
+# flag-on / flag-off warm-predict p50 ratio is at most 1.03, each round on
+# a freshly built stack pair.
 grep -q '"calibrated_coverage_better": true' "${calib_bench_json}"
+grep -q '"p50_overhead_within_budget": true' "${calib_bench_json}"
 echo "=== bench JSON OK: ${calib_bench_json} ==="
 
 # The server's qps, p50 and p99 with 16 pipelined connections, every

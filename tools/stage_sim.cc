@@ -42,11 +42,10 @@
 //   stage_sim train-global --instances=12 --queries=1000 --out=global.bin
 //   stage_sim replay --instances=4 --queries=2000 --global=global.bin
 //   stage_sim wlm --instances=4 --queries=2000 --utilization=0.75
-//   stage_sim serve --queries=2000 --threads=8 --shards=8
+//   stage_sim serve --queries=2000 --threads=8
 //   stage_sim snapshot --queries=2000 --stop_after=1000 --out=snap.bin
-//   stage_sim serve --queries=2000 --shards=1 --sync
-//       --restore_from=snap.bin --skip=1000
-//   stage_sim stats --queries=2000 --shards=4
+//   stage_sim serve --queries=2000 --sync --restore_from=snap.bin --skip=1000
+//   stage_sim stats --queries=2000
 //   stage_sim serve --queries=2000 --metrics_out=metrics.prom
 //   stage_sim serve-net --port=7433 --workers=2 &
 //   stage_sim loadgen --port=7433 --connections=16 --requests=500
@@ -89,7 +88,7 @@ namespace {
 const std::vector<std::string> kKnownFlags = {
     "instances", "queries",  "seed",        "csv",  "out",
     "global",    "members",  "rounds",      "help", "utilization",
-    "short_slots", "long_slots", "threads", "shards", "sync",
+    "short_slots", "long_slots", "threads", "sync",
     "stop_after", "restore_from", "skip", "metrics_out", "json",
     "budget_mb", "policy", "slo_factor", "window", "anchor",
     "host", "port", "port_file", "workers", "max_conns", "duration_s",
@@ -114,15 +113,12 @@ void PrintUsage() {
       "disables)\n"
       "                --metrics_out=FILE (per-policy wlm_<policy>_* "
       "queue metrics)\n"
-      "  serve:        --global=FILE --threads=N --shards=N --sync "
-      "(inline retrain)\n"
+      "  serve:        --global=FILE --threads=N --sync (inline retrain)\n"
       "                --restore_from=FILE --skip=K (resume a snapshotted "
-      "replay;\n"
-      "                 --shards must match the snapshotting run)\n"
+      "replay)\n"
       "                --metrics_out=FILE (dump the metrics registry after "
       "the run)\n"
-      "  snapshot:     --stop_after=K --out=FILE --shards=N (replay K "
-      "events,\n"
+      "  snapshot:     --stop_after=K --out=FILE (replay K events,\n"
       "                 write a crash-safe full-state snapshot)\n"
       "  stats:        replay through an instrumented service, dump the\n"
       "                full registry to stdout (--json for the JSON dump;\n"
@@ -134,7 +130,7 @@ void PrintUsage() {
       "                (residual window capacity) --anchor=P (anchor\n"
       "                confidence, default 0.9) --out=FILE (JSON report)\n"
       "  fleet-serve:  one tenant per instance through FleetService;\n"
-      "                --threads=N --shards=N --budget_mb=M (resident-bytes\n"
+      "                --threads=N --budget_mb=M (resident-bytes\n"
       "                budget, 0 = unbounded) --sync (inline retrain)\n"
       "                --out=FILE (indexed fleet snapshot after the replay)\n"
       "  serve-net:    epoll prediction server: FleetService behind a\n"
@@ -544,12 +540,9 @@ int RunWlm(const Flags& flags) {
 // --sync).
 constexpr fleet_serve::TenantId kServeTenant = 0;
 
-fleet_serve::FleetServiceConfig ServeConfigFromFlags(const Flags& flags,
-                                                     int64_t default_shards) {
+fleet_serve::FleetServiceConfig ServeConfigFromFlags(const Flags& flags) {
   fleet_serve::FleetServiceConfig config;
   config.stack.predictor = StageConfigFromFlags(flags);
-  config.stack.cache_shards =
-      static_cast<size_t>(flags.GetInt("shards", default_shards));
   config.async_retrain = !flags.GetBool("sync", false);
   return config;
 }
@@ -564,7 +557,6 @@ int RunSnapshot(const Flags& flags) {
 
   fleet_serve::TenantStackConfig config;
   config.predictor = StageConfigFromFlags(flags);
-  config.cache_shards = static_cast<size_t>(flags.GetInt("shards", 1));
   // Suspend/resume is a deterministic-replay workflow: Observe retrains
   // inline, so the snapshot captures the exact state after --stop_after
   // events.
@@ -591,13 +583,12 @@ int RunSnapshot(const Flags& flags) {
   }
   std::printf(
       "replayed %zu/%zu events; snapshot published to %s\n"
-      "state: cache %zu entries (%zu shards), pool %zu, trainings %d\n"
-      "resume: stage_sim serve --restore_from=%s --skip=%zu --shards=%zu "
+      "state: cache %zu entries, pool %zu, trainings %d\n"
+      "resume: stage_sim serve --restore_from=%s --skip=%zu "
       "--sync [same --instances/--queries/--seed/--rounds/--members]\n",
       stop_after, instance.trace.size(), path.c_str(),
-      stack.exec_time_cache().size(), stack.exec_time_cache().num_shards(),
-      stack.pool_size(), stack.trainings(), path.c_str(), stop_after,
-      stack.exec_time_cache().num_shards());
+      stack.exec_time_cache().size(), stack.pool_size(), stack.trainings(),
+      path.c_str(), stop_after);
   return 0;
 }
 
@@ -616,7 +607,7 @@ int RunServe(const Flags& flags) {
         static_cast<uint64_t>(event.arrival_ms)));
   }
 
-  const fleet_serve::FleetServiceConfig config = ServeConfigFromFlags(flags, 8);
+  const fleet_serve::FleetServiceConfig config = ServeConfigFromFlags(flags);
   const std::string metrics_out = flags.GetString("metrics_out", "");
   obs::MetricsRegistry registry;
   core::StagePredictorOptions options;
@@ -636,7 +627,7 @@ int RunServe(const Flags& flags) {
     if (!ckpt::LoadServiceSnapshot(stack.get(), restore_from, &error)) {
       std::fprintf(stderr,
                    "error: restore from %s failed: %s (flags must match the "
-                   "snapshotting run, e.g. --shards)\n",
+                   "snapshotting run)\n",
                    restore_from.c_str(), error.c_str());
       return 1;
     }
@@ -682,15 +673,13 @@ int RunServe(const Flags& flags) {
           .count();
 
   std::printf("replayed %zu queries + %llu concurrent reads in %.2fs "
-              "(%.0f predictions/s, %d reader threads, %zu cache shards, "
-              "%s retrain)\n",
+              "(%.0f predictions/s, %d reader threads, %s retrain)\n",
               contexts.size() - skip,
               static_cast<unsigned long long>(reader_predictions.load()),
               elapsed,
               metrics::LatencyRecorder::Qps(stack->total_predictions(),
                                             elapsed),
-              num_readers, stack->exec_time_cache().num_shards(),
-              config.async_retrain ? "async" : "inline");
+              num_readers, config.async_retrain ? "async" : "inline");
   std::printf("trainings: %d, cache hits: %llu, misses: %llu, evictions: "
               "%llu, pool: %zu, resident: %zu bytes\n",
               stack->trainings(),
@@ -725,7 +714,7 @@ int RunStats(const Flags& flags) {
   options.global_model = use_global ? &global_model : nullptr;
   options.instance = &instance.config;
   options.metrics = &registry;
-  fleet_serve::FleetService service(ServeConfigFromFlags(flags, 4));
+  fleet_serve::FleetService service(ServeConfigFromFlags(flags));
   service.RegisterTenant(kServeTenant, options);
   const std::shared_ptr<fleet_serve::TenantStack> stack =
       service.PinTenant(kServeTenant);
@@ -786,7 +775,6 @@ int RunFleetServe(const Flags& flags) {
   obs::MetricsRegistry registry;
   fleet_serve::FleetServiceConfig config;
   config.stack.predictor = StageConfigFromFlags(flags);
-  config.stack.cache_shards = static_cast<size_t>(flags.GetInt("shards", 4));
   config.async_retrain = !flags.GetBool("sync", false);
   config.resident_bytes_budget =
       static_cast<size_t>(flags.GetInt("budget_mb", 0)) * 1024 * 1024;
@@ -874,8 +862,6 @@ int RunServeNet(const Flags& flags) {
   obs::MetricsRegistry registry;
   fleet_serve::FleetServiceConfig fleet_service_config;
   fleet_service_config.stack.predictor = StageConfigFromFlags(flags);
-  fleet_service_config.stack.cache_shards =
-      static_cast<size_t>(flags.GetInt("shards", 4));
   fleet_service_config.async_retrain = !flags.GetBool("sync", false);
   fleet_serve::FleetService service(fleet_service_config,
                                     {.metrics = &registry});
